@@ -19,7 +19,8 @@
 
    Experiments are independent string-producing jobs, so they run on the
    domain pool ([-j N] or MEMORIA_JOBS, sequential at 1) and print in
-   list order. *)
+   list order. The MEMORIA_* environment variables are read once, at
+   start-up, and passed down with the flags' overrides. *)
 
 module Stats = Locality_stats
 module Pool = Locality_par.Pool
@@ -30,13 +31,16 @@ module Openmetrics = Locality_obs.Openmetrics
 module Flame = Locality_obs.Flame
 module Measure = Locality_interp.Measure
 module Store = Locality_store.Store
+module Settings = Locality_driver.Settings
 module Telemetry = Locality_telemetry.Telemetry
 module Record = Locality_telemetry.Record
+
+let env_settings = Settings.of_env (Settings.environment (Unix.environment ()))
 
 (* With MEMORIA_STORE set, say how the store did: a stderr summary line
    CI parses for the warm-run hit rate (stdout stays byte-identical). *)
 let () =
-  match Store.default () with
+  match env_settings.Settings.store with
   | None -> ()
   | Some _ ->
     at_exit (fun () ->
@@ -49,13 +53,6 @@ let () =
         Printf.eprintf
           "store: %d hits %d misses %d writes (%.1f%% hit rate)\n%!"
           c.Store.hits c.Store.misses c.Store.writes rate)
-
-(* Set by --tune before any experiment forces the rows: adds the tuned
-   column (quick transformation search) to tables 2 and 4. Off by
-   default so CI's replay-mode A/B byte-diff baselines are unchanged. *)
-let tune_flag = ref false
-
-let table2_rows = lazy (Stats.Table2.compute ~tune:!tune_flag ())
 
 (* The interpreter hot path is supposed to be allocation-free: trace a
    kernel into a discarding sink and report the minor-heap words each
@@ -82,16 +79,15 @@ let alloc_probe () =
 
 (* Capture the Table 4 workload (both program versions per row, same N)
    in one trace format and total the stream statistics. *)
-let tracestats () =
+let tracestats ~store rows =
   alloc_probe ();
-  let rows = Lazy.force table2_rows in
   let tally mode =
     List.fold_left
       (fun acc (r : Stats.Table2.row) ->
         if r.Stats.Table2.nests = 0 then acc
         else
           let add (recs, words, groups) p =
-            let cap = Measure.capture ~mode ~params:[ ("N", 32) ] p in
+            let cap = Measure.capture ~mode ~params:[ ("N", 32) ] ~store p in
             let r', w', g' = Measure.trace_stats cap in
             (recs + r', words + w', groups + g')
           in
@@ -115,10 +111,9 @@ let tracestats () =
    on the Table 4 workload: per-program class and miss rates, and an
    exact-mismatch total CI fails on (an exact claim must be
    simulator-equal). *)
-let analytic_stats () =
+let analytic_stats ~store rows =
   let module Analytic = Locality_analytic.Analytic in
   let module Report = Locality_stats.Report in
-  let rows = Lazy.force table2_rows in
   let config = Locality_cachesim.Machine.cache1 in
   let params = [ ("N", 32) ] in
   let exact = ref 0 and approx = ref 0 and fallback = ref 0 in
@@ -136,7 +131,8 @@ let analytic_stats () =
       "fallback      -      -      -"
     | Ok est ->
       let sim =
-        Measure.replay ~config (Measure.capture ~mode:Measure.Runs ~params p)
+        Measure.replay ~config ~store
+          (Measure.capture ~mode:Measure.Runs ~params ~store p)
       in
       let w = sim.Measure.whole in
       let sim_rate = rate w.Measure.accesses (w.Measure.accesses - w.Measure.hits) in
@@ -197,33 +193,40 @@ let analytic_stats () =
       |> List.map (fun (r, n) -> Printf.sprintf "  fallback reason (%2d): %s" n r)
       ))
 
-let experiments : (string * (unit -> string)) list =
+(* [rows] are Table 2's, shared by every experiment that needs them;
+   [tune] (the --tune flag) adds the tuned column (quick transformation
+   search) to tables 2 and 4 — off by default so CI's replay-mode A/B
+   byte-diff baselines are unchanged. *)
+let experiments ~settings ~tune ~scale ~rows :
+    (string * (unit -> string)) list =
+  let store = settings.Settings.store in
   [
-    ("fig2", fun () -> Stats.Figures.fig2 ());
-    ("fig3", fun () -> Stats.Figures.fig3 ());
-    ("fig7", fun () -> Stats.Figures.fig7 ());
-    ("table1", fun () -> Stats.Perf.table1 ());
-    ("table2", fun () -> Stats.Table2.render (Lazy.force table2_rows));
-    ("table3", fun () -> Stats.Perf.table3 ());
-    ("table4", fun () -> Stats.Perf.table4 ~tune:!tune_flag (Lazy.force table2_rows));
-    ("table5", fun () -> Stats.Table5.render_for (Lazy.force table2_rows));
-    ("fig8", fun () -> Stats.Figures.fig8 (Lazy.force table2_rows));
-    ("fig9", fun () -> Stats.Figures.fig9 (Lazy.force table2_rows));
-    ("ablation-transforms", fun () -> Stats.Ablation.transforms ());
-    ("ablation-tiling", fun () -> Stats.Ablation.tiling ());
+    ("fig2", fun () -> Stats.Figures.fig2 ~settings ());
+    ("fig3", fun () -> Stats.Figures.fig3 ~settings ());
+    ("fig7", fun () -> Stats.Figures.fig7 ~settings ());
+    ("table1", fun () -> Stats.Perf.table1 ~settings ());
+    ("table2", fun () -> Stats.Table2.render (Lazy.force rows));
+    ("table3", fun () -> Stats.Perf.table3 ~settings ());
+    ("table4", fun () -> Stats.Perf.table4 ~settings ~tune (Lazy.force rows));
+    ("table5", fun () -> Stats.Table5.render_for (Lazy.force rows));
+    ("fig8", fun () -> Stats.Figures.fig8 (Lazy.force rows));
+    ("fig9", fun () -> Stats.Figures.fig9 (Lazy.force rows));
+    ("ablation-transforms", fun () -> Stats.Ablation.transforms ~settings ());
+    ("ablation-tiling", fun () -> Stats.Ablation.tiling ~settings ());
     ("ablation-reversal", fun () -> Stats.Ablation.reversal ());
     ("ablation-cls", fun () -> Stats.Ablation.cls_sensitivity ());
-    ("ablation-reuse", fun () -> Stats.Ablation.reuse_profile ());
-    ("ablation-multilevel", fun () -> Stats.Ablation.multilevel ());
+    ("ablation-reuse", fun () -> Stats.Ablation.reuse_profile ~settings ());
+    ("ablation-multilevel", fun () -> Stats.Ablation.multilevel ~settings ());
     ("ablation-parallelism", fun () -> Stats.Ablation.parallelism ());
-    ("ablation-interference", fun () -> Stats.Ablation.interference ());
-    ("ablation-step3", fun () -> Stats.Ablation.step3 ());
-    ("ablation-tilesize", fun () -> Stats.Ablation.tilesize ());
-    ("tracestats", tracestats);
+    ( "ablation-interference",
+      fun () -> Stats.Ablation.interference ~settings () );
+    ("ablation-step3", fun () -> Stats.Ablation.step3 ~settings ());
+    ("ablation-tilesize", fun () -> Stats.Ablation.tilesize ~settings ());
+    ("tracestats", fun () -> tracestats ~store (Lazy.force rows));
     ("alloc", fun () -> alloc_probe (); "(see stderr)\n");
-    ("analytic", analytic_stats);
-    ("scale", fun () -> Stats.Scale.render_scale ());
-    ("sampleerr", fun () -> Stats.Scale.render_err (Lazy.force table2_rows));
+    ("analytic", fun () -> analytic_stats ~store (Lazy.force rows));
+    ("scale", fun () -> Stats.Scale.render_scale ~settings ~factor:scale ());
+    ("sampleerr", fun () -> Stats.Scale.render_err ~settings (Lazy.force rows));
   ]
 
 (* ------------------------------------------------- native kernels ---- *)
@@ -549,18 +552,19 @@ let bechamel () =
       | _ -> Printf.printf "%-45s %16s\n" name "n/a")
     (List.sort compare !entries)
 
-(* Experiments that read [table2_rows]. Before running experiments in
-   parallel the lazy is forced once up front: concurrent Lazy.force from
-   several domains raises, and the rows are wanted by many consumers. *)
+(* Experiments that read Table 2's rows. Before running experiments in
+   parallel the rows are computed once up front: concurrent Lazy.force
+   from several domains raises, and the rows are wanted by many
+   consumers. *)
 let needs_table2 =
   [ "table2"; "table4"; "table5"; "fig8"; "fig9"; "tracestats"; "analytic";
     "sampleerr" ]
 
-let run_experiments ~jobs selected =
+let run_experiments ~jobs ~rows selected =
   if
     jobs > 1
     && List.exists (fun (name, _) -> List.mem name needs_table2) selected
-  then ignore (Lazy.force table2_rows);
+  then ignore (Lazy.force rows);
   let rendered =
     Pool.map ~jobs
       (fun (name, f) -> (name, Obs.span ("experiment:" ^ name) f))
@@ -570,20 +574,15 @@ let run_experiments ~jobs selected =
     (fun (name, out) -> Printf.printf "\n##### %s #####\n\n%s%!" name out)
     rendered
 
-let replay_mode_name () =
-  match Sys.getenv_opt "MEMORIA_REPLAY" with
-  | Some "per-access" -> "per-access"
-  | Some "stream" -> "stream"
-  | Some "sample" -> "sample"
-  | Some "analytic" -> "analytic"
-  | _ -> "runs"
-
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   (* Strip -j/--jobs N, --scale N, --rate R, --trace FILE, --profile,
      --metrics FILE, --flame FILE and --tune anywhere on the command
      line (same convention the memoria binary uses). *)
   let jobs = ref None in
+  let scale = ref 4 in
+  let rate = ref None in
+  let tune = ref false in
   let trace = ref None in
   let profile = ref false in
   let metrics = ref None in
@@ -603,7 +602,7 @@ let () =
     | "--scale" :: n :: rest -> (
       match int_of_string_opt n with
       | Some k when k >= 1 ->
-        Stats.Scale.factor := k;
+        scale := k;
         strip rest
       | _ ->
         Printf.eprintf "bad --scale value %s (want a positive integer)\n" n;
@@ -614,7 +613,7 @@ let () =
     | "--rate" :: r :: rest -> (
       match float_of_string_opt r with
       | Some v when v > 0.0 && v <= 1.0 ->
-        Locality_sample.Sample.set_rate v;
+        rate := Some v;
         strip rest
       | _ ->
         Printf.eprintf "bad --rate value %s (want a float in (0, 1])\n" r;
@@ -644,14 +643,22 @@ let () =
       profile := true;
       strip rest
     | "--tune" :: rest ->
-      tune_flag := true;
+      tune := true;
       strip rest
     | a :: rest -> a :: strip rest
     | [] -> []
   in
   let args = strip args in
-  let jobs = match !jobs with Some j -> j | None -> Pool.default_jobs () in
-  let telemetry = Telemetry.enabled () in
+  let settings =
+    {
+      env_settings with
+      Settings.jobs = Option.value !jobs ~default:env_settings.Settings.jobs;
+      sample_rate =
+        Option.value !rate ~default:env_settings.Settings.sample_rate;
+    }
+  in
+  let jobs = settings.Settings.jobs in
+  let telemetry = settings.Settings.telemetry in
   let workload =
     Printf.sprintf "bench:%s:jobs=%d"
       (match args with [] -> "all" | l -> String.concat "+" l)
@@ -695,7 +702,7 @@ let () =
                   Record.ts_ns = Telemetry.now_epoch_ns ();
                   cmd = "bench";
                   workload;
-                  replay = replay_mode_name ();
+                  replay = Measure.mode_to_string settings.Settings.replay;
                   geometry = "cache1+cache2";
                   jobs;
                   git = Telemetry.git_describe ();
@@ -710,15 +717,17 @@ let () =
                 }
               in
               ignore (Telemetry.publish store record))
-            (Store.default ()))
+            settings.Settings.store)
   end;
+  let rows = lazy (Stats.Table2.compute ~settings ~tune:!tune ()) in
+  let experiments = experiments ~settings ~tune:!tune ~scale:!scale ~rows in
   match args with
   | [ "bechamel" ] -> bechamel ()
   | [ "csv"; dir ] ->
-    Stats.Csv.write_all ~dir (Lazy.force table2_rows);
+    Stats.Csv.write_all ~settings ~dir (Lazy.force rows);
     Printf.printf "wrote table2.csv, table3.csv, table4.csv to %s\n" dir
   | [] | [ "all" ] ->
-    run_experiments ~jobs experiments;
+    run_experiments ~jobs ~rows experiments;
     Printf.printf "\n(run `main.exe bechamel` for native wall-clock benchmarks)\n"
   | names ->
     let selected =
@@ -732,4 +741,4 @@ let () =
             exit 1)
         names
     in
-    run_experiments ~jobs selected
+    run_experiments ~jobs ~rows selected

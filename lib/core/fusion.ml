@@ -351,15 +351,13 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
       (* a textually before b *)
       let depth = compatible_level a.nest b.nest in
       if depth >= 1 then begin
-        let w_opt =
-          if (not (Obs.enabled ())) && no_shared_array a.nest b.nest then None
-          else Some (weight_memo a.nest b.nest ~depth)
+        (* Nests that share no array gain no locality from fusion: the
+           pair is rejected without weighing it, recorded or not. *)
+        let shared = not (no_shared_array a.nest b.nest) in
+        let w =
+          if shared then weight_memo a.nest b.nest ~depth else Poly.zero
         in
-        let profitable_raw =
-          match w_opt with
-          | None -> false
-          | Some w -> Poly.compare_dominant w Poly.zero > 0
-        in
+        let profitable_raw = shared && Poly.compare_dominant w Poly.zero > 0 in
         let within_limit =
           match interference_limit with
           | None -> true
@@ -382,10 +380,9 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
         let is_legal =
           profitable && (not blocked) && legal ~outer a.nest b.nest ~depth
         in
-        (* [note] only fires with Obs enabled, where [w_opt] is [Some]. *)
-        note a b ~depth
-          ~weight:(match w_opt with Some w -> w | None -> Poly.zero)
-          (if not profitable_raw then "rejected: no locality benefit"
+        note a b ~depth ~weight:w
+          (if not shared then "rejected: no shared array"
+           else if not profitable_raw then "rejected: no locality benefit"
            else if not within_limit then
              "rejected: over the interference limit"
            else if blocked then

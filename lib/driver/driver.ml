@@ -34,21 +34,21 @@ type config = {
   machines : Cache.config list;
   timing : Machine.timing;
   params : (string * int) list option;
-  replay : Measure.replay_mode option;
-  sample_rate : float option;
+  replay : Measure.replay_mode;
+  sample_rate : float;
   use_labels : bool;
   store : Store.t option;
 }
 
 let config ?n ?(scale = 1) ?(cls = 4)
     ?(transform = Compound { try_reversal = None; interference_limit = None })
-    ?(machines = []) ?(timing = Machine.default_timing) ?params ?replay
-    ?sample_rate ?(use_labels = false) ?(store = Store.default ()) source =
+    ?(machines = []) ?(timing = Machine.default_timing) ?params
+    ?(replay = Measure.Runs)
+    ?(sample_rate = Locality_sample.Sample.default_rate) ?(use_labels = false)
+    ?(store = None) source =
   if scale < 1 then invalid_arg "Driver.config: scale must be >= 1";
-  (match sample_rate with
-  | Some r when not (r > 0.0 && r <= 1.0) ->
-    invalid_arg "Driver.config: sample_rate must be in (0, 1]"
-  | _ -> ());
+  if not (sample_rate > 0.0 && sample_rate <= 1.0) then
+    invalid_arg "Driver.config: sample_rate must be in (0, 1]";
   { source; n; scale; cls; transform; machines; timing; params; replay;
     sample_rate; use_labels; store }
 
@@ -144,7 +144,10 @@ let changed (s : Compound.nest_stat) =
    output is cacheable like a trace: keyed on the canonical program
    text plus every knob, holding the transformed program and the
    statistics. (The store's format version retires entries if the
-   marshalled shape of either ever changes.) *)
+   marshalled shape of either ever changes.) Statement labels are
+   process-wide tickets, so the entry also holds the original program as
+   it was labelled when stored: a hit continues with that original, and
+   the pair keeps naming the optimized region consistently. *)
 let analysis_key ~cls ~try_reversal ~interference_limit program =
   let bool_tag = function None -> "-" | Some b -> string_of_bool b in
   let int_tag = function None -> "-" | Some i -> string_of_int i in
@@ -158,13 +161,18 @@ let analysis_key ~cls ~try_reversal ~interference_limit program =
 
 let compound_cached ~store ~cls ~try_reversal ~interference_limit program =
   let compute () =
-    Compound.run_program ?try_reversal ?interference_limit ~cls program
+    let p', stats =
+      Compound.run_program ?try_reversal ?interference_limit ~cls program
+    in
+    (program, p', stats)
   in
   match store with
   | None -> compute ()
   | Some st -> (
     let k = analysis_key ~cls ~try_reversal ~interference_limit program in
-    match (Store.get_value st k : (Program.t * Compound.stats) option) with
+    match
+      (Store.get_value st k : (Program.t * Program.t * Compound.stats) option)
+    with
     | Some v -> v
     | None ->
       let v = compute () in
@@ -172,13 +180,13 @@ let compound_cached ~store ~cls ~try_reversal ~interference_limit program =
       v)
 
 let run_loaded cfg name program =
-  let transformed, compound, optimized_labels =
+  let program, transformed, compound, optimized_labels =
     match cfg.transform with
-    | Keep -> (program, None, [])
+    | Keep -> (program, program, None, [])
     | Provided { transformed; optimized_labels } ->
-      (transformed, None, optimized_labels)
+      (program, transformed, None, optimized_labels)
     | Compound { try_reversal; interference_limit } ->
-      let p', stats =
+      let program, p', stats =
         Obs.span "optimize" (fun () ->
             compound_cached ~store:cfg.store ~cls:cfg.cls ~try_reversal
               ~interference_limit program)
@@ -188,7 +196,7 @@ let run_loaded cfg name program =
           (fun s -> if changed s then s.Compound.labels else [])
           stats.Compound.nests
       in
-      (p', Some stats, labels)
+      (program, p', Some stats, labels)
   in
   let measured =
     if cfg.machines = [] then []
@@ -197,7 +205,7 @@ let run_loaded cfg name program =
          geometry — and deferred: with a warm store no interpretation
          happens at all. *)
       let prep p =
-        Measure.prepare ?mode:cfg.replay ?rate:cfg.sample_rate
+        Measure.prepare ~mode:cfg.replay ~rate:cfg.sample_rate
           ?params:cfg.params ~store:cfg.store p
       in
       let orig = prep program in

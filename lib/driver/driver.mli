@@ -62,17 +62,16 @@ type config = {
   timing : Machine.timing;
   params : (string * int) list option;
       (** Capture-time parameter overrides, as {!Measure.capture}. *)
-  replay : Measure.replay_mode option;  (** [None] = [MEMORIA_REPLAY]. *)
-  sample_rate : float option;
+  replay : Measure.replay_mode;
+  sample_rate : float;
       (** SHARDS rate for the [Sampled] replay mode, threaded into
-          {!Measure.prepare} — explicitly per-config, never process
-          state, so concurrent runs with different rates (the serve
-          daemon's workers) cannot interfere. [None] = the ambient
-          {!Locality_sample.Sample.current_rate}[ ()]. *)
+          {!Measure.prepare} — per config, never process state, so
+          concurrent runs with different rates (the serve daemon's
+          workers) cannot interfere. *)
   use_labels : bool;
       (** Thread the optimized-region statement labels into replay so
           runs carry per-region statistics (Table 4). *)
-  store : Store.t option;  (** Experiment store; default the ambient one. *)
+  store : Store.t option;  (** Experiment store. *)
 }
 
 val config :
@@ -91,8 +90,9 @@ val config :
   config
 (** Defaults: no size override, [scale = 1], [cls = 4], {!Compound}
     with neither knob set, no machines, {!Machine.default_timing}, no
-    parameter overrides, ambient replay mode and sampling rate,
-    [use_labels = false], ambient store. @raise Invalid_argument when
+    parameter overrides, [Runs] replay,
+    {!Locality_sample.Sample.default_rate}, [use_labels = false], no
+    store. @raise Invalid_argument when
     [scale < 1] or [sample_rate] is outside (0, 1]. *)
 
 type measured = {

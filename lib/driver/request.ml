@@ -479,7 +479,7 @@ let resolve_machine = function
         c.Cache.name;
     c
 
-let to_config r =
+let to_config ?(settings = Settings.default ()) r =
   try
     if r.scale < 1 then reject "request: field \"scale\": must be >= 1";
     if r.cls < 1 then reject "request: field \"cls\": must be >= 1";
@@ -493,7 +493,7 @@ let to_config r =
     let machines = List.map resolve_machine r.machines in
     let store =
       match r.store with
-      | Ambient -> Store.default ()
+      | Ambient -> settings.Settings.store
       | No_store -> None
       | Root p -> (
         try Some (Store.open_root p)
@@ -508,6 +508,8 @@ let to_config r =
     Ok
       (Driver.config ?n:r.n ~scale:r.scale ~cls:r.cls ~transform ~machines
          ?params:(match r.params with [] -> None | l -> Some l)
-         ?replay:r.replay ?sample_rate:r.sample_rate ~use_labels:r.use_labels
-         ~store source)
+         ~replay:(Option.value r.replay ~default:settings.Settings.replay)
+         ~sample_rate:
+           (Option.value r.sample_rate ~default:settings.Settings.sample_rate)
+         ~use_labels:r.use_labels ~store source)
   with Reject m -> Error m

@@ -1,14 +1,15 @@
 (** The typed, wire-serializable request API of the Driver pipeline.
 
-    A {!t} is a serializable mirror of {!Driver.config}: everything the
-    pipeline used to take from environment variables — replay mode,
-    sample rate, geometry scale, job count, store root — is an explicit
-    typed field with a documented default. The JSON form (read by
-    {!of_json} via {!Locality_telemetry.Jsonin}, written by {!to_json}
-    via the shared [Stats.Json] emitter) is the body of the [memoria
-    serve] line protocol and of [memoria sim --request FILE]; the
-    schema is documented in [doc/SCHEMA.md] and [doc/PROTOCOL.md] and
-    carries [schema_version].
+    A {!t} is a serializable mirror of {!Driver.config}: replay mode,
+    sample rate, geometry scale, job count and store root are explicit
+    typed fields; an absent replay mode or sample rate, and an
+    ["ambient"] store, take the {!Settings} the caller resolves the
+    request with. The JSON form (read by {!of_json} via
+    {!Locality_telemetry.Jsonin}, written by {!to_json} via the shared
+    [Stats.Json] emitter) is the body of the [memoria serve] line
+    protocol and of [memoria sim --request FILE]; the schema is
+    documented in [doc/SCHEMA.md] and [doc/PROTOCOL.md] and carries
+    [schema_version].
 
     Reading is strict: an unknown field anywhere in the document is
     rejected with a [line:col]-prefixed diagnostic (like the language
@@ -42,7 +43,10 @@ type machine =
   | Custom of Cache.config  (** An explicit geometry. *)
 
 type store_choice =
-  | Ambient  (** whatever [MEMORIA_STORE] names — the default *)
+  | Ambient
+      (** the store of the {!Settings} the request is resolved with — for
+          the daemon and the CLI, the store they were started with (the
+          default) *)
   | No_store  (** disable caching for this request *)
   | Root of string  (** an explicit store root *)
 
@@ -65,13 +69,13 @@ type t = {
   transform : transform;
   machines : machine list;  (** empty = analysis only *)
   params : (string * int) list;
-  replay : Measure.replay_mode option;  (** [None] = ambient [MEMORIA_REPLAY] *)
+  replay : Measure.replay_mode option;  (** [None] = the settings' mode *)
   sample_rate : float option;
       (** SHARDS rate for the [sample] replay mode, carried into
           {!Driver.config}[.sample_rate] — per-request, never process
           state, so a server mixing concurrent requests with different
-          explicit rates keeps them isolated. [None] = the ambient
-          [MEMORIA_SAMPLE_RATE] / CLI default. *)
+          explicit rates keeps them isolated. [None] = the settings'
+          rate. *)
   use_labels : bool;
   store : store_choice;
   jobs : int option;
@@ -110,7 +114,7 @@ val make :
   t
 (** Defaults mirror {!Driver.config}'s: empty id, no size override,
     [scale = 1], [cls = 4], {!Compound} with neither knob set, no
-    machines, no params, ambient replay and store, no rate, no labels,
+    machines, no params, no replay mode, {!Ambient} store, no rate, no labels,
     no jobs hint, no timeout, no program echo. *)
 
 val named_machines : (string * Cache.config) list
@@ -138,8 +142,10 @@ val fingerprint : t -> string
     fingerprints get identical {!Driver.result}s, which is what the
     serve daemon batches on. *)
 
-val to_config : t -> (Driver.config, string) Stdlib.result
+val to_config :
+  ?settings:Settings.t -> t -> (Driver.config, string) Stdlib.result
 (** Resolve to a runnable {!Driver.config}: look up named machines,
     validate custom geometries (positive sizes, power-of-two line,
-    size divisible by [line * assoc]), open the store. Errors follow
-    the ["request: <detail>"] format. *)
+    size divisible by [line * assoc]), open the store. Absent fields
+    and ["ambient"] take [settings] (default {!Settings.default}).
+    Errors follow the ["request: <detail>"] format. *)

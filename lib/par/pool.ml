@@ -7,24 +7,9 @@
    to the plain sequential loop, which is also the determinism baseline
    the test suite compares against. *)
 
-let jobs_env = "MEMORIA_JOBS"
-
-let env_jobs () =
-  match Sys.getenv_opt jobs_env with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> Some j
-    | _ -> None)
-
-let default_jobs () =
-  let cores = max 1 (Domain.recommended_domain_count ()) in
-  match env_jobs () with
-  (* Cap at the core count: extra domains on an oversubscribed machine
-     only add minor-GC synchronisation stalls. An explicit [?jobs]
-     argument is taken literally. *)
-  | Some j -> min j cores
-  | None -> min 8 cores
+(* Extra domains on an oversubscribed machine only add minor-GC
+   synchronisation stalls, so the default stays within the core count. *)
+let default_jobs () = min 8 (max 1 (Domain.recommended_domain_count ()))
 
 (* Workers flag themselves so a nested [map] (e.g. Table2.compute inside
    a parallelized bench experiment) runs sequentially instead of

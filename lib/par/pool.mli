@@ -6,12 +6,9 @@
     [jobs = 1] the functions are plain sequential maps, so pool size
     never changes the answer — only the wall clock.
 
-    The pool size defaults to the [MEMORIA_JOBS] environment variable
-    when set (minimum 1, capped at the machine's recommended domain
-    count — oversubscribing cores only adds GC synchronisation stalls),
-    otherwise to the recommended domain count capped at 8. An explicit
-    [?jobs] argument is taken literally. Nested calls from inside a pool
-    worker run sequentially rather than spawning further domains.
+    The pool size defaults to {!default_jobs}; an explicit [?jobs]
+    argument is taken literally. Nested calls from inside a pool worker
+    run sequentially rather than spawning further domains.
 
     When {!Locality_obs.Obs} tracing is enabled, each item's events are
     captured on the worker domain and merged back into the caller's
@@ -22,14 +19,10 @@
     handle is immutable, its counters are atomics, writes publish via
     rename, and concurrent writers of the same key settle on one valid
     entry — so the store is safe across pool domains and across
-    concurrent processes sharing [MEMORIA_STORE]. The ambient
-    {!Locality_store.Store.default} handle is resolved before any domain
-    spawns and is therefore safe to consult from workers. *)
-
-val jobs_env : string
-(** Name of the controlling environment variable, ["MEMORIA_JOBS"]. *)
+    concurrent processes sharing one store root. *)
 
 val default_jobs : unit -> int
+(** The machine's recommended domain count, capped at 8. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f items] is [List.map f items], computed by up to [jobs]

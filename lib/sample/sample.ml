@@ -80,22 +80,10 @@ type t = {
   mutable g_cross : int array;
 }
 
-let rate_env = "MEMORIA_SAMPLE_RATE"
-let rate_override = ref None
+let default_rate = 0.01
 
-let set_rate r = rate_override := Some r
-
-let current_rate () =
-  match !rate_override with
-  | Some r -> r
-  | None -> (
-    match Sys.getenv_opt rate_env with
-    | Some s -> ( try float_of_string s with _ -> 0.01)
-    | None -> 0.01)
-
-let create ?rate ?(seed = 0) ?(max_tracked = 65536) ?(sets = 1) ~line_bytes ()
-    =
-  let rate = match rate with Some r -> r | None -> current_rate () in
+let create ?(rate = default_rate) ?(seed = 0) ?(max_tracked = 65536)
+    ?(sets = 1) ~line_bytes () =
   if rate <= 0.0 then invalid_arg "Sample.create: rate must be positive";
   if line_bytes <= 0 || line_bytes land (line_bytes - 1) <> 0 then
     invalid_arg "Sample.create: line_bytes must be a positive power of two";

@@ -37,6 +37,9 @@ type t
 val modulus : int
 (** Size of the hash space (2^24); the threshold lives in [1, modulus]. *)
 
+val default_rate : float
+(** 0.01, the SHARDS rate used when none is given. *)
+
 val create :
   ?rate:float ->
   ?seed:int ->
@@ -46,7 +49,7 @@ val create :
   unit ->
   t
 (** [create ~line_bytes ()] makes an empty profiler for the given cache
-    line size (a power of two). [rate] (default {!current_rate} ())
+    line size (a power of two). [rate] (default {!default_rate})
     clamps into (0, 1]; [seed] (default 0) keys the line hash so repeated
     runs can draw independent samples; [max_tracked] (default 65536)
     bounds the tracked-line set before rate adaptation kicks in; [sets]
@@ -115,14 +118,3 @@ val hits_under : profile -> int -> ways:int -> float
 
 val merged_histogram : profile -> (int * float) list
 (** All labels merged: (scaled distance, total weight), sorted. *)
-
-(** {2 Rate configuration}
-
-    The ambient rate used when [create] is not given one explicitly:
-    a process-wide override (the [--rate] CLI flag) wins over the
-    [MEMORIA_SAMPLE_RATE] environment variable, which defaults to
-    0.01. *)
-
-val rate_env : string
-val set_rate : float -> unit
-val current_rate : unit -> float

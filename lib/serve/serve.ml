@@ -17,6 +17,7 @@ module Pool = Locality_par.Pool
 module Obs = Locality_obs.Obs
 module Event = Locality_obs.Event
 module Store = Locality_store.Store
+module Settings = Locality_driver.Settings
 module Tune = Locality_stats.Tune
 
 type listen = Socket of string | Stdio
@@ -90,6 +91,7 @@ type completion = Done of bool * Event.t list | Discarded
 type t = {
   listen : listen;
   opts : options;
+  settings : Settings.t;
   lock : Mutex.t;
   inflight : (string, job) Hashtbl.t;  (* fingerprint -> job *)
   mutable n_inflight : int;
@@ -99,12 +101,14 @@ type t = {
   mutable running : bool;
 }
 
-let create ?(options = default_options) listen =
+let create ?(options = default_options) ?(settings = Settings.default ())
+    listen =
   if options.max_queue < 1 then invalid_arg "Serve.create: max_queue < 1";
   if options.max_conns < 1 then invalid_arg "Serve.create: max_conns < 1";
   {
     listen;
     opts = options;
+    settings;
     lock = Mutex.create ();
     inflight = Hashtbl.create 16;
     n_inflight = 0;
@@ -270,7 +274,7 @@ let handle_line l conn line =
       Obs.counter "serve.malformed" 1;
       respond conn (Response.Failed { id = ""; message = msg })
     | Ok req -> (
-      match Request.to_config req with
+      match Request.to_config ~settings:t.settings req with
       | Error msg ->
         Obs.counter "serve.invalid" 1;
         respond conn (Response.Failed { id = req.Request.id; message = msg })
@@ -461,7 +465,7 @@ let gc_tick l t_now =
   let t = l.t in
   if t.opts.gc_every_s > 0. && t_now -. l.last_gc >= t.opts.gc_every_s then begin
     l.last_gc <- t_now;
-    match Store.default () with
+    match t.settings.Settings.store with
     | None -> ()
     | Some store ->
       let deleted, remaining =

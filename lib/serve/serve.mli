@@ -12,9 +12,9 @@
     One event-loop thread owns all I/O (accept, line framing, deadline
     and gc bookkeeping); compute is dispatched to a persistent
     {!Locality_par.Pool.pool} of worker domains, so concurrent requests
-    simulate in parallel while sharing the process-wide warm state: one
-    ambient [MEMORIA_STORE] (warm requests are answered from the store
-    without re-capture) and one resolved configuration.
+    simulate in parallel while sharing the process-wide warm state: the
+    store the server was started with (warm requests are answered from
+    it without re-capture) and one resolved configuration.
 
     Real-service behaviours, all observable as typed responses and
     [serve.*] counters:
@@ -34,7 +34,7 @@
       {!install_signal_handlers}) stops accepting work, answers
       everything in flight, then returns from {!run}.
     - {b Maintenance}: an optional periodic {!Locality_store.Store.gc}
-      tick over the ambient store, with a minimum entry age so a
+      tick over the server's store, with a minimum entry age so a
       just-published object racing the tick is never evicted. *)
 
 type listen =
@@ -68,15 +68,20 @@ type options = {
 }
 
 val default_options : options
-(** Ambient jobs, [max_queue = 64], no default timeout,
+(** Default jobs, [max_queue = 64], no default timeout,
     [retry_after_ms = 100], gc tick off ([gc_every_s = 0.], 256 MiB
     target, 60 s min age when enabled), 8 MiB line limit, 512
     connections, 10 s write-stall budget. *)
 
 type t
 
-val create : ?options:options -> listen -> t
-(** Build a server. Nothing is bound or spawned until {!run}. *)
+val create :
+  ?options:options -> ?settings:Locality_driver.Settings.t -> listen -> t
+(** Build a server. [settings] (default
+    {!Locality_driver.Settings.default}) resolves each request's absent
+    replay mode and sampling rate and its ["ambient"] store, and names
+    the store the gc tick maintains. Nothing is bound or spawned until
+    {!run}. *)
 
 val run : t -> unit
 (** Bind, spawn the worker pool, and serve until {!stop} (or EOF under

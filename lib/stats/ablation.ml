@@ -1,6 +1,7 @@
 module C = Locality_core
 module S = Locality_suite
 module D = Locality_driver.Driver
+module Settings = Locality_driver.Settings
 module Measure = Locality_interp.Measure
 module Machine = Locality_cachesim.Machine
 
@@ -20,17 +21,22 @@ let permute_fuse ?(cls = 4) (p : Program.t) =
     (fun b -> (C.Fusion.fuse_block ~cls ~outer:[] b).C.Fusion.block)
     p
 
-let speed config p p' =
+(* The simulator under the caller's replay mode, rate and store. *)
+let measure (s : Settings.t) ?config p =
+  Measure.measure ?config ~mode:s.Settings.replay ~rate:s.Settings.sample_rate
+    ~store:s.Settings.store p
+
+let speed settings config p p' =
   let r =
     D.run_exn
-      (D.config
+      (Settings.config settings
          ~transform:(D.Provided { transformed = p'; optimized_labels = [] })
          ~machines:[ config ]
          (D.Source_program { name = "ablation"; program = p }))
   in
   (List.hd r.D.measured).D.speedup
 
-let transforms ?(n = 48) () =
+let transforms ?(settings = Settings.default ()) ?(n = 48) () =
   let kernels =
     [
       ("adi (fuse enables perm)", S.Kernels.adi_fragment n);
@@ -46,10 +52,10 @@ let transforms ?(n = 48) () =
         let cfg = Machine.cache2 in
         [
           name;
-          Printf.sprintf "%.2f" (speed cfg p (permute_only p));
-          Printf.sprintf "%.2f" (speed cfg p (permute_fuse p));
+          Printf.sprintf "%.2f" (speed settings cfg p (permute_only p));
+          Printf.sprintf "%.2f" (speed settings cfg p (permute_fuse p));
           Printf.sprintf "%.2f"
-            (speed cfg p (fst (C.Compound.run_program ~cls:4 p)));
+            (speed settings cfg p (fst (C.Compound.run_program ~cls:4 p)));
         ])
       kernels
   in
@@ -62,7 +68,7 @@ let transforms ?(n = 48) () =
     [ "Kernel"; "Permute"; "+Fusion"; "Compound" ]
     rows
 
-let tiling ?(n = 64) () =
+let tiling ?(settings = Settings.default ()) ?(n = 64) () =
   let kernels =
     [
       ("matmul JKI, band {J,K}", S.Kernels.matmul ~order:"JKI" n, [ "J"; "K" ]);
@@ -74,13 +80,13 @@ let tiling ?(n = 64) () =
       (fun (name, p, band) ->
         match Program.top_loops p with
         | [ nest ] ->
-          let base = Measure.measure ~config:Machine.cache2 p in
+          let base = measure settings ~config:Machine.cache2 p in
           let rate_of tile =
             match C.Tiling.tile ~sizes:tile nest ~band with
             | None -> "-"
             | Some tiled ->
               let p' = Program.map_body (fun _ -> [ Loop.Loop tiled ]) p in
-              let r = Measure.measure ~config:Machine.cache2 p' in
+              let r = measure settings ~config:Machine.cache2 p' in
               Printf.sprintf "%.2f" (Measure.hit_rate r.Measure.whole)
           in
           Some
@@ -145,11 +151,11 @@ let reversal () =
       [ "nests where reversal applied"; string_of_int reversed_used; "" ];
     ]
 
-let step3 ?(n = 64) () =
+let step3 ?(settings = Settings.default ()) ?(n = 64) () =
   let p = S.Kernels.matmul ~order:"JKI" n in
   let nest = List.hd (Program.top_loops p) in
   let row label q =
-    let r = Measure.measure ~config:Machine.cache2 q in
+    let r = measure settings ~config:Machine.cache2 q in
     let res = Locality_interp.Fastexec.run q in
     [
       label;
@@ -222,11 +228,11 @@ let step3 ?(n = 64) () =
     [ "Version"; "Mem accesses"; "Acc/FLOP"; "Modelled(s) cache2" ]
     !rows
 
-let interference ?(n = 128) () =
+let interference ?(settings = Settings.default ()) ?(n = 128) () =
   let p = S.Kernels.shallow_water n in
   let compound lim =
     D.run_exn
-      (D.config ~cls:4
+      (Settings.config settings ~cls:4
          ~transform:(D.Compound { try_reversal = None; interference_limit = lim })
          ~machines:[ Machine.cache1 ]
          (D.Source_program { name = "swm-fragment"; program = p }))
@@ -235,7 +241,7 @@ let interference ?(n = 128) () =
   let fused = unguarded.D.transformed
   and guarded = guarded.D.transformed in
   let row label q =
-    let r = Measure.measure ~config:Machine.cache1 q in
+    let r = measure settings ~config:Machine.cache1 q in
     [
       label;
       Printf.sprintf "%.4f" r.Measure.seconds;
@@ -286,12 +292,15 @@ let parallelism () =
     [ "Kernel"; "DOALL loops"; "outer-parallel nests"; "inner-sequential nests" ]
     rows
 
-let multilevel ?(n = 96) () =
+let multilevel ?(settings = Settings.default ()) ?(n = 96) () =
   let p = S.Kernels.matmul ~order:"JKI" n in
   let nest = List.hd (Program.top_loops p) in
   let measure label nest' =
     let p' = Program.map_body (fun _ -> [ Loop.Loop nest' ]) p in
-    let r = Measure.measure_hierarchy p' in
+    let r =
+      Measure.measure_hierarchy ~mode:settings.Settings.replay
+        ~store:settings.Settings.store p'
+    in
     [
       label;
       Printf.sprintf "%.2f" r.Measure.l1_rate;
@@ -323,7 +332,7 @@ let multilevel ?(n = 96) () =
     [ "Version"; "L1 hit%"; "L2 hit%"; "AMAT" ]
     !rows
 
-let tilesize () =
+let tilesize ?(settings = Settings.default ()) () =
   let module TS = Locality_cachesim.Tilesize in
   let cfg = Machine.cache2 in
   let sweep = [ 8; 16; 32 ] in
@@ -340,10 +349,10 @@ let tilesize () =
           | None -> "-"
           | Some tiled ->
             let p' = Program.map_body (fun _ -> [ Loop.Loop tiled ]) p in
-            let r = Measure.measure ~config:cfg p' in
+            let r = measure settings ~config:cfg p' in
             Printf.sprintf "%.2f" (Measure.hit_rate r.Measure.whole)
         in
-        let base = Measure.measure ~config:cfg p in
+        let base = measure settings ~config:cfg p in
         (* Column-major: the stride between consecutive columns is the
            leading dimension, N. *)
         let v = TS.choose cfg ~elem_size:8 ~stride:n in
@@ -366,7 +375,7 @@ let tilesize () =
     @ [ "auto"; "auto hit%" ])
     rows
 
-let reuse_profile ?(n = 48) () =
+let reuse_profile ?(settings = Settings.default ()) ?(n = 48) () =
   let module RP = Locality_interp.Reuse_profile in
   let module Reuse = Locality_cachesim.Reuse in
   let lines_i860 = Machine.cache2.Locality_cachesim.Cache.size_bytes / 32 in
@@ -375,7 +384,7 @@ let reuse_profile ?(n = 48) () =
       (fun order ->
         let p = S.Kernels.matmul ~order n in
         let r = RP.profile ~line_bytes:32 p in
-        let sim = Measure.measure ~config:Machine.cache2 p in
+        let sim = measure settings ~config:Machine.cache2 p in
         [
           order;
           Printf.sprintf "%.0f" (Reuse.mean_distance r);

@@ -86,8 +86,8 @@ let write ~dir name contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let write_all ~dir rows =
+let write_all ?settings ~dir rows =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   write ~dir "table2.csv" (table2 rows);
-  write ~dir "table3.csv" (table3 (Perf.table3_rows ()));
-  write ~dir "table4.csv" (table4 (Perf.table4_rows rows))
+  write ~dir "table3.csv" (table3 (Perf.table3_rows ?settings ()));
+  write ~dir "table4.csv" (table4 (Perf.table4_rows ?settings rows))

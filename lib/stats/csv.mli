@@ -19,6 +19,7 @@ val table2 : Table2.row list -> string
 val table3 : Perf.perf_row list -> string
 val table4 : Perf.hit_row list -> string
 
-val write_all : dir:string -> Table2.row list -> unit
+val write_all :
+  ?settings:Locality_driver.Settings.t -> dir:string -> Table2.row list -> unit
 (** Write table2.csv, table3.csv and table4.csv under [dir] (created if
     missing). *)

@@ -1,15 +1,16 @@
 module C = Locality_core
 module S = Locality_suite
 module D = Locality_driver.Driver
+module Settings = Locality_driver.Settings
 module Measure = Locality_interp.Measure
 module Machine = Locality_cachesim.Machine
 
 (* Measure a fixed program as-is on some geometries, via the pipeline
-   driver (store-backed when MEMORIA_STORE is set). *)
-let keep_runs name program machines =
+   driver. *)
+let keep_runs settings name program machines =
   let r =
     D.run_exn
-      (D.config ~transform:D.Keep ~machines
+      (Settings.config settings ~transform:D.Keep ~machines
          (D.Source_program { name; program }))
   in
   List.map (fun m -> m.D.original_run) r.D.measured
@@ -34,7 +35,7 @@ let cost_table ~title nest candidates =
     ("RefGroup" :: candidates)
     (rows @ [ totals ])
 
-let fig2 ?(n_sim = 64) () =
+let fig2 ?(settings = Settings.default ()) ?(n_sim = 64) () =
   let buf = Buffer.create 4096 in
   let nest = List.hd (Program.top_loops (S.Kernels.matmul ~order:"JKI" 64)) in
   Buffer.add_string buf
@@ -57,12 +58,12 @@ let fig2 ?(n_sim = 64) () =
      interpreted once and its trace replayed on both cache geometries,
      with the orders simulated in parallel. *)
   let rows =
-    Locality_par.Pool.map
+    Locality_par.Pool.map ~jobs:settings.Settings.jobs
       (fun order ->
         let r1, r2 =
           Perf.two_machine_rows ~where:"Figures.fig2"
             ~program:("matmul-" ^ order)
-            (keep_runs ("matmul-" ^ order)
+            (keep_runs settings ("matmul-" ^ order)
                (S.Kernels.matmul ~order n_sim)
                [ Machine.cache1; Machine.cache2 ])
         in
@@ -88,7 +89,7 @@ let fig2 ?(n_sim = 64) () =
        rows);
   Buffer.contents buf
 
-let fig3 ?(n = 48) () =
+let fig3 ?(settings = Settings.default ()) ?(n = 48) () =
   let buf = Buffer.create 4096 in
   let adi = S.Kernels.adi_fragment 64 in
   let outer = List.hd (Program.top_loops adi) in
@@ -115,7 +116,7 @@ let fig3 ?(n = 48) () =
   Buffer.add_string buf (Pretty.program_to_string transformed);
   Buffer.add_string buf "\n\nMeasured (cache2 model):\n";
   let one name p =
-    List.hd (keep_runs name p [ Machine.cache2 ])
+    List.hd (keep_runs settings name p [ Machine.cache2 ])
   in
   let r_orig = one "adi-fragment" (S.Kernels.adi_fragment n) in
   let r_fused = one "adi-fused" (S.Kernels.adi_fused n) in
@@ -127,7 +128,7 @@ let fig3 ?(n = 48) () =
        (Measure.hit_rate ~exclude_cold:false r_fused.Measure.whole));
   Buffer.contents buf
 
-let fig7 ?(n_sim = 64) () =
+let fig7 ?(settings = Settings.default ()) ?(n_sim = 64) () =
   let buf = Buffer.create 4096 in
   let nest = List.hd (Program.top_loops (S.Kernels.cholesky 64)) in
   Buffer.add_string buf
@@ -142,7 +143,7 @@ let fig7 ?(n_sim = 64) () =
   let sp, r1, r2 =
     let r =
       D.run_exn
-        (D.config ~cls:4
+        (Settings.config settings ~cls:4
            ~machines:[ Machine.cache2 ]
            (D.Source_program
               { name = "cholesky"; program = S.Kernels.cholesky n_sim }))

@@ -17,11 +17,14 @@ val two_machine_rows : where:string -> program:string -> 'a list -> 'a * 'a
     [Invalid_argument] naming [where] and the offending [program] when
     the row count differs. *)
 
-val table1 : ?n:int -> unit -> string
+val table1 : ?settings:Locality_driver.Settings.t -> ?n:int -> unit -> string
 (** Erlebacher: hand-coded vs distributed vs fused (Section 4.3.4). *)
 
-val table3_rows : ?n:int -> ?cls:int -> ?jobs:int -> unit -> perf_row list
-val table3 : ?n:int -> ?cls:int -> ?jobs:int -> unit -> string
+val table3_rows :
+  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> unit ->
+  perf_row list
+val table3 :
+  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> unit -> string
 (** Original vs compound-transformed modelled times for the kernels the
     paper reports in Table 3, on the cache1 machine model. Each program
     version is interpreted once and its trace replayed per cache config;
@@ -44,11 +47,12 @@ type hit_row = {
 }
 
 val table4_rows :
-  ?n:int -> ?cls:int -> ?jobs:int -> ?tune:bool -> Table2.row list ->
-  hit_row list
+  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> ?tune:bool ->
+  Table2.row list -> hit_row list
 
 val table4 :
-  ?n:int -> ?cls:int -> ?jobs:int -> ?tune:bool -> Table2.row list -> string
+  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> ?tune:bool ->
+  Table2.row list -> string
 (** Simulated hit rates (cold misses excluded) for optimized procedures
     and whole programs, on cache1 (RS/6000) and cache2 (i860). Each
     program version is interpreted once and its trace replayed on both

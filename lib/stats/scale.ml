@@ -3,13 +3,11 @@
 
 module D = Locality_driver.Driver
 module Request = Locality_driver.Request
+module Settings = Locality_driver.Settings
 module Measure = Locality_interp.Measure
 module Machine = Locality_cachesim.Machine
 module Cache = Locality_cachesim.Cache
-module Sample = Locality_sample.Sample
 module S = Locality_suite
-
-let factor = ref 4
 
 (* 2-D kernels whose footprint grows quadratically with --scale: big
    enough to make the exact modes work for their answer, regular enough
@@ -29,14 +27,13 @@ let cache_short (c : Cache.config) =
   | Some i -> String.sub c.Cache.name 0 i
   | None -> c.Cache.name
 
-let render_scale () =
+let render_scale ?(settings = Settings.default ()) ?factor:(f = 4) () =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let f = !factor in
   line
     "Replay modes on scaled geometries (n=32, scale=%d -> effective n=%d, \
      rate=%g)"
-    f (32 * f) (Sample.current_rate ());
+    f (32 * f) settings.Settings.sample_rate;
   line "%-10s %-8s %-12s %9s %9s %9s %10s" "kernel" "cache" "version"
     "runs%" "stream%" "sample%" "sample-err";
   let mismatches = ref 0 in
@@ -55,7 +52,7 @@ let render_scale () =
             ~machines:(List.map Request.machine_of_config caches)
             (Request.Kernel kernel)
         in
-        match Request.to_config req with
+        match Request.to_config ~settings req with
         | Ok cfg -> D.run cfg
         | Error msg -> Error msg
       in
@@ -99,11 +96,11 @@ let render_scale () =
   line "sample max-err=%.2fpt" !max_err;
   Buffer.contents buf
 
-let render_err (rows : Table2.row list) =
+let render_err ?(settings = Settings.default ()) (rows : Table2.row list) =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let params = [ ("N", 32) ] in
-  let rate = Sample.current_rate () in
+  let rate = settings.Settings.sample_rate in
   line
     "Sampled vs exact miss rates (Table 4 workload, N=32, both versions, \
      cache1+cache2, rate=%g)"
@@ -117,12 +114,10 @@ let render_err (rows : Table2.row list) =
   List.iter
     (fun (r : Table2.row) ->
       if r.Table2.nests > 0 then
-        let exact p =
-          Measure.prepare ~mode:Measure.Runs ~params p
+        let prep mode p =
+          Measure.prepare ~mode ~rate ~params ~store:settings.Settings.store p
         in
-        let sampled p =
-          Measure.prepare ~mode:Measure.Sampled ~params p
-        in
+        let exact = prep Measure.Runs and sampled = prep Measure.Sampled in
         let eo = exact r.Table2.original
         and et = exact r.Table2.transformed
         and so = sampled r.Table2.original

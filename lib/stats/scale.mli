@@ -12,7 +12,7 @@
     {!render_err} (the [sampleerr] bench experiment) sweeps the Table 4
     workload (every suite program with nests, both versions, N=32) on
     both caches, comparing the SHARDS sampled miss-rate estimate at
-    {!Locality_sample.Sample.current_rate} against exact simulation.
+    the settings' rate against exact simulation.
     It ends with two verdict lines against the 1-percentage-point
     bound: [err-bound-ok] (max cell error — CI enforces it at
     [--rate 1.0], the adaptive-budget mode where error comes only from
@@ -21,9 +21,10 @@
     sampling rate, where a program whose footprint concentrates in a
     few cache sets can blow any per-cell bound). *)
 
-val factor : int ref
-(** Geometry multiplier used by {!render_scale} (the bench harness sets
-    it from [--scale N]); default 4, i.e. effective n = 128. *)
+val render_scale :
+  ?settings:Locality_driver.Settings.t -> ?factor:int -> unit -> string
+(** [factor] is the geometry multiplier (the bench harness's
+    [--scale N]); default 4, i.e. effective n = 128. *)
 
-val render_scale : unit -> string
-val render_err : Table2.row list -> string
+val render_err :
+  ?settings:Locality_driver.Settings.t -> Table2.row list -> string

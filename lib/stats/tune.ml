@@ -297,9 +297,8 @@ let cached_miss ~stage ~mode ~machine ~timing ~params ~store p =
 (* ------------------------------------------------------------ search --- *)
 
 let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
-    ?(timing = Machine.default_timing) ?params ?jobs ?store ~name
+    ?(timing = Machine.default_timing) ?params ?jobs ?(store = None) ~name
     (p : Program.t) =
-  let store = match store with Some s -> s | None -> Store.default () in
   (* Baseline and the paper's single-pass answer, measured exactly: the
      tuned winner is judged against the compound (memory-order) result
      on the same geometry. *)

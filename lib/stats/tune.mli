@@ -128,8 +128,7 @@ val run :
 (** Tune one program. Deterministic at any [jobs]: fixed enumeration
     order, pool results in input order, lexicographic tie-breaks.
     Errors follow the driver's ["<name>: <detail>"] contract; no input
-    raises. [machine] defaults to cache1, [store] to the ambient
-    [MEMORIA_STORE]. *)
+    raises. [machine] defaults to cache1; no store by default. *)
 
 val run_config : ?spec:spec -> ?jobs:int -> D.config -> (result, string) Stdlib.result
 (** {!run} driven by a driver config (the serve daemon and

@@ -9,7 +9,7 @@
 
 module Obs = Locality_obs.Obs
 
-let format_version = 1
+let format_version = 2
 let magic = "MEMSTOR1"
 let footer_len = 16 + 8 + String.length magic (* md5 + LE64 length + magic *)
 
@@ -95,23 +95,6 @@ let open_root dir =
   if not (Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
   { dir }
-
-let env_var = "MEMORIA_STORE"
-
-(* Resolved once at module initialisation (single-domain), so [default]
-   is a pure read afterwards and safe to call from pool workers. *)
-let default_store =
-  match Sys.getenv_opt env_var with
-  | None -> None
-  | Some "" -> None
-  | Some dir -> (
-    try Some (open_root dir)
-    with e ->
-      Printf.eprintf "memoria: ignoring %s=%s (%s)\n%!" env_var dir
-        (Printexc.to_string e);
-      None)
-
-let default () = default_store
 
 (* ------------------------------------------------------ file I/O --- *)
 

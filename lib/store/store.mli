@@ -45,13 +45,6 @@ val open_root : string -> t
 
 val root : t -> string
 
-val default : unit -> t option
-(** The ambient store configured by the [MEMORIA_STORE] environment
-    variable — [Some store] rooted there when the variable is set and
-    non-empty, [None] otherwise. Resolved once at program start (so it
-    is domain-safe); a root that cannot be created disables the store
-    with a one-line warning on stderr rather than failing the run. *)
-
 (** {1 Keys} *)
 
 type key

@@ -7,16 +7,6 @@
 
 module Store = Locality_store.Store
 
-let env_var = "MEMORIA_TELEMETRY"
-
-(* Opt-in: records are only written when MEMORIA_TELEMETRY=1 AND a
-   store is configured (the store root is where history lives).
-   Resolved once at start so workers can read it freely. *)
-let env_enabled =
-  match Sys.getenv_opt env_var with Some "1" -> true | _ -> false
-
-let enabled () = env_enabled && Store.default () <> None
-
 let dir store = Filename.concat (Store.root store) "telemetry"
 
 (* Best-effort `git describe` so records say what code produced them;

@@ -2,16 +2,10 @@
 
     Records live as one JSON file each under [<store root>/telemetry/],
     beside the content-addressed [objects/] namespace, written with the
-    store's atomic tmp+rename. Publishing is opt-in
-    ([MEMORIA_TELEMETRY=1] with a store configured) and best-effort: no
-    I/O failure ever propagates to the run being recorded. *)
-
-val env_var : string
-(** ["MEMORIA_TELEMETRY"]. *)
-
-val enabled : unit -> bool
-(** [MEMORIA_TELEMETRY=1] and [MEMORIA_STORE] resolves to a usable
-    store. Resolved once at program start. *)
+    store's atomic tmp+rename. Publishing is best-effort: no I/O failure
+    ever propagates to the run being recorded. Whether to publish at
+    all is the caller's setting ([MEMORIA_TELEMETRY=1] with a store, as
+    the executables resolve it). *)
 
 val dir : Locality_store.Store.t -> string
 (** The telemetry namespace under the store root. *)

@@ -27,4 +27,5 @@ let () =
       ("sample", Test_sample.suite);
       ("serve", Test_serve.suite);
       ("tune", Test_tune.suite);
+      ("settings", Test_settings.suite);
     ]

@@ -203,7 +203,6 @@ let test_error_bound () =
    record equals the exact one (counts, ops and modelled times), and
    the optimized-region split is preserved. *)
 let test_measure_sampled () =
-  Sample.set_rate 1.0;
   List.iter
     (fun (e : Programs.entry) ->
       let p = Programs.program_of ~n:8 e in
@@ -218,7 +217,7 @@ let test_measure_sampled () =
       let run mode =
         Measure.replay_prepared ~config:Machine.cache2
           ~optimized_labels:labels
-          (Measure.prepare ~mode ~store:None p)
+          (Measure.prepare ~mode ~rate:1.0 ~store:None p)
       in
       Alcotest.(check bool)
         (e.Programs.name ^ ": sampled(rate 1) = exact")

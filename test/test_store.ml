@@ -281,6 +281,33 @@ let test_gc_min_age () =
       check_int "min_age 0 evicts the rest" 1 deleted2;
       check_int "store empty" 0 remaining2)
 
+(* Statement labels are process-wide tickets, so the second config below
+   builds matmul with different labels than the first, under a different
+   analysis key but the same capture (and sample profile). Its measured
+   optimized region must still be the store-less one — in every mode. *)
+let test_labels_across_builds () =
+  let cfg ~store ~replay transform =
+    D.config ~n:24 ~machines:[ Locality_cachesim.Machine.cache1 ]
+      ~use_labels:true ~replay ~transform ~store (D.Source_kernel "matmul")
+  in
+  let a = D.Compound { try_reversal = None; interference_limit = None }
+  and b = D.Compound { try_reversal = Some false; interference_limit = None } in
+  List.iter
+    (fun replay ->
+      with_store (fun st ->
+          let what = Measure.mode_to_string replay ^ ": " in
+          ignore (D.run_exn (cfg ~store:(Some st) ~replay a));
+          let warm = D.run_exn (cfg ~store:(Some st) ~replay b) in
+          let plain = D.run_exn (cfg ~store:None ~replay b) in
+          check (what ^ "optimized region is attributed") true
+            (List.for_all
+               (fun m ->
+                 m.D.transformed_run.Measure.optimized.Measure.accesses > 0)
+               plain.D.measured);
+          check (what ^ "b with a's entries = b without a store") true
+            (warm.D.measured = plain.D.measured)))
+    Measure.[ Per_access; Runs; Stream; Sampled; Analytic ]
+
 let suite =
   [
     ("key: digest stability", `Quick, test_key_stability);
@@ -291,6 +318,9 @@ let suite =
     ( "driver: cached analysis is value-identical",
       `Quick,
       test_driver_analysis_cache );
+    ( "driver: store entries carry no build's labels",
+      `Quick,
+      test_labels_across_builds );
     ("corruption: bit-flip quarantined", `Quick, test_bitflip_quarantines);
     ("corruption: truncation invalidated", `Quick, test_truncation_invalidates);
     ( "corruption: recompute is field-identical",
