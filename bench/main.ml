@@ -1,233 +1,11 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's experiment index) and runs Bechamel
-   wall-clock benchmarks of native loop nests — the real-hardware analogue
-   of the paper's execution-time measurements.
+(* Bechamel wall-clock benchmarks of native loop nests — the
+   real-hardware analogue of the paper's execution-time measurements
+   (Figures 2, 3 and 7, Table 1, and tile-size selection on the host's
+   caches).
 
-   Usage:
-     main.exe [-j N]           run every table and figure
-     main.exe [-j N] <id> ...  run selected: fig2 fig3 fig7 table1 table2
-                               table3 table4 table5 fig8 fig9 tracestats
-     main.exe bechamel         run the Bechamel wall-clock benchmarks
-     main.exe csv DIR          export tables 2/3/4 as CSV into DIR
+   Usage: main.exe  (MATMUL_N sets the matmul size, default 192)
 
-   tracestats captures the Table 4 workload in both trace formats
-   (MEMORIA_REPLAY=per-access vs the default run-compressed v2) and
-   prints record counts and compression ratios; its output is
-   independent of the MEMORIA_REPLAY setting, so CI's A/B smoke — which
-   diffs the printed tables across the two modes byte-for-byte — is
-   unaffected by it.
-
-   Experiments are independent string-producing jobs, so they run on the
-   domain pool ([-j N] or MEMORIA_JOBS, sequential at 1) and print in
-   list order. The MEMORIA_* environment variables are read once, at
-   start-up, and passed down with the flags' overrides. *)
-
-module Stats = Locality_stats
-module Pool = Locality_par.Pool
-module Obs = Locality_obs.Obs
-module Chrome = Locality_obs.Chrome
-module Summary = Locality_obs.Summary
-module Openmetrics = Locality_obs.Openmetrics
-module Flame = Locality_obs.Flame
-module Measure = Locality_interp.Measure
-module Store = Locality_store.Store
-module Settings = Locality_driver.Settings
-module Telemetry = Locality_telemetry.Telemetry
-module Record = Locality_telemetry.Record
-
-let env_settings = Settings.of_env (Settings.environment (Unix.environment ()))
-
-(* With MEMORIA_STORE set, say how the store did: a stderr summary line
-   CI parses for the warm-run hit rate (stdout stays byte-identical). *)
-let () =
-  match env_settings.Settings.store with
-  | None -> ()
-  | Some _ ->
-    at_exit (fun () ->
-        let c = Store.counters () in
-        let looked_up = c.Store.hits + c.Store.misses in
-        let rate =
-          if looked_up = 0 then 0.0
-          else 100.0 *. float_of_int c.Store.hits /. float_of_int looked_up
-        in
-        Printf.eprintf
-          "store: %d hits %d misses %d writes (%.1f%% hit rate)\n%!"
-          c.Store.hits c.Store.misses c.Store.writes rate)
-
-(* The interpreter hot path is supposed to be allocation-free: trace a
-   kernel into a discarding sink and report the minor-heap words each
-   access cost. Goes to stderr so the CI A/B diff of stdout across
-   replay modes is unaffected; the residue is the per-run setup
-   (closure compilation, chunk buffer), amortised over ~10^6 accesses. *)
-let alloc_probe () =
-  let module Trace = Locality_interp.Trace in
-  let module Fastexec = Locality_interp.Fastexec in
-  let p = (List.assoc "matmul" Locality_suite.Kernels.all) 64 in
-  let silent_run () =
-    let rb = Trace.run_create ~sink:(fun _ -> ()) () in
-    let w0 = Gc.minor_words () in
-    ignore (Fastexec.run_traced_runs rb p);
-    let w1 = Gc.minor_words () in
-    (w1 -. w0, Trace.run_total rb)
-  in
-  ignore (silent_run ());
-  let words, accesses = silent_run () in
-  Printf.eprintf "alloc: %.4f minor words/access (%d accesses, matmul n=64, \
-                  silent sink)\n%!"
-    (words /. float_of_int accesses)
-    accesses
-
-(* Capture the Table 4 workload (both program versions per row, same N)
-   in one trace format and total the stream statistics. *)
-let tracestats ~store rows =
-  alloc_probe ();
-  let tally mode =
-    List.fold_left
-      (fun acc (r : Stats.Table2.row) ->
-        if r.Stats.Table2.nests = 0 then acc
-        else
-          let add (recs, words, groups) p =
-            let cap = Measure.capture ~mode ~params:[ ("N", 32) ] ~store p in
-            let r', w', g' = Measure.trace_stats cap in
-            (recs + r', words + w', groups + g')
-          in
-          add (add acc r.Stats.Table2.original) r.Stats.Table2.transformed)
-      (0, 0, 0) rows
-  in
-  let line name (recs, words, groups) =
-    Printf.sprintf "%-12s %14d %14d %10d %8.2fx" name recs words groups
-      (float_of_int recs /. float_of_int words)
-  in
-  String.concat "\n"
-    [
-      "Trace capture statistics (Table 4 workload, N=32, both versions)";
-      Printf.sprintf "%-12s %14s %14s %10s %8s" "mode" "records"
-        "words stored" "groups" "ratio";
-      line "per-access" (tally Measure.Per_access);
-      line "runs" (tally Measure.Runs);
-    ]
-
-(* The closed-form analytic model against the simulator, whole-program,
-   on the Table 4 workload: per-program class and miss rates, and an
-   exact-mismatch total CI fails on (an exact claim must be
-   simulator-equal). *)
-let analytic_stats ~store rows =
-  let module Analytic = Locality_analytic.Analytic in
-  let module Report = Locality_stats.Report in
-  let config = Locality_cachesim.Machine.cache1 in
-  let params = [ ("N", 32) ] in
-  let exact = ref 0 and approx = ref 0 and fallback = ref 0 in
-  let mismatches = ref 0 in
-  let reasons : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let rate acc miss =
-    if acc = 0 then 0.0 else 100.0 *. float_of_int miss /. float_of_int acc
-  in
-  let side p =
-    match Analytic.estimate ~params ~config p with
-    | Error reason ->
-      incr fallback;
-      Hashtbl.replace reasons reason
-        (1 + Option.value ~default:0 (Hashtbl.find_opt reasons reason));
-      "fallback      -      -      -"
-    | Ok est ->
-      let sim =
-        Measure.replay ~config ~store
-          (Measure.capture ~mode:Measure.Runs ~params ~store p)
-      in
-      let w = sim.Measure.whole in
-      let sim_rate = rate w.Measure.accesses (w.Measure.accesses - w.Measure.hits) in
-      let a = est.Analytic.e_whole in
-      let ana_rate =
-        rate a.Analytic.c_accesses (a.Analytic.c_accesses - a.Analytic.c_hits)
-      in
-      let cls =
-        if est.Analytic.e_exact then begin
-          incr exact;
-          if
-            w.Measure.accesses <> a.Analytic.c_accesses
-            || w.Measure.hits <> a.Analytic.c_hits
-            || w.Measure.cold <> a.Analytic.c_cold
-            || sim.Measure.ops <> est.Analytic.e_ops
-          then begin
-            incr mismatches;
-            "EXACT-MISMATCH"
-          end
-          else "exact"
-        end
-        else begin
-          incr approx;
-          "approx"
-        end
-      in
-      Printf.sprintf "%-8s %6s %6s %6s" cls
-        (Report.fmt_pct sim_rate) (Report.fmt_pct ana_rate)
-        (Report.fmt_pct (Float.abs (ana_rate -. sim_rate)))
-  in
-  let body =
-    List.filter_map
-      (fun (r : Stats.Table2.row) ->
-        if r.Stats.Table2.nests = 0 then None
-        else
-          Some
-            (Printf.sprintf "%-10s %s   %s"
-               r.Stats.Table2.entry.Locality_suite.Programs.name
-               (side r.Stats.Table2.original)
-               (side r.Stats.Table2.transformed)))
-      rows
-  in
-  String.concat "\n"
-    ([
-       "Analytic model vs simulator (Table 4 workload, N=32, cache1, \
-        whole-program miss rates)";
-       Printf.sprintf "%-10s %-8s %6s %6s %6s   %-8s %6s %6s %6s" "program"
-         "orig" "sim%" "ana%" "err" "trans" "sim%" "ana%" "err";
-     ]
-    @ body
-    @ [
-        Printf.sprintf
-          "analytic classes: exact=%d approx=%d fallback=%d exact-mismatches=%d"
-          !exact !approx !fallback !mismatches;
-      ]
-    @ (Hashtbl.fold (fun r n acc -> (r, n) :: acc) reasons []
-      |> List.sort compare
-      |> List.map (fun (r, n) -> Printf.sprintf "  fallback reason (%2d): %s" n r)
-      ))
-
-(* [rows] are Table 2's, shared by every experiment that needs them;
-   [tune] (the --tune flag) adds the tuned column (quick transformation
-   search) to tables 2 and 4 — off by default so CI's replay-mode A/B
-   byte-diff baselines are unchanged. *)
-let experiments ~settings ~tune ~scale ~rows :
-    (string * (unit -> string)) list =
-  let store = settings.Settings.store in
-  [
-    ("fig2", fun () -> Stats.Figures.fig2 ~settings ());
-    ("fig3", fun () -> Stats.Figures.fig3 ~settings ());
-    ("fig7", fun () -> Stats.Figures.fig7 ~settings ());
-    ("table1", fun () -> Stats.Perf.table1 ~settings ());
-    ("table2", fun () -> Stats.Table2.render (Lazy.force rows));
-    ("table3", fun () -> Stats.Perf.table3 ~settings ());
-    ("table4", fun () -> Stats.Perf.table4 ~settings ~tune (Lazy.force rows));
-    ("table5", fun () -> Stats.Table5.render_for (Lazy.force rows));
-    ("fig8", fun () -> Stats.Figures.fig8 (Lazy.force rows));
-    ("fig9", fun () -> Stats.Figures.fig9 (Lazy.force rows));
-    ("ablation-transforms", fun () -> Stats.Ablation.transforms ~settings ());
-    ("ablation-tiling", fun () -> Stats.Ablation.tiling ~settings ());
-    ("ablation-reversal", fun () -> Stats.Ablation.reversal ());
-    ("ablation-cls", fun () -> Stats.Ablation.cls_sensitivity ());
-    ("ablation-reuse", fun () -> Stats.Ablation.reuse_profile ~settings ());
-    ("ablation-multilevel", fun () -> Stats.Ablation.multilevel ~settings ());
-    ("ablation-parallelism", fun () -> Stats.Ablation.parallelism ());
-    ( "ablation-interference",
-      fun () -> Stats.Ablation.interference ~settings () );
-    ("ablation-step3", fun () -> Stats.Ablation.step3 ~settings ());
-    ("ablation-tilesize", fun () -> Stats.Ablation.tilesize ~settings ());
-    ("tracestats", fun () -> tracestats ~store (Lazy.force rows));
-    ("alloc", fun () -> alloc_probe (); "(see stderr)\n");
-    ("analytic", fun () -> analytic_stats ~store (Lazy.force rows));
-    ("scale", fun () -> Stats.Scale.render_scale ~settings ~factor:scale ());
-    ("sampleerr", fun () -> Stats.Scale.render_err ~settings (Lazy.force rows));
-  ]
+   The simulated tables and figures are `memoria bench`. *)
 
 (* ------------------------------------------------- native kernels ---- *)
 
@@ -405,8 +183,6 @@ let native_erlebacher fused n =
     end;
     Sys.opaque_identity ux.(0)
 
-(* Throughput of the infrastructure itself: the cache simulator and the
-   compound algorithm (the paper stresses the algorithm is cheap). *)
 (* Blocked (3-loop-tiled) matmul with a given tile size; tile = n means
    effectively untiled. Exercises Tilesize.choose on the host's real
    cache hierarchy, including the pathological power-of-two stride. *)
@@ -441,6 +217,8 @@ let native_blocked_matmul tile n =
     done;
     Sys.opaque_identity c.(0)
 
+(* Throughput of the infrastructure itself: the cache simulator and the
+   compound algorithm (the paper stresses the algorithm is cheap). *)
 let native_cachesim () =
   let cache = Locality_cachesim.Cache.create Locality_cachesim.Machine.cache1 in
   fun () ->
@@ -552,193 +330,9 @@ let bechamel () =
       | _ -> Printf.printf "%-45s %16s\n" name "n/a")
     (List.sort compare !entries)
 
-(* Experiments that read Table 2's rows. Before running experiments in
-   parallel the rows are computed once up front: concurrent Lazy.force
-   from several domains raises, and the rows are wanted by many
-   consumers. *)
-let needs_table2 =
-  [ "table2"; "table4"; "table5"; "fig8"; "fig9"; "tracestats"; "analytic";
-    "sampleerr" ]
-
-let run_experiments ~jobs ~rows selected =
-  if
-    jobs > 1
-    && List.exists (fun (name, _) -> List.mem name needs_table2) selected
-  then ignore (Lazy.force rows);
-  let rendered =
-    Pool.map ~jobs
-      (fun (name, f) -> (name, Obs.span ("experiment:" ^ name) f))
-      selected
-  in
-  List.iter
-    (fun (name, out) -> Printf.printf "\n##### %s #####\n\n%s%!" name out)
-    rendered
-
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* Strip -j/--jobs N, --scale N, --rate R, --trace FILE, --profile,
-     --metrics FILE, --flame FILE and --tune anywhere on the command
-     line (same convention the memoria binary uses). *)
-  let jobs = ref None in
-  let scale = ref 4 in
-  let rate = ref None in
-  let tune = ref false in
-  let trace = ref None in
-  let profile = ref false in
-  let metrics = ref None in
-  let flame = ref None in
-  let rec strip = function
-    | ("-j" | "--jobs") :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some j when j >= 1 ->
-        jobs := Some j;
-        strip rest
-      | _ ->
-        Printf.eprintf "bad -j value %s (want a positive integer)\n" n;
-        exit 1)
-    | [ ("-j" | "--jobs") ] ->
-      Printf.eprintf "-j needs a value\n";
-      exit 1
-    | "--scale" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some k when k >= 1 ->
-        scale := k;
-        strip rest
-      | _ ->
-        Printf.eprintf "bad --scale value %s (want a positive integer)\n" n;
-        exit 1)
-    | [ "--scale" ] ->
-      Printf.eprintf "--scale needs a value\n";
-      exit 1
-    | "--rate" :: r :: rest -> (
-      match float_of_string_opt r with
-      | Some v when v > 0.0 && v <= 1.0 ->
-        rate := Some v;
-        strip rest
-      | _ ->
-        Printf.eprintf "bad --rate value %s (want a float in (0, 1])\n" r;
-        exit 1)
-    | [ "--rate" ] ->
-      Printf.eprintf "--rate needs a value\n";
-      exit 1
-    | "--trace" :: path :: rest ->
-      trace := Some path;
-      strip rest
-    | [ "--trace" ] ->
-      Printf.eprintf "--trace needs a FILE\n";
-      exit 1
-    | "--metrics" :: path :: rest ->
-      metrics := Some path;
-      strip rest
-    | [ "--metrics" ] ->
-      Printf.eprintf "--metrics needs a FILE\n";
-      exit 1
-    | "--flame" :: path :: rest ->
-      flame := Some path;
-      strip rest
-    | [ "--flame" ] ->
-      Printf.eprintf "--flame needs a FILE\n";
-      exit 1
-    | "--profile" :: rest ->
-      profile := true;
-      strip rest
-    | "--tune" :: rest ->
-      tune := true;
-      strip rest
-    | a :: rest -> a :: strip rest
-    | [] -> []
-  in
-  let args = strip args in
-  let settings =
-    {
-      env_settings with
-      Settings.jobs = Option.value !jobs ~default:env_settings.Settings.jobs;
-      sample_rate =
-        Option.value !rate ~default:env_settings.Settings.sample_rate;
-    }
-  in
-  let jobs = settings.Settings.jobs in
-  let telemetry = settings.Settings.telemetry in
-  let workload =
-    Printf.sprintf "bench:%s:jobs=%d"
-      (match args with [] -> "all" | l -> String.concat "+" l)
-      jobs
-  in
-  if
-    !trace <> None || !profile || !metrics <> None || !flame <> None
-    || telemetry
-  then begin
-    let t0 = Unix.gettimeofday () in
-    Obs.set_enabled true;
-    Obs.reset ();
-    at_exit (fun () ->
-        (* The warm-run hit rate as a gauge, from the process-global
-           store counters: the stderr store summary (registered at
-           module init, so it runs after this handler) is too late for
-           the exporters, so compute it here while recording is on. *)
-        (let c = Store.counters () in
-         let looked_up = c.Store.hits + c.Store.misses in
-         if looked_up > 0 then
-           Obs.gauge "store.hit_rate"
-             (float_of_int c.Store.hits /. float_of_int looked_up));
-        let events = Obs.drain () in
-        Obs.set_enabled false;
-        let summary = lazy (Summary.of_events events) in
-        Option.iter
-          (fun path -> Chrome.write ~path ~process_name:"bench" events)
-          !trace;
-        Option.iter
-          (fun path -> Openmetrics.write ~path (Lazy.force summary))
-          !metrics;
-        Option.iter (fun path -> Flame.write ~path events) !flame;
-        if !profile then
-          prerr_string (Stats.Profile.render (Lazy.force summary));
-        if telemetry then
-          Option.iter
-            (fun store ->
-              let s = Lazy.force summary in
-              let record =
-                {
-                  Record.ts_ns = Telemetry.now_epoch_ns ();
-                  cmd = "bench";
-                  workload;
-                  replay = Measure.mode_to_string settings.Settings.replay;
-                  geometry = "cache1+cache2";
-                  jobs;
-                  git = Telemetry.git_describe ();
-                  wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-                  phases =
-                    List.map
-                      (fun (r : Summary.span_row) ->
-                        (r.Summary.name, Summary.ms r.Summary.total_ns))
-                      s.Summary.spans;
-                  counters = s.Summary.counters;
-                  gauges = s.Summary.gauges;
-                }
-              in
-              ignore (Telemetry.publish store record))
-            settings.Settings.store)
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline "usage: main.exe  (the tables and figures are `memoria bench`)";
+    exit 2
   end;
-  let rows = lazy (Stats.Table2.compute ~settings ~tune:!tune ()) in
-  let experiments = experiments ~settings ~tune:!tune ~scale:!scale ~rows in
-  match args with
-  | [ "bechamel" ] -> bechamel ()
-  | [ "csv"; dir ] ->
-    Stats.Csv.write_all ~settings ~dir (Lazy.force rows);
-    Printf.printf "wrote table2.csv, table3.csv, table4.csv to %s\n" dir
-  | [] | [ "all" ] ->
-    run_experiments ~jobs ~rows experiments;
-    Printf.printf "\n(run `main.exe bechamel` for native wall-clock benchmarks)\n"
-  | names ->
-    let selected =
-      List.map
-        (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> (name, f)
-          | None ->
-            Printf.eprintf "unknown experiment %s (known: %s, bechamel)\n" name
-              (String.concat " " (List.map fst experiments));
-            exit 1)
-        names
-    in
-    run_experiments ~jobs ~rows selected
+  bechamel ()

@@ -1,0 +1,210 @@
+(* The paper's evaluation as a registry of experiments: every table and
+   figure (see DESIGN.md's experiment index), the ablations, and the
+   trace, allocation and model probes. [memoria bench] selects from it;
+   experiments are independent string-producing jobs, so they run on the
+   domain pool and print in registry order. *)
+
+module Stats = Locality_stats
+module Pool = Locality_par.Pool
+module Obs = Locality_obs.Obs
+module Measure = Locality_interp.Measure
+module Settings = Locality_driver.Settings
+
+(* The interpreter hot path is supposed to be allocation-free: trace a
+   kernel into a discarding sink and report the minor-heap words each
+   access cost. Goes to stderr so the CI A/B diff of stdout across
+   replay modes is unaffected; the residue is the per-run setup
+   (closure compilation, chunk buffer), amortised over ~10^6 accesses. *)
+let alloc_probe () =
+  let module Trace = Locality_interp.Trace in
+  let module Fastexec = Locality_interp.Fastexec in
+  let p = (List.assoc "matmul" Locality_suite.Kernels.all) 64 in
+  let silent_run () =
+    let rb = Trace.run_create ~sink:(fun _ -> ()) () in
+    let w0 = Gc.minor_words () in
+    ignore (Fastexec.run_traced_runs rb p);
+    let w1 = Gc.minor_words () in
+    (w1 -. w0, Trace.run_total rb)
+  in
+  ignore (silent_run ());
+  let words, accesses = silent_run () in
+  Printf.eprintf "alloc: %.4f minor words/access (%d accesses, matmul n=64, \
+                  silent sink)\n%!"
+    (words /. float_of_int accesses)
+    accesses
+
+(* Capture the Table 4 workload (both program versions per row, same N)
+   in each trace format and total the stream statistics. The output does
+   not depend on MEMORIA_REPLAY, so CI's replay A/B byte-diff is
+   unaffected by it. *)
+let tracestats ~store rows =
+  alloc_probe ();
+  let tally mode =
+    List.fold_left
+      (fun acc (r : Stats.Table2.row) ->
+        if r.Stats.Table2.nests = 0 then acc
+        else
+          let add (recs, words, groups) p =
+            let cap = Measure.capture ~mode ~params:[ ("N", 32) ] ~store p in
+            let r', w', g' = Measure.trace_stats cap in
+            (recs + r', words + w', groups + g')
+          in
+          add (add acc r.Stats.Table2.original) r.Stats.Table2.transformed)
+      (0, 0, 0) rows
+  in
+  let line name (recs, words, groups) =
+    Printf.sprintf "%-12s %14d %14d %10d %8.2fx" name recs words groups
+      (float_of_int recs /. float_of_int words)
+  in
+  String.concat "\n"
+    [
+      "Trace capture statistics (Table 4 workload, N=32, both versions)";
+      Printf.sprintf "%-12s %14s %14s %10s %8s" "mode" "records"
+        "words stored" "groups" "ratio";
+      line "per-access" (tally Measure.Per_access);
+      line "runs" (tally Measure.Runs);
+    ]
+
+(* The closed-form analytic model against the simulator, whole-program,
+   on the Table 4 workload: per-program class and miss rates, and an
+   exact-mismatch total CI fails on (an exact claim must be
+   simulator-equal). *)
+let analytic_stats ~store rows =
+  let module Analytic = Locality_analytic.Analytic in
+  let module Report = Locality_stats.Report in
+  let config = Locality_cachesim.Machine.cache1 in
+  let params = [ ("N", 32) ] in
+  let exact = ref 0 and approx = ref 0 and fallback = ref 0 in
+  let mismatches = ref 0 in
+  let reasons : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let rate acc miss =
+    if acc = 0 then 0.0 else 100.0 *. float_of_int miss /. float_of_int acc
+  in
+  let side p =
+    match Analytic.estimate ~params ~config p with
+    | Error reason ->
+      incr fallback;
+      Hashtbl.replace reasons reason
+        (1 + Option.value ~default:0 (Hashtbl.find_opt reasons reason));
+      "fallback      -      -      -"
+    | Ok est ->
+      let sim =
+        Measure.replay ~config ~store
+          (Measure.capture ~mode:Measure.Runs ~params ~store p)
+      in
+      let w = sim.Measure.whole in
+      let sim_rate = rate w.Measure.accesses (w.Measure.accesses - w.Measure.hits) in
+      let a = est.Analytic.e_whole in
+      let ana_rate =
+        rate a.Analytic.c_accesses (a.Analytic.c_accesses - a.Analytic.c_hits)
+      in
+      let cls =
+        if est.Analytic.e_exact then begin
+          incr exact;
+          if
+            w.Measure.accesses <> a.Analytic.c_accesses
+            || w.Measure.hits <> a.Analytic.c_hits
+            || w.Measure.cold <> a.Analytic.c_cold
+            || sim.Measure.ops <> est.Analytic.e_ops
+          then begin
+            incr mismatches;
+            "EXACT-MISMATCH"
+          end
+          else "exact"
+        end
+        else begin
+          incr approx;
+          "approx"
+        end
+      in
+      Printf.sprintf "%-8s %6s %6s %6s" cls
+        (Report.fmt_pct sim_rate) (Report.fmt_pct ana_rate)
+        (Report.fmt_pct (Float.abs (ana_rate -. sim_rate)))
+  in
+  let body =
+    List.filter_map
+      (fun (r : Stats.Table2.row) ->
+        if r.Stats.Table2.nests = 0 then None
+        else
+          Some
+            (Printf.sprintf "%-10s %s   %s"
+               r.Stats.Table2.entry.Locality_suite.Programs.name
+               (side r.Stats.Table2.original)
+               (side r.Stats.Table2.transformed)))
+      rows
+  in
+  String.concat "\n"
+    ([
+       "Analytic model vs simulator (Table 4 workload, N=32, cache1, \
+        whole-program miss rates)";
+       Printf.sprintf "%-10s %-8s %6s %6s %6s   %-8s %6s %6s %6s" "program"
+         "orig" "sim%" "ana%" "err" "trans" "sim%" "ana%" "err";
+     ]
+    @ body
+    @ [
+        Printf.sprintf
+          "analytic classes: exact=%d approx=%d fallback=%d exact-mismatches=%d"
+          !exact !approx !fallback !mismatches;
+      ]
+    @ (Hashtbl.fold (fun r n acc -> (r, n) :: acc) reasons []
+      |> List.sort compare
+      |> List.map (fun (r, n) -> Printf.sprintf "  fallback reason (%2d): %s" n r)
+      ))
+
+(* [rows] are Table 2's, shared by every experiment that needs them;
+   [tune] (the --tune flag) adds the tuned column (quick transformation
+   search) to tables 2 and 4 — off by default so CI's replay-mode A/B
+   byte-diff baselines are unchanged. *)
+let registry ~settings ~tune ~scale ~rows :
+    (string * (unit -> string)) list =
+  let store = settings.Settings.store in
+  [
+    ("fig2", fun () -> Stats.Figures.fig2 ~settings ());
+    ("fig3", fun () -> Stats.Figures.fig3 ~settings ());
+    ("fig7", fun () -> Stats.Figures.fig7 ~settings ());
+    ("table1", fun () -> Stats.Perf.table1 ~settings ());
+    ("table2", fun () -> Stats.Table2.render (Lazy.force rows));
+    ("table3", fun () -> Stats.Perf.table3 ~settings ());
+    ("table4", fun () -> Stats.Perf.table4 ~settings ~tune (Lazy.force rows));
+    ("table5", fun () -> Stats.Table5.render_for (Lazy.force rows));
+    ("fig8", fun () -> Stats.Figures.fig8 (Lazy.force rows));
+    ("fig9", fun () -> Stats.Figures.fig9 (Lazy.force rows));
+    ("ablation-transforms", fun () -> Stats.Ablation.transforms ~settings ());
+    ("ablation-tiling", fun () -> Stats.Ablation.tiling ~settings ());
+    ("ablation-reversal", fun () -> Stats.Ablation.reversal ());
+    ("ablation-cls", fun () -> Stats.Ablation.cls_sensitivity ());
+    ("ablation-reuse", fun () -> Stats.Ablation.reuse_profile ~settings ());
+    ("ablation-multilevel", fun () -> Stats.Ablation.multilevel ~settings ());
+    ("ablation-parallelism", fun () -> Stats.Ablation.parallelism ());
+    ( "ablation-interference",
+      fun () -> Stats.Ablation.interference ~settings () );
+    ("ablation-step3", fun () -> Stats.Ablation.step3 ~settings ());
+    ("ablation-tilesize", fun () -> Stats.Ablation.tilesize ~settings ());
+    ("tracestats", fun () -> tracestats ~store (Lazy.force rows));
+    ("alloc", fun () -> alloc_probe (); "(see stderr)\n");
+    ("analytic", fun () -> analytic_stats ~store (Lazy.force rows));
+    ("scale", fun () -> Stats.Scale.render_scale ~settings ~factor:scale ());
+    ("sampleerr", fun () -> Stats.Scale.render_err ~settings (Lazy.force rows));
+  ]
+
+(* Experiments that read Table 2's rows. Before running experiments in
+   parallel the rows are computed once up front: concurrent Lazy.force
+   from several domains raises, and the rows are wanted by many
+   consumers. *)
+let needs_table2 =
+  [ "table2"; "table4"; "table5"; "fig8"; "fig9"; "tracestats"; "analytic";
+    "sampleerr" ]
+
+let run ~jobs ~rows selected =
+  if
+    jobs > 1
+    && List.exists (fun (name, _) -> List.mem name needs_table2) selected
+  then ignore (Lazy.force rows);
+  let rendered =
+    Pool.map ~jobs
+      (fun (name, f) -> (name, Obs.span ("experiment:" ^ name) f))
+      selected
+  in
+  List.iter
+    (fun (name, out) -> Printf.printf "\n##### %s #####\n\n%s%!" name out)
+    rendered

@@ -117,26 +117,54 @@ let flame_arg =
           "Write span self times as collapsed stacks (flamegraph.pl / \
            speedscope input) to FILE.")
 
-let scale_arg =
+(* [conv] restricted to the values [ok] accepts; [want] names them. *)
+let within conv ok want =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg ("want " ^ want))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive = within Arg.int (fun v -> v >= 1) "a positive integer"
+
+let scale_arg default =
   Arg.(
-    value & opt int 1
+    value & opt positive default
     & info [ "scale" ] ~docv:"K"
         ~doc:
           "Geometry multiplier: run with an effective size of K times the \
-           base (the $(b,-n) value, or 64 when absent). Large factors are \
-           where the $(b,stream) and $(b,sample) replay modes pay off; the \
-           layout stage rejects factors whose arrays would overflow the \
-           traceable address space.")
+           base (the $(b,-n) value, or 64 when absent; 32 for $(b,bench)'s \
+           $(b,scale) experiment). Large factors are where the \
+           $(b,stream) and $(b,sample) replay modes pay off; the layout \
+           stage rejects factors whose arrays would overflow the traceable \
+           address space.")
 
 let rate_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt
+        (some (within float (fun r -> r > 0.0 && r <= 1.0) "a rate in (0, 1]"))
+        None
     & info [ "rate" ] ~docv:"R"
         ~doc:
           "Sampling rate in (0, 1] for $(b,MEMORIA_REPLAY=sample): the \
            fraction of cache lines the SHARDS profiler tracks (default: \
            $(b,MEMORIA_SAMPLE_RATE) or 0.01). Ignored by the exact modes.")
+
+(* The domain-pool width of every command that fans out, resolved once
+   against the environment's. *)
+let jobs_arg =
+  Term.(
+    const (Option.value ~default:settings.Settings.jobs)
+    $ Arg.(
+        value
+        & opt (some positive) None
+        & info [ "jobs"; "j" ] ~docv:"N"
+            ~doc:
+              "Domain-pool size (default: $(b,MEMORIA_JOBS), else min(8, \
+               cores); 1 = sequential). Output is identical at any value."))
 
 (* Tracing harness for the commands that take
    [--trace]/[--profile]/[--metrics]/[--flame]: enable recording around
@@ -157,7 +185,7 @@ let with_obs ~cmd ~workload ~geometry ~jobs ~trace ~profile ~metrics ~flame f =
     let finish () =
       (* Derived gauges are emitted here, while recording is still on,
          so every exporter and the telemetry record see them. The store
-         counters come from the process-global atomics: bench's at_exit
+         counters come from the process-global atomics: bench's stderr
          summary runs after this drain, too late to observe. *)
       (let c = Store.counters () in
        let lookups = c.Store.hits + c.Store.misses in
@@ -516,7 +544,7 @@ let sim_cmd =
     (Cmd.info "sim"
        ~doc:"Simulate cache behaviour of the original and optimized program.")
     Term.(
-      const run $ file_arg $ kernel_arg $ cls_arg $ n_arg $ scale_arg
+      const run $ file_arg $ kernel_arg $ cls_arg $ n_arg $ scale_arg 1
       $ rate_arg $ cache_arg $ request_arg $ trace_arg $ profile_arg
       $ metrics_arg $ flame_arg)
 
@@ -536,8 +564,7 @@ let tune_cmd =
     in
     with_obs ~cmd:"tune" ~workload
       ~geometry:cache.Locality_cachesim.Cache.name
-      ~jobs:(Option.value jobs ~default:1) ~trace ~profile ~metrics ~flame
-      (fun () ->
+      ~jobs ~trace ~profile ~metrics ~flame (fun () ->
         let source =
           match (kernel, file) with
           | Some name, _ -> Request.Kernel name
@@ -557,7 +584,7 @@ let tune_cmd =
         let req =
           Request.make ?n ~scale ~cls
             ~machines:[ Request.machine_of_config cache ]
-            ?jobs ~tune source
+            ~tune source
         in
         let spec =
           if quick then Stats.Tune.quick_spec
@@ -565,22 +592,11 @@ let tune_cmd =
         in
         let t =
           or_die
-            (Stats.Tune.run_config ~spec
-               ~jobs:(Option.value jobs ~default:settings.Settings.jobs)
+            (Stats.Tune.run_config ~spec ~jobs
                (or_die (Request.to_config ~settings req)))
         in
         if json then print_string (Stats.Tune.to_json t)
         else print_string (Stats.Tune.render t))
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domain-pool size for candidate screening (default: \
-             $(b,MEMORIA_JOBS) or 1; the winner and every reported number \
-             are identical at any value).")
   in
   let json_arg =
     Arg.(
@@ -639,7 +655,7 @@ let tune_cmd =
           score is memoized in the store (kind $(b,tune)), so re-tuning and \
           overlapping searches are warm. Deterministic at any job count.")
     Term.(
-      const run $ file_arg $ kernel_arg $ cls_arg $ n_arg $ scale_arg
+      const run $ file_arg $ kernel_arg $ cls_arg $ n_arg $ scale_arg 1
       $ cache_arg $ jobs_arg $ json_arg $ quick_arg $ top_k_arg $ tiles_arg
       $ unrolls_arg $ max_candidates_arg $ trace_arg $ profile_arg
       $ metrics_arg $ flame_arg)
@@ -846,7 +862,6 @@ let suite_cmd =
   let run cls n scale rate jobs trace profile metrics flame =
     let n = Option.value n ~default:64 in
     let module Pool = Locality_par.Pool in
-    let jobs = Option.value jobs ~default:settings.Settings.jobs in
     let workload =
       Printf.sprintf "suite:n=%d:cls=%d:jobs=%d%s" n cls jobs
         (if scale = 1 then "" else Printf.sprintf ":scale=%d" scale)
@@ -891,23 +906,13 @@ let suite_cmd =
       exit 1
     end
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domain-pool size for per-kernel simulations (default: \
-             $(b,MEMORIA_JOBS) or the recommended domain count; 1 = \
-             sequential).")
-  in
   Cmd.v
     (Cmd.info "suite"
        ~doc:
          "Optimize and simulate every built-in kernel in parallel, printing \
           modelled speedups on both cache geometries.")
     Term.(
-      const run $ cls_arg $ n_arg $ scale_arg $ rate_arg $ jobs_arg
+      const run $ cls_arg $ n_arg $ scale_arg 1 $ rate_arg $ jobs_arg
       $ trace_arg $ profile_arg $ metrics_arg $ flame_arg)
 
 let store_cmd =
@@ -1022,7 +1027,6 @@ let serve_cmd =
       | Some _, true -> or_die (Error "give --socket PATH or --stdio, not both")
       | None, false -> or_die (Error "give --socket PATH or --stdio")
     in
-    let jobs = Option.value jobs ~default:settings.Settings.jobs in
     let options =
       {
         Serve.default_options with
@@ -1062,15 +1066,6 @@ let serve_cmd =
       & info [ "stdio" ]
           ~doc:"Serve stdin to stdout instead of a socket; EOF drains and \
                 exits.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker-domain count (default: $(b,MEMORIA_JOBS) or the \
-             recommended domain count).")
   in
   let max_queue_arg =
     Arg.(
@@ -1168,11 +1163,8 @@ let fuzz_cmd =
     let workload =
       Printf.sprintf "fuzz:seed=%d:count=%d:max-size=%d" seed count max_size
     in
-    (* Mirror what the harness actually does: the pool resolves an
-       absent -j itself, and the replay/analytic/sample oracles simulate
-       on both reference geometries — "-"/0 used to make `memoria
-       health` group fuzz runs with unlike configurations. *)
-    let jobs = Option.value jobs ~default:settings.Settings.jobs in
+    (* The replay/analytic/sample oracles simulate on both reference
+       geometries, so `memoria health` groups fuzz runs with like ones. *)
     let outcome =
       with_obs ~cmd:"fuzz" ~workload ~geometry:"cache1+cache2" ~jobs ~trace
         ~profile ~metrics ~flame (fun () ->
@@ -1241,16 +1233,6 @@ let fuzz_cmd =
       & info [ "corpus" ] ~docv:"DIR"
           ~doc:"Write shrunk reproducers for any failure into DIR.")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domain-pool size (default: $(b,MEMORIA_JOBS) or the \
-             recommended domain count); the outcome is identical at any \
-             value.")
-  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
@@ -1262,6 +1244,95 @@ let fuzz_cmd =
       const run $ seed_arg $ count_arg $ max_size_arg $ oracle_arg
       $ corpus_arg $ jobs_arg $ trace_arg $ profile_arg $ metrics_arg
       $ flame_arg)
+
+let bench_cmd =
+  let run names jobs scale rate tune trace profile metrics flame =
+    let settings =
+      {
+        settings with
+        Settings.jobs;
+        sample_rate = Option.value rate ~default:settings.Settings.sample_rate;
+      }
+    in
+    let rows = lazy (Stats.Table2.compute ~settings ~tune ()) in
+    let registry = Experiments.registry ~settings ~tune ~scale ~rows in
+    let experiment name =
+      match List.assoc_opt name registry with
+      | Some f -> (name, f)
+      | None ->
+        or_die
+          (Error
+             (Printf.sprintf "unknown experiment %s (known: %s)" name
+                (String.concat " " (List.map fst registry))))
+    in
+    let go =
+      match names with
+      | [ "csv"; dir ] ->
+        fun () ->
+          Stats.Csv.write_all ~settings ~dir (Lazy.force rows);
+          Printf.printf "wrote table2.csv, table3.csv, table4.csv to %s\n" dir
+      | [] | [ "all" ] ->
+        fun () ->
+          Experiments.run ~jobs ~rows registry;
+          Printf.printf
+            "\n(run `dune exec bench/main.exe` for native wall-clock \
+             benchmarks)\n"
+      | names ->
+        let selected = List.map experiment names in
+        fun () -> Experiments.run ~jobs ~rows selected
+    in
+    (* With a store, say how it did: a stderr line CI parses for the warm
+       run's hit rate. *)
+    let summary () =
+      if settings.Settings.store <> None then begin
+        let c = Store.counters () in
+        let looked_up = c.Store.hits + c.Store.misses in
+        let rate =
+          if looked_up = 0 then 0.0
+          else 100.0 *. float_of_int c.Store.hits /. float_of_int looked_up
+        in
+        Printf.eprintf "store: %d hits %d misses %d writes (%.1f%% hit rate)\n%!"
+          c.Store.hits c.Store.misses c.Store.writes rate
+      end
+    in
+    let workload =
+      Printf.sprintf "bench:%s:jobs=%d"
+        (match names with [] -> "all" | l -> String.concat "+" l)
+        jobs
+    in
+    Fun.protect ~finally:summary (fun () ->
+        with_obs ~cmd:"bench" ~workload ~geometry:"cache1+cache2" ~jobs ~trace
+          ~profile ~metrics ~flame go)
+  in
+  let names_arg =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            "Experiments to run, printed in the order given: $(b,fig2) \
+             $(b,fig3) $(b,fig7) $(b,table1)-$(b,table5) $(b,fig8) $(b,fig9), \
+             the $(b,ablation-)* studies, $(b,tracestats), $(b,alloc), \
+             $(b,analytic), $(b,scale), $(b,sampleerr). None (or $(b,all)) \
+             runs every one; $(b,csv) DIR exports tables 2-4 as CSV instead.")
+  in
+  let tune_arg =
+    Arg.(
+      value & flag
+      & info [ "tune" ]
+          ~doc:
+            "Add the tuned column (the quick-profile transformation search) \
+             to tables 2 and 4.")
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the paper's evaluation on the simulated caches: tables, \
+          figures, ablations and the trace, allocation and analytic-model \
+          probes (DESIGN.md's experiment index). Independent experiments run \
+          on the domain pool; stdout is identical at any $(b,-j).")
+    Term.(
+      const run $ names_arg $ jobs_arg $ scale_arg 4 $ rate_arg $ tune_arg
+      $ trace_arg $ profile_arg $ metrics_arg $ flame_arg)
 
 let health_cmd =
   let run dir json window drift_pct noise_ms hit_drop fallback_rise abs_err =
@@ -1410,7 +1481,7 @@ let main =
     [
       opt_cmd; cost_cmd; deps_cmd; sim_cmd; tune_cmd; explain_cmd; tile_cmd;
       unroll_cmd; cgen_cmd; kernels_cmd; suite_cmd; serve_cmd; fuzz_cmd;
-      store_cmd; health_cmd;
+      store_cmd; health_cmd; bench_cmd;
     ]
 
 let () = exit (Cmd.eval main)

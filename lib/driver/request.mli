@@ -6,7 +6,7 @@
     ["ambient"] store, take the {!Settings} the caller resolves the
     request with. The JSON form (read by {!of_json} via
     {!Locality_telemetry.Jsonin}, written by {!to_json} via the shared
-    [Stats.Json] emitter) is the body of the [memoria serve] line
+    {!Locality_obs.Json} emitter) is the body of the [memoria serve] line
     protocol and of [memoria sim --request FILE]; the schema is
     documented in [doc/SCHEMA.md] and [doc/PROTOCOL.md] and carries
     [schema_version].

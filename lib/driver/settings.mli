@@ -1,7 +1,7 @@
 (** Process-wide settings, resolved once where an executable starts and
     passed down as a value.
 
-    The [memoria] and [bench] executables read five environment
+    The [memoria] executable reads five environment
     variables — [MEMORIA_JOBS], [MEMORIA_REPLAY], [MEMORIA_SAMPLE_RATE],
     [MEMORIA_STORE] and [MEMORIA_TELEMETRY] — exactly once, through
     {!of_env}; no library module reads the environment. Resolution is

@@ -53,6 +53,10 @@ let run ?jobs ?(oracles = Oracle.all) ?corpus_dir ~seed ~count ~max_size () =
       Obs.counter "fuzz.shrink_steps" shrink_steps;
       Some { index; findings; program = p; shrunk; shrink_steps }
   in
+  (* The compiler probe is a lazy value; forcing it from several pool
+     domains at once raises, and the raise would read as an [`Exec]
+     finding. Force it here, before the fan-out. *)
+  if List.mem `Cgen oracles then ignore (Oracle.cgen_available ());
   let results = Pool.map ?jobs work (List.init count (fun i -> i)) in
   let failures = List.filter_map Fun.id results in
   let corpus_files =

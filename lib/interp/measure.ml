@@ -84,6 +84,17 @@ type source = {
   position : (string -> string) Lazy.t;
 }
 
+let config_tag (c : Cache.config) =
+  Printf.sprintf "%s/%d/%d/%d" c.Cache.name c.Cache.size_bytes c.Cache.assoc
+    c.Cache.line_bytes
+
+let timing_tag (t : Machine.timing) =
+  Printf.sprintf "%h/%h/%h" t.Machine.cycles_per_op t.Machine.cycles_per_hit
+    t.Machine.miss_penalty
+
+let params_tag params =
+  String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) params)
+
 let source ?params ~store program =
   {
     program;
@@ -93,23 +104,12 @@ let source ?params ~store program =
       lazy
         [
           Pretty.program_to_string program;
-          String.concat ";"
-            (List.map
-               (fun (k, v) -> k ^ "=" ^ string_of_int v)
-               (Option.value params ~default:[]));
+          params_tag (Option.value params ~default:[]);
         ];
     position = lazy (Program.positional_label program);
   }
 
 let position src label = Lazy.force src.position label
-
-let config_tag (c : Cache.config) =
-  Printf.sprintf "%s/%d/%d/%d" c.Cache.name c.Cache.size_bytes c.Cache.assoc
-    c.Cache.line_bytes
-
-let timing_tag (t : Machine.timing) =
-  Printf.sprintf "%h/%h/%h" t.Machine.cycles_per_op t.Machine.cycles_per_hit
-    t.Machine.miss_penalty
 
 (* The one key builder. [kind] names the mode that produced the value
    (so modes never alias each other's entries) and, with the parts,
@@ -510,8 +510,3 @@ let measure ?config ?timing ?optimized_labels ?mode ?rate ?params ?store p =
 
 let measure_hierarchy ?l1 ?l2 ?mode ?params ?store p =
   replay_hierarchy_prepared ?l1 ?l2 (prepare ?mode ?params ?store p)
-
-let speedup ?config ?timing ?params ?store original transformed =
-  let r1 = measure ?config ?timing ?params ?store original in
-  let r2 = measure ?config ?timing ?params ?store transformed in
-  (r1.cycles /. r2.cycles, r1, r2)

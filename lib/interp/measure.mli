@@ -148,16 +148,21 @@ val measure_hierarchy :
   Program.t ->
   hier_run
 
-val speedup :
-  ?config:Cache.config ->
-  ?timing:Machine.timing ->
-  ?params:(string * int) list ->
-  ?store:Store.t option ->
-  Program.t ->
-  Program.t ->
-  float * run * run
-(** [speedup original transformed] is the ratio of modelled execution
-    times under [Runs], original over transformed, with both runs. *)
+(** {1 Store key tags}
+
+    The one spelling of each key component, shared with every other
+    store kind built over measurements (the [tune] kind). Changing a
+    tag's bytes changes every key it appears in: bump
+    {!Store.format_version} with it. *)
+
+val config_tag : Cache.config -> string
+(** [name/size/assoc/line]. *)
+
+val timing_tag : Machine.timing -> string
+(** The three cost-model constants in hex float notation. *)
+
+val params_tag : (string * int) list -> string
+(** [k=v;k=v] in the given order. *)
 
 (** {1 Captures}
 

@@ -109,7 +109,7 @@ let counter_json ~origin totals (e : Event.t) =
          ])
   | _ -> None
 
-let to_string ?(process_name = "memoria") (events : Event.t list) =
+let to_string (events : Event.t list) =
   let origin =
     List.fold_left
       (fun acc (e : Event.t) ->
@@ -128,7 +128,7 @@ let to_string ?(process_name = "memoria") (events : Event.t list) =
         ("name", str "process_name");
         ("ph", str "M");
         ("pid", "0");
-        ("args", obj [ ("name", str process_name) ]);
+        ("args", obj [ ("name", str "memoria") ]);
       ]
   in
   let totals = Hashtbl.create 8 in
@@ -146,8 +146,8 @@ let to_string ?(process_name = "memoria") (events : Event.t list) =
     Json.schema_version
     (String.concat ",\n" rows)
 
-let write ~path ?process_name events =
+let write ~path events =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string ?process_name events))
+    (fun () -> output_string oc (to_string events))

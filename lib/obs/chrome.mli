@@ -12,11 +12,11 @@ val escape : string -> string
 val str : string -> string
 (** A quoted JSON string literal. *)
 
-val to_string : ?process_name:string -> Event.t list -> string
+val to_string : Event.t list -> string
 (** The complete JSON document
     ([{"schema_version": 1, "traceEvents": [...], ...}]); the extra
     [schema_version] field is ignored by trace viewers and versions the
     export for other consumers (see [doc/SCHEMA.md]). *)
 
-val write : path:string -> ?process_name:string -> Event.t list -> unit
+val write : path:string -> Event.t list -> unit
 (** {!to_string} straight to a file. *)

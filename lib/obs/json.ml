@@ -1,5 +1,5 @@
 (* Minimal JSON emission shared by every machine-readable surface (the
-   Chrome trace exporter here, Stats.Json for `memoria explain --json`).
+   Chrome trace exporter here, `memoria explain --json` in lib/stats).
    Emitters build strings bottom-up; there is deliberately no printer
    state, so output is deterministic and composable. *)
 

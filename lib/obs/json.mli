@@ -1,7 +1,7 @@
 (** Minimal JSON emission, shared by every machine-readable surface.
 
     The Chrome trace exporter ({!Chrome}) and the stats-layer emitters
-    ([Stats.Json], which re-exports this module) both build their
+    ([explain], [tune] and [compare] JSON) both build their
     documents from these combinators, so escaping and formatting rules
     live in exactly one place. Values are plain strings; callers compose
     them bottom-up. *)

@@ -2,6 +2,7 @@ module Cache = Locality_cachesim.Cache
 module Machine = Locality_cachesim.Machine
 module Measure = Locality_interp.Measure
 module Analytic = Locality_analytic.Analytic
+module Json = Locality_obs.Json
 
 type row = {
   r_unit : string;

@@ -1,5 +1,6 @@
 module Obs = Locality_obs.Obs
 module Event = Locality_obs.Event
+module Json = Locality_obs.Json
 module Compound = Locality_core.Compound
 
 type entry = {

@@ -23,8 +23,8 @@
 
 val render_scale :
   ?settings:Locality_driver.Settings.t -> ?factor:int -> unit -> string
-(** [factor] is the geometry multiplier (the bench harness's
-    [--scale N]); default 4, i.e. effective n = 128. *)
+(** [factor] is the geometry multiplier ([memoria bench
+    --scale N]); default 4, i.e. effective n = 128. *)
 
 val render_err :
   ?settings:Locality_driver.Settings.t -> Table2.row list -> string

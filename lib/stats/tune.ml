@@ -9,6 +9,7 @@ module Cache = Locality_cachesim.Cache
 module Machine = Locality_cachesim.Machine
 module Store = Locality_store.Store
 module Obs = Locality_obs.Obs
+module Json = Locality_obs.Json
 module Pool = Locality_par.Pool
 
 type spec = {
@@ -246,28 +247,15 @@ let miss_of (r : Measure.run) =
     *. float_of_int (w.Measure.accesses - w.Measure.hits)
     /. float_of_int w.Measure.accesses
 
-(* Same tag formats as Measure's store keys, kept locally: the tune kind
-   must never collide with (or depend on the layout of) measure's own
-   entries. *)
-let config_tag (c : Cache.config) =
-  Printf.sprintf "%s/%d/%d/%d" c.Cache.name c.Cache.size_bytes c.Cache.assoc
-    c.Cache.line_bytes
-
-let timing_tag (t : Machine.timing) =
-  Printf.sprintf "%h/%h/%h" t.Machine.cycles_per_op t.Machine.cycles_per_hit
-    t.Machine.miss_penalty
-
-let params_tag params =
-  String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) params)
-
 (* Keyed by the *transformed* program text, so candidates reached from
    different starting points (cross-kernel overlap: the six matmul
-   orders permute into each other) share one entry. *)
+   orders permute into each other) share one entry. The tags are
+   Measure's; the "tune" kind keeps the entries apart from its own. *)
 let tune_key ~stage ~machine ~timing ~params p =
   Store.key ~kind:"tune"
     [
-      stage; Pretty.program_to_string p; config_tag machine;
-      timing_tag timing; params_tag params;
+      stage; Pretty.program_to_string p; Measure.config_tag machine;
+      Measure.timing_tag timing; Measure.params_tag params;
     ]
 
 let measure_miss ~mode ~machine ~timing ~params ~store p =

@@ -48,6 +48,32 @@ let test_shrink () =
   checkb "still valid" true
     (match Program.validate shrunk with Ok () -> true | Error _ -> false)
 
+(* The C-compiler probe is lazy and process-wide. Forcing it from
+   several pool domains at once raises, and the raise surfaced as a
+   spurious [`Exec] finding; the harness forces it before the fan-out.
+   This runs before any other test here forces the probe, so the first
+   campaign starts with it unforced. Probes [PATH] itself to skip
+   without touching the lazy value. *)
+let test_cgen_probe_no_race () =
+  let on_path cc =
+    Sys.command (Printf.sprintf "command -v %s >/dev/null 2>&1" cc) = 0
+  in
+  if not (List.exists on_path [ "cc"; "gcc"; "clang" ]) then Alcotest.skip ();
+  for seed = 1 to 3 do
+    let o =
+      Fuzz.Harness.run ~jobs:4 ~oracles:[ `Cgen ] ~seed ~count:8 ~max_size:12 ()
+    in
+    List.iter
+      (fun (f : Fuzz.Harness.failure) ->
+        List.iter
+          (fun (fd : Fuzz.Oracle.finding) ->
+            if fd.Fuzz.Oracle.kind = `Exec then
+              Alcotest.failf "seed %d index %d: spurious exec finding: %s" seed
+                f.Fuzz.Harness.index fd.Fuzz.Oracle.detail)
+          f.Fuzz.Harness.findings)
+      o.Fuzz.Harness.failures
+  done
+
 (* A small campaign over every oracle must come back clean, and be
    byte-for-byte identical for any worker count. *)
 let test_campaign_clean_and_jobs_independent () =
@@ -83,6 +109,7 @@ let suite =
     ("generator determinism", `Quick, test_gen_deterministic);
     ("generator variety", `Quick, test_gen_varies);
     ("shrinker contract", `Quick, test_shrink);
+    ("cgen probe: no race at jobs > 1", `Quick, test_cgen_probe_no_race);
     ( "campaign clean and jobs-independent",
       `Quick,
       test_campaign_clean_and_jobs_independent );

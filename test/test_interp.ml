@@ -197,9 +197,7 @@ let test_measure_orders () =
   checkb
     (Printf.sprintf "JKI (%.1f%%) beats IKJ (%.1f%%)" rg rb)
     true (rg > rb +. 5.0);
-  let sp, _, _ =
-    Measure.speedup ~config:Machine.cache2 (matmul "IKJ" n) (matmul "JKI" n)
-  in
+  let sp = bad.Measure.cycles /. good.Measure.cycles in
   checkb (Printf.sprintf "modelled speedup %.2f > 1.3" sp) true (sp > 1.3)
 
 let test_measure_optimized_region () =

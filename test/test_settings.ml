@@ -1,4 +1,4 @@
-(* The environment resolver behind the memoria and bench executables,
+(* The environment resolver behind the memoria executable,
    on fake environment lists: lenient fallbacks for every variable, the
    core-count cap on jobs, and telemetry only with a store. *)
 

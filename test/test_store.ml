@@ -308,6 +308,32 @@ let test_labels_across_builds () =
             (warm.D.measured = plain.D.measured)))
     Measure.[ Per_access; Runs; Stream; Sampled; Analytic ]
 
+(* Key bytes are a persistent format: a warm store written by one
+   version must read in the next. Pin the on-disk name of one entry per
+   kind that a real run publishes; a change to a key's parts, a tag's
+   spelling or the digest fails here. Bumping [Store.format_version]
+   changes every key; update the pins with it. *)
+let test_pinned_keys () =
+  let p = S.Kernels.cholesky 8 in
+  let pinned what hex run =
+    with_store (fun st ->
+        run st;
+        let path =
+          List.fold_left Filename.concat (Store.root st)
+            [ "objects"; String.sub hex 0 2; hex ^ ".bin" ]
+        in
+        check (what ^ " entry at " ^ hex) true (Sys.file_exists path))
+  in
+  check_int "format version" 2 Store.format_version;
+  pinned "measure run" "93be6671cd69b0b99b40fa29437b1205" (fun st ->
+      ignore (Measure.measure ~mode:Measure.Runs ~store:(Some st) p));
+  pinned "driver analysis" "07579b05f2f7eb1ff07a192ba3adbc47" (fun st ->
+      ignore (D.run (D.config ~n:8 ~store:(Some st) (D.Source_kernel "cholesky"))));
+  pinned "tune screen" "f1e19933ab0c0dee2410897efd17a48a" (fun st ->
+      ignore
+        (Locality_stats.Tune.run ~spec:Locality_stats.Tune.quick_spec
+           ~store:(Some st) ~name:"cholesky" p))
+
 let suite =
   [
     ("key: digest stability", `Quick, test_key_stability);
@@ -329,4 +355,5 @@ let suite =
     ("concurrency: 4-domain writers", `Quick, test_concurrent_writers);
     ("gc: LRU eviction respects max-bytes", `Quick, test_gc_lru);
     ("gc: min-age shields fresh entries", `Quick, test_gc_min_age);
+    ("key: pinned on-disk names", `Quick, test_pinned_keys);
   ]
