@@ -1220,8 +1220,9 @@ let fuzz_cmd =
       & info [ "oracle" ] ~docv:"NAMES"
           ~doc:
             "Comma-separated oracles to run: $(b,exec) (transform \
-             semantics under the interpreter), $(b,replay) (v1 vs v2 \
-             trace replay), $(b,roundtrip) (pretty-print/reparse), \
+             semantics under the interpreter), $(b,replay) (runs \
+             replay vs the reference simulator), $(b,roundtrip) \
+             (pretty-print/reparse), \
              $(b,cgen) (native C checksum), $(b,analytic) (closed-form \
              locality model vs the simulator), $(b,sample) (SHARDS \
              sampled profile vs exact reuse analysis). Default: all.")
@@ -1447,18 +1448,18 @@ let main =
                 output is identical at any value).";
            Cmd.Env.info "MEMORIA_REPLAY"
              ~doc:
-               "Measurement backend: $(b,per-access) forces the flat v1 \
-                record stream; $(b,stream) fuses capture and simulation so \
-                no trace is materialised (bit-identical statistics in O(chunk) \
-                memory at any problem size); $(b,sample) builds a SHARDS \
+               "Measurement backend: $(b,stream) fuses capture and \
+                simulation so no trace is materialised (bit-identical \
+                statistics in O(chunk) memory at any problem size); \
+                $(b,sample) builds a SHARDS \
                 hash-sampled reuse-distance profile instead of simulating \
                 exactly (see $(b,MEMORIA_SAMPLE_RATE)); $(b,analytic) skips \
                 tracing and asks the closed-form locality model \
                 (simulator-equal on programs it certifies exact, sound \
                 estimates elsewhere, automatic fallback to simulation when \
-                out of scope); any other value (or unset) uses the \
-                run-compressed v2 trace format, which is several times \
-                faster than v1 and produces bit-identical statistics.";
+                out of scope); any other value (or unset) selects \
+                $(b,runs): interpret once into a run-compressed trace and \
+                replay it exactly per cache geometry.";
            Cmd.Env.info "MEMORIA_SAMPLE_RATE"
              ~doc:
                "Sampling rate in (0, 1] for $(b,MEMORIA_REPLAY=sample) \

@@ -93,13 +93,13 @@ def req(id, **kw):
 
 
 def cmd_probes(sock_path, server_pid):
-    # Holds the single worker for seconds: per-access replay, both
-    # caches, the store disabled so a previous smoke run can't have
-    # warmed it into returning instantly.
+    # Holds the single worker for seconds: streamed replay (one
+    # re-execution per cache), both caches, the store disabled so a
+    # previous smoke run can't have warmed it into returning instantly.
     slow = req(
         "slow",
-        n=160,
-        replay="per-access",
+        n=192,
+        replay="stream",
         machines=["cache1", "cache2"],
         store="none",
     )

@@ -151,71 +151,6 @@ type region = {
 
 let fresh_region () = { r_accesses = 0; r_hits = 0; r_cold = 0 }
 
-(* Replay a chunk of packed records. Semantically one [access_full] per
-   record (bit-identical statistics, asserted by the test suite), but the
-   per-access closure dispatch is gone, and the direct-mapped case is
-   fully inlined with no way-search loop. *)
-let simulate_chunk t ?marked ?region (c : Chunk.t) =
-  let data = c.Chunk.data in
-  let len = c.Chunk.len in
-  let nmarked = match marked with Some m -> Array.length m | None -> 0 in
-  let track lid cls =
-    match (marked, region) with
-    | Some m, Some r ->
-      if lid < nmarked && Array.unsafe_get m lid then begin
-        r.r_accesses <- r.r_accesses + 1;
-        match cls with
-        | `Hit -> r.r_hits <- r.r_hits + 1
-        | `Cold -> r.r_cold <- r.r_cold + 1
-        | `Miss -> ()
-      end
-    | _ -> ()
-  in
-  if t.config.assoc = 1 then begin
-    let shift = t.line_shift in
-    let smask = t.set_mask in
-    let sets = t.sets in
-    let tags = t.tags and ages = t.ages and dirty = t.dirty in
-    for i = 0 to len - 1 do
-      let r = Array.unsafe_get data i in
-      let addr = Chunk.addr r in
-      let write = Chunk.write r in
-      let line = addr lsr shift in
-      let set = if smask >= 0 then line land smask else line mod sets in
-      t.accesses <- t.accesses + 1;
-      t.clock <- t.clock + 1;
-      if write then t.writes <- t.writes + 1;
-      if Array.unsafe_get tags set = line then begin
-        t.hits <- t.hits + 1;
-        if write then begin
-          t.write_hits <- t.write_hits + 1;
-          Array.unsafe_set dirty set true
-        end;
-        Array.unsafe_set ages set t.clock;
-        track (Chunk.label r) `Hit
-      end
-      else begin
-        let cold = not (seen_mem t line) in
-        if cold then begin
-          seen_add t line;
-          t.cold <- t.cold + 1
-        end;
-        if Array.unsafe_get dirty set && Array.unsafe_get tags set >= 0 then
-          t.writebacks <- t.writebacks + 1;
-        Array.unsafe_set tags set line;
-        Array.unsafe_set ages set t.clock;
-        Array.unsafe_set dirty set write;
-        track (Chunk.label r) (if cold then `Cold else `Miss)
-      end
-    done
-  end
-  else
-    for i = 0 to len - 1 do
-      let r = Array.unsafe_get data i in
-      let cls, _ = access_full t ~write:(Chunk.write r) (Chunk.addr r) in
-      track (Chunk.label r) cls
-    done
-
 type run_metrics = {
   mutable m_groups : int;
   mutable m_boundaries : int;  (** iterations processed with set lookups *)

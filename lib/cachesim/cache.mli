@@ -49,17 +49,9 @@ type region = {
   mutable r_cold : int;
 }
 (** Running counts for a marked subset of statement labels (Table 4's
-    "optimized" region), accumulated during {!simulate_chunk}. *)
+    "optimized" region), accumulated during {!simulate_runs}. *)
 
 val fresh_region : unit -> region
-
-val simulate_chunk : t -> ?marked:bool array -> ?region:region -> Chunk.t -> unit
-(** Replay a chunk of packed trace records in a tight loop — semantically
-    one {!access_full} per record with bit-identical statistics, but
-    without per-access closure dispatch, and with a fully inlined
-    direct-mapped (assoc = 1) fast path. When both [marked] (indexed by
-    interned label id) and [region] are given, accesses whose label is
-    marked are also tallied into [region]. *)
 
 type run_metrics = {
   mutable m_groups : int;  (** run groups replayed *)

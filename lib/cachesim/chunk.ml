@@ -1,7 +1,6 @@
-(* A block of packed trace records shared between the trace producer
-   (lib/interp/trace.ml) and the cache simulators, which replay it in a
-   tight loop. One record per array-element access, packed into a single
-   OCaml int:
+(* The packed trace record shared between the trace producer
+   (lib/interp/trace.ml) and the cache simulators. One record per
+   array-element access, packed into a single OCaml int:
 
      bits 0..31   byte address
      bit  32      write flag
@@ -11,20 +10,8 @@
    lets a trace be recorded once and replayed against several cache
    configurations at memory bandwidth. *)
 
-type t = {
-  data : int array;
-  mutable len : int;
-}
-
 let max_addr = 0xFFFF_FFFF
 let max_label = (1 lsl 29) - 1
-
-let create capacity =
-  if capacity <= 0 then invalid_arg "Chunk.create: capacity must be positive";
-  { data = Array.make capacity 0; len = 0 }
-
-let capacity c = Array.length c.data
-let is_full c = c.len = Array.length c.data
 
 let pack ~addr ~write ~label =
   if addr < 0 || addr > max_addr then
@@ -36,18 +23,3 @@ let pack ~addr ~write ~label =
 let addr r = r land max_addr
 let write r = r land (1 lsl 32) <> 0
 let label r = r lsr 33
-
-(* Append without a range check; callers flush on [is_full]. *)
-let push c r =
-  c.data.(c.len) <- r;
-  c.len <- c.len + 1
-
-let reset c = c.len <- 0
-
-let copy c = { data = Array.sub c.data 0 c.len; len = c.len }
-
-let iter f c =
-  for i = 0 to c.len - 1 do
-    let r = c.data.(i) in
-    f ~label:(label r) ~addr:(addr r) ~write:(write r)
-  done

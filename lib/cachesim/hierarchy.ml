@@ -45,16 +45,6 @@ let access t ?(write = false) addr =
       t.memory <- t.memory + 1;
       `Memory)
 
-(* Chunk replay: one [access] per packed record, in order. Identical
-   statistics to feeding the trace through an observer, without the
-   per-access closure. *)
-let simulate_chunk t (c : Chunk.t) =
-  let data = c.Chunk.data in
-  for i = 0 to c.Chunk.len - 1 do
-    let r = Array.unsafe_get data i in
-    ignore (access t ~write:(Chunk.write r) (Chunk.addr r))
-  done
-
 (* Run-chunk replay: groups are expanded to their access sequence (the
    two-level exchange makes window reasoning much hairier for little
    gain — hierarchy replay is off the hot path). *)

@@ -14,10 +14,6 @@ val create : l1:Cache.config -> l2:Cache.config -> t
 val access : t -> ?write:bool -> int -> [ `L1_hit | `L2_hit | `Memory ]
 (** Where the access was satisfied. *)
 
-val simulate_chunk : t -> Chunk.t -> unit
-(** Replay a chunk of packed trace records, one {!access} per record in
-    order; statistics are identical to the per-access path. *)
-
 val simulate_runs : t -> Runchunk.t -> unit
 (** Replay a v2 run chunk by expanding groups to their access sequence
     ({!Runchunk.iter}); statistics are identical to per-access replay. *)

@@ -3,6 +3,7 @@ module Measure = Locality_interp.Measure
 module Exec = Locality_interp.Exec
 module Fastexec = Locality_interp.Fastexec
 module Trace = Locality_interp.Trace
+module Cache = Locality_cachesim.Cache
 module Machine = Locality_cachesim.Machine
 module Analytic = Locality_analytic.Analytic
 module Sample = Locality_sample.Sample
@@ -88,37 +89,77 @@ let check_exec p pt =
   | None -> []
   | Some detail -> [ { kind = `Exec; detail } ]
 
-let region_equal (a : Measure.region) (b : Measure.region) =
-  a.Measure.accesses = b.Measure.accesses
-  && a.Measure.hits = b.Measure.hits
-  && a.Measure.cold = b.Measure.cold
+(* Every other statement in program order: a deterministic optimized
+   region that exercises label marking. *)
+let alternate_labels p =
+  let rec stmts = function
+    | Loop.Stmt s -> [ s.Stmt.label ]
+    | Loop.Loop l -> List.concat_map stmts l.Loop.body
+  in
+  List.concat_map stmts p.Program.body |> List.filteri (fun i _ -> i mod 2 = 0)
+
+(* The reference simulator: the tree-walking interpreter's observer
+   feeding one cache per geometry through [Cache.access_full], one
+   access at a time, with the region tallied by hand — none of the
+   capture, run compression or bulk replay the backends use. *)
+let reference ~configs ~labels p =
+  let tally (r : Cache.region) cls =
+    r.Cache.r_accesses <- r.Cache.r_accesses + 1;
+    match cls with
+    | `Hit -> r.Cache.r_hits <- r.Cache.r_hits + 1
+    | `Cold -> r.Cache.r_cold <- r.Cache.r_cold + 1
+    | `Miss -> ()
+  in
+  let sims =
+    List.map
+      (fun c -> (Cache.create c, Cache.fresh_region (), Cache.fresh_region ()))
+      configs
+  in
+  let on_access ~label ~addr ~write =
+    let opt = List.mem label labels in
+    List.iter
+      (fun (cache, whole, o) ->
+        let cls, _ = Cache.access_full cache ~write addr in
+        tally whole cls;
+        if opt then tally o cls)
+      sims
+  in
+  let observer = { Exec.on_access; on_stmt = (fun ~label:_ -> ()) } in
+  let ops = (Exec.run ~observer p).Exec.ops in
+  let region (r : Cache.region) =
+    { Measure.accesses = r.Cache.r_accesses; hits = r.Cache.r_hits;
+      cold = r.Cache.r_cold }
+  in
+  List.map (fun (_, whole, o) -> (region whole, region o, ops)) sims
 
 let check_replay ~which p =
-  let run mode =
-    Measure.replay_prepared (Measure.prepare ~mode ~store:None p)
-  in
-  let a = run Measure.Per_access and b = run Measure.Runs in
-  let diffs =
-    List.filter_map
-      (fun (field, same) -> if same then None else Some field)
-      [
-        ("whole", region_equal a.Measure.whole b.Measure.whole);
-        ("optimized", region_equal a.Measure.optimized b.Measure.optimized);
-        ("ops", a.Measure.ops = b.Measure.ops);
-        ("cycles", Float.equal a.Measure.cycles b.Measure.cycles);
-        ("seconds", Float.equal a.Measure.seconds b.Measure.seconds);
-      ]
-  in
-  if diffs = [] then []
-  else
-    [
-      {
-        kind = `Replay;
-        detail =
-          Printf.sprintf "%s: per-access and runs replay disagree on %s" which
-            (String.concat ", " diffs);
-      };
-    ]
+  let labels = alternate_labels p in
+  let configs = [ Machine.cache1; Machine.cache2 ] in
+  let b = Measure.prepare ~mode:Measure.Runs ~store:None p in
+  List.concat_map
+    (fun ((config : Cache.config), (whole, optimized, ops)) ->
+      let r = Measure.replay_prepared ~config ~optimized_labels:labels b in
+      let diffs =
+        List.filter_map
+          (fun (field, ok) -> if ok then None else Some field)
+          [
+            ("whole", r.Measure.whole = whole);
+            ("optimized", r.Measure.optimized = optimized);
+            ("ops", r.Measure.ops = ops);
+          ]
+      in
+      if diffs = [] then []
+      else
+        [
+          {
+            kind = `Replay;
+            detail =
+              Printf.sprintf "%s on %s: runs replay and reference disagree \
+                              on %s"
+                which config.Cache.name (String.concat ", " diffs);
+          };
+        ])
+    (List.combine configs (reference ~configs ~labels p))
 
 let first_diff_line a b =
   let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
@@ -210,14 +251,7 @@ let check_cgen ~which p =
    Region marking is exercised with a deterministic every-other-label
    set. *)
 let check_analytic ~which p =
-  let labels =
-    let rec stmts = function
-      | Loop.Stmt s -> [ s.Stmt.label ]
-      | Loop.Loop l -> List.concat_map stmts l.Loop.body
-    in
-    List.concat_map stmts p.Program.body
-    |> List.filteri (fun i _ -> i mod 2 = 0)
-  in
+  let labels = alternate_labels p in
   List.concat_map
     (fun config ->
       match Analytic.estimate ~optimized_labels:labels ~config p with
@@ -231,7 +265,7 @@ let check_analytic ~which p =
           {
             kind = `Analytic;
             detail =
-              Printf.sprintf "%s on %s: %s" which config.Locality_cachesim.Cache.name
+              Printf.sprintf "%s on %s: %s" which config.Cache.name
                 detail;
           }
         in
@@ -304,7 +338,6 @@ let check_analytic ~which p =
    3. Exact tallies stay exact at any rate: [pf_accesses] matches the
       trace's logical record count. *)
 let check_sample ~which p =
-  let module Cache = Locality_cachesim.Cache in
   let fail detail = { kind = `Sample; detail = which ^ ": " ^ detail } in
   let rb, finish = Trace.run_capturing () in
   ignore (Fastexec.run_traced_runs rb p);

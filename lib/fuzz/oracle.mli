@@ -8,9 +8,11 @@
       arrays under the reference interpreter (element-wise, with a small
       relative tolerance for reassociated reductions; non-finite values
       must match bitwise).
-    - [`Replay]: the v1 per-access and v2 run-compressed trace formats
-      produce field-identical {!Locality_interp.Measure.run} statistics,
-      on both program versions.
+    - [`Replay]: the [Runs] measurement backend reports exactly the
+      reference simulator's counts — the interpreter's observer feeding
+      {!Locality_cachesim.Cache.access_full} one access at a time —
+      whole-program and for an every-other-statement optimized region,
+      on both machine geometries and both program versions.
     - [`Roundtrip]: {!Pretty} output re-parses through the [Lang]
       frontend to a program with the same canonical text, on both
       program versions.

@@ -116,16 +116,14 @@ let rec deriv slots idx (e : Expr.t) : (ctx -> int) option =
     | Expr.Min _ | Expr.Max _ | Expr.Div _ -> None
 
 (* How the compiled program reports array accesses: not at all, through
-   the legacy per-access observer closure, appended to a batched trace
-   buffer, or appended to a run-compressed v2 buffer (both buffers
-   intern label ids once at compile time, so the hot path is a couple
-   of array stores — and qualifying innermost loops in run mode emit
-   one group descriptor per instance instead of touching the buffer
-   per access at all). *)
+   the per-access observer closure, or appended to a run-compressed
+   trace buffer (which interns label ids once at compile time, so the
+   hot path is a couple of array stores — and qualifying innermost
+   loops emit one group descriptor per instance instead of touching
+   the buffer per access at all). *)
 type mode =
   | Silent
   | Observe of Exec.observer
-  | Buffer of Trace.t
   | Runbuf of Trace.runbuf
 
 (* References of one statement in execution order: loads left-to-right
@@ -265,13 +263,6 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
           observer.Exec.on_access ~label ~addr:(base + (off * elem))
             ~write:false;
           c.fstack.(dst) <- Array.get arr off
-      | Buffer tr ->
-        let lid = Trace.intern tr label in
-        fun c ->
-          let off = offset c in
-          c.accesses <- c.accesses + 1;
-          Trace.record tr ~label:lid ~addr:(base + (off * elem)) ~write:false;
-          c.fstack.(dst) <- Array.get arr off
       | Runbuf rb ->
         let lid = Trace.run_intern rb label in
         fun c ->
@@ -377,15 +368,6 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
           observer.Exec.on_access ~label ~addr:(base + (off * elem))
             ~write:true;
           Array.set arr off c.fstack.(0)
-      | Buffer tr ->
-        let lid = Trace.intern tr label in
-        fun c ->
-          c.iterations <- c.iterations + 1;
-          rhs c;
-          let off = offset c in
-          c.accesses <- c.accesses + 1;
-          Trace.record tr ~label:lid ~addr:(base + (off * elem)) ~write:true;
-          Array.set arr off c.fstack.(0)
       | Runbuf rb ->
         let lid = Trace.run_intern rb label in
         fun c ->
@@ -411,7 +393,7 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
           observer.Exec.on_stmt ~label;
           rhs c;
           c.scalars.(i) <- c.fstack.(0)
-      | Buffer _ | Runbuf _ | Silent ->
+      | Runbuf _ | Silent ->
         fun c ->
           c.iterations <- c.iterations + 1;
           rhs c;
@@ -435,7 +417,7 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
       match compile_run_loop rb l with
       | Some f -> f
       | None -> compile_loop_plain mode l)
-    | Silent | Observe _ | Buffer _ -> compile_loop_plain mode l
+    | Silent | Observe _ -> compile_loop_plain mode l
   and compile_loop_plain mode (l : Loop.t) : ctx -> unit =
     let h = l.Loop.header in
     let islot = slot_of slots h.Loop.index in
@@ -465,7 +447,7 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
      emitted at loop entry (base addresses and strides evaluated with
      the index at its lower bound), and the body then runs with silent
      accesses — replaying the group round-robin reproduces the exact
-     per-iteration interleaving the per-access trace would have had. *)
+     per-iteration interleaving an observer would have seen. *)
   and compile_run_loop rb (l : Loop.t) : (ctx -> unit) option =
     let h = l.Loop.header in
     let idx = h.Loop.index in
@@ -568,7 +550,6 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
   List.iter (fun (x, v) -> ctx.ienv.(Hashtbl.find slots.tbl x) <- v) params;
   main ctx;
   (match mode with
-  | Buffer tr -> Trace.flush tr
   | Runbuf rb -> Trace.run_flush rb
   | Observe _ | Silent -> ());
   {
@@ -586,7 +567,5 @@ let run ?(observer = Exec.null_observer) ?init ?params p =
     if observer == Exec.null_observer then Silent else Observe observer
   in
   exec ~mode ?init ?params p
-
-let run_traced ?init ?params tr p = exec ~mode:(Buffer tr) ?init ?params p
 
 let run_traced_runs ?init ?params rb p = exec ~mode:(Runbuf rb) ?init ?params p

@@ -19,27 +19,19 @@ val run :
   result
 (** Drop-in equivalent of {!Exec.run}. *)
 
-val run_traced :
-  ?init:(string -> int -> float) ->
-  ?params:(string * int) list ->
-  Trace.t ->
-  Program.t ->
-  result
-(** Like {!run}, but every array access is appended to the given trace
-    buffer instead of dispatched through an observer closure: statement
-    labels are interned once at compile time, so the per-access cost is
-    a packed-record store. The buffer is flushed before returning. *)
-
 val run_traced_runs :
   ?init:(string -> int -> float) ->
   ?params:(string * int) list ->
   Trace.runbuf ->
   Program.t ->
   result
-(** Like {!run_traced}, but emitting the v2 run-compressed stream:
-    innermost loops whose body has no inner control flow and whose
-    array references all advance by a loop-invariant byte stride emit
-    one strided-run group descriptor per loop instance (the body then
-    executes with silent accesses); everything else falls back to
+(** Like {!run}, but every array access is appended to the given
+    run-compressed trace buffer instead of dispatched through an
+    observer closure: statement labels are interned once at compile
+    time, and innermost loops whose body has no inner control flow and
+    whose array references all advance by a loop-invariant byte stride
+    emit one strided-run group descriptor per loop instance (the body
+    then executes with silent accesses); everything else falls back to
     per-access records in the same stream. The expanded stream is
-    access-for-access identical to what {!run_traced} records. *)
+    access-for-access identical to what an observer passed to {!run}
+    sees. The buffer is flushed before returning. *)

@@ -45,14 +45,16 @@ type hier_run = {
   hier_writebacks : int;
 }
 
-type replay_mode = Per_access | Runs | Stream | Sampled | Analytic
-(** The measurement backend.
+type replay_mode = Runs | Stream | Sampled | Analytic
+(** The measurement backend. Each mode's contract is stated against the
+    reference simulator — the interpreter's observer feeding
+    {!Cache.access_full} one access at a time, which shares no capture,
+    compression or bulk-replay code with these backends.
 
-    [Per_access] and [Runs] interpret the program once into a trace and
-    replay it per cache geometry: [Per_access] records the v1 flat
-    stream, [Runs] the v2 run-compressed stream whose strided-run groups
-    both shrink the capture and let replay bulk-advance whole cache-line
-    windows. Statistics are bit-identical either way.
+    [Runs] interprets the program once into a run-compressed trace and
+    replays it per cache geometry; its strided-run groups both shrink
+    the capture and let replay bulk-advance whole cache-line windows.
+    Statistics are bit-identical to the reference.
 
     [Stream] fuses capture and simulation: the interpreter's run chunks
     feed the simulator as they fill, so no trace is materialised and
@@ -79,9 +81,8 @@ type replay_mode = Per_access | Runs | Stream | Sampled | Analytic
     [Sampled] stream them, the others replay the capture. *)
 
 val mode_of_string : string -> replay_mode option
-(** Strict parse of ["per-access"], ["runs"], ["stream"], ["sample"],
-    ["analytic"] ([None] on anything else) — the wire-API and CLI
-    surface. *)
+(** Strict parse of ["runs"], ["stream"], ["sample"], ["analytic"]
+    ([None] on anything else) — the wire-API and CLI surface. *)
 
 val mode_to_string : replay_mode -> string
 (** Inverse of {!mode_of_string}; these strings are the documented
@@ -172,9 +173,8 @@ val params_tag : (string * int) list -> string
 
 type capture
 
-val capture_key :
-  ?mode:replay_mode -> ?params:(string * int) list -> Program.t -> Store.key
-(** The digest a capture is stored under: trace format, canonical
+val capture_key : ?params:(string * int) list -> Program.t -> Store.key
+(** The digest a capture is stored under: trace format tag, canonical
     program text and parameter overrides. Stable across processes. *)
 
 val capture :
@@ -183,12 +183,12 @@ val capture :
   ?store:Store.t option ->
   Program.t ->
   capture
-(** [mode] selects the format: v1 for [Per_access], v2 otherwise. *)
+(** There is one trace format, so [mode] selects nothing and is
+    ignored; it is accepted so existing callers keep compiling. *)
 
 val trace_stats : capture -> int * int * int
 (** [(records, stream_words, groups)]: logical access count, words
-    actually stored, and strided-run groups in the capture. A v1
-    capture stores one word per record and no groups. *)
+    actually stored, and strided-run groups in the capture. *)
 
 val replay :
   ?config:Cache.config ->

@@ -1,9 +1,9 @@
 module Chunk = Locality_cachesim.Chunk
 module Runchunk = Locality_cachesim.Runchunk
 
-let default_chunk_records = 65536
+let default_chunk_words = 65536
 
-(* Statement-label interning, shared by both buffer formats. *)
+(* Statement-label interning. *)
 module Interner = struct
   type t = {
     tbl : (string, int) Hashtbl.t;
@@ -31,68 +31,6 @@ module Interner = struct
     a
 end
 
-type t = {
-  cap : int;
-  mutable chunk : Chunk.t;
-  sink : Chunk.t -> unit;
-  names : Interner.t;
-  mutable total : int;
-}
-
-let create ?(chunk_records = default_chunk_records) ~sink () =
-  {
-    cap = chunk_records;
-    chunk = Chunk.create chunk_records;
-    sink;
-    names = Interner.create ();
-    total = 0;
-  }
-
-let intern t label = Interner.intern t.names label
-let labels t = Interner.labels t.names
-
-let flush t =
-  if t.chunk.Chunk.len > 0 then begin
-    t.sink t.chunk;
-    Chunk.reset t.chunk
-  end
-
-let record t ~label ~addr ~write =
-  if Chunk.is_full t.chunk then flush t;
-  Chunk.push t.chunk (Chunk.pack ~addr ~write ~label);
-  t.total <- t.total + 1
-
-let total t = t.total
-
-let observer t =
-  {
-    Exec.on_access =
-      (fun ~label ~addr ~write -> record t ~label:(intern t label) ~addr ~write);
-    on_stmt = (fun ~label:_ -> ());
-  }
-
-type captured = {
-  chunks : Chunk.t list;
-  trace_labels : string array;
-  records : int;
-}
-
-let capturing ?chunk_records () =
-  let acc = ref [] in
-  let t =
-    create ?chunk_records ~sink:(fun c -> acc := Chunk.copy c :: !acc) ()
-  in
-  let finish () =
-    flush t;
-    { chunks = List.rev !acc; trace_labels = labels t; records = t.total }
-  in
-  (t, finish)
-
-let iter_chunks cap f = List.iter f cap.chunks
-let iter cap f = List.iter (Chunk.iter f) cap.chunks
-
-(* ------------------------------------------------ v2: run buffers --- *)
-
 (* The run-aware buffer behind [Fastexec.run_traced_runs]: per-access
    records and strided-run group descriptors share one [Runchunk]
    stream. The capacity is in words, so a group costs 1 + 2*nrefs slots
@@ -108,7 +46,7 @@ type runbuf = {
   mutable rwords : int;  (* stream words emitted *)
 }
 
-let run_create ?(chunk_words = default_chunk_records) ~sink () =
+let run_create ?(chunk_words = default_chunk_words) ~sink () =
   {
     rcap = chunk_words;
     rchunk = Runchunk.create chunk_words;

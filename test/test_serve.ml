@@ -135,6 +135,23 @@ let test_malformed_rejection () =
       check "resolution error keeps the request prefix" true
         (String.length msg >= 8 && String.sub msg 0 8 = "request:"))
 
+(* The retired per-access mode is an unknown mode like any other, and
+   the diagnostic lists the four that remain. *)
+let test_retired_replay_mode () =
+  match
+    Request.of_json
+      {|{"schema_version":1,"source":{"kind":"kernel","name":"m"},
+         "replay":"per-access"}|}
+  with
+  | Ok _ -> Alcotest.fail "per-access replay accepted"
+  | Error msg ->
+    let suffix =
+      {|unknown replay mode "per-access" (runs|stream|sample|analytic)|}
+    in
+    let n = String.length msg and k = String.length suffix in
+    check (Printf.sprintf "typed diagnostic %S" msg) true
+      (n >= k && String.sub msg (n - k) k = suffix)
+
 (* Fuzz the reader with the fuzzer's deterministic seed streams: random
    bytes and random mutations of a valid document must produce an Error,
    never an exception (and occasionally an Ok for benign mutations —
@@ -297,10 +314,11 @@ let light ~id ~store n =
   Request.make ~id ~n ~machines:[ Request.Named "cache2" ]
     ~store:(Request.Root store) (Request.Kernel "matmul")
 
-(* A request that holds a worker for a while: per-access replay, both
-   caches, no store (so reruns of the test can't answer it warm). *)
+(* A request that holds a worker for a while: streamed replay (one
+   re-execution per cache), both caches, no store (so reruns of the
+   test can't answer it warm). *)
 let heavy ?timeout_ms ~id () =
-  Request.make ~id ~n:160 ~replay:Measure.Per_access
+  Request.make ~id ~n:192 ~replay:Measure.Stream
     ~machines:[ Request.Named "cache1"; Request.Named "cache2" ]
     ~store:Request.No_store ?timeout_ms (Request.Kernel "matmul")
 
@@ -489,6 +507,8 @@ let suite =
     ("request: fingerprint neutralizes serve-side fields", `Quick, test_fingerprint);
     ("request: unknown field has line:col", `Quick, test_unknown_field);
     ("request: malformed documents rejected", `Quick, test_malformed_rejection);
+    ("request: retired per-access replay rejected", `Quick,
+     test_retired_replay_mode);
     ("request: reader survives seed-stream fuzz", `Quick, test_fuzz_reader);
     ("driver: error format is stable", `Quick, test_error_format);
     ("driver: sample rate is per-request, never sticky", `Slow, test_rate_isolation);

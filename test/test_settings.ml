@@ -28,7 +28,8 @@ let test_replay () =
   check_bool "unset selects runs" true
     ((resolve []).Settings.replay = Measure.Runs);
   check_bool "sample" true (replay "sample" = Measure.Sampled);
-  check_bool "per-access" true (replay "per-access" = Measure.Per_access)
+  check_bool "retired per-access selects runs" true
+    (replay "per-access" = Measure.Runs)
 
 let test_sample_rate () =
   let rate v = (resolve [ ("MEMORIA_SAMPLE_RATE", v) ]).Settings.sample_rate in

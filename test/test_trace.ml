@@ -1,9 +1,9 @@
-(* The batched trace engine: trace replay must be bit-identical to the
-   legacy per-access observer path, on single caches and hierarchies;
-   the domain pool must neither reorder nor change results. *)
+(* The batched trace engine: run-compressed trace replay must be
+   bit-identical to the observer feeding the cache one access at a
+   time, on single caches and hierarchies; the domain pool must neither
+   reorder nor change results. *)
 
 module Cache = Locality_cachesim.Cache
-module Chunk = Locality_cachesim.Chunk
 module Hierarchy = Locality_cachesim.Hierarchy
 module Machine = Locality_cachesim.Machine
 module Exec = Locality_interp.Exec
@@ -24,8 +24,8 @@ let stats_pp ppf (s : Cache.stats) =
 
 let stats_t = Alcotest.testable stats_pp ( = )
 
-(* Run [p] with the legacy observer, every access fed straight into a
-   cache via [access_full] (loads and stores, so writebacks happen). *)
+(* Run [p] with an observer, every access fed straight into a cache via
+   [access_full] (loads and stores, so writebacks happen). *)
 let observer_stats config p =
   let cache = Cache.create config in
   let observer =
@@ -39,14 +39,16 @@ let observer_stats config p =
   Cache.stats cache
 
 (* Same program through the buffered-trace path: interpreted once into
-   captured chunks, then replayed with [simulate_chunk]. A small chunk
-   size forces multiple flushes. *)
-let replay_stats ?(chunk_records = 256) config p =
-  let tr, finish = Trace.capturing ~chunk_records () in
-  ignore (Fastexec.run_traced tr p);
-  let cap = finish () in
+   captured run chunks, then replayed with [simulate_runs]. A small
+   chunk size forces multiple flushes. *)
+let capture ?(chunk_words = 256) p =
+  let rb, finish = Trace.run_capturing ~chunk_words () in
+  ignore (Fastexec.run_traced_runs rb p);
+  finish ()
+
+let replay_stats config p =
   let cache = Cache.create config in
-  Trace.iter_chunks cap (fun c -> Cache.simulate_chunk cache c);
+  Trace.iter_run_chunks (capture p) (fun rc -> Cache.simulate_runs cache rc);
   Cache.stats cache
 
 (* A kernel mix with loads, stores and (on the small cache2 geometry)
@@ -82,28 +84,6 @@ let test_replay_has_writebacks () =
   let s = replay_stats Machine.cache2 (Kernels.matmul ~order:"IJK" 24) in
   Alcotest.(check bool) "writebacks occur" true (s.Cache.writebacks > 0)
 
-let direct_mapped =
-  { Cache.name = "dm"; size_bytes = 1024; assoc = 1; line_bytes = 32 }
-
-let test_direct_mapped_fast_path () =
-  (* The assoc=1 inlined loop against the generic access_full path on a
-     pseudo-random load/store sequence. *)
-  let n = 20_000 in
-  let chunk = Chunk.create n in
-  let reference = Cache.create direct_mapped in
-  let state = ref 12345 in
-  for _ = 1 to n do
-    state := ((!state * 1103515245) + 12346) land 0x3FFFFFFF;
-    let addr = !state land 0xFFFF in
-    let write = !state land 0x10000 <> 0 in
-    Chunk.push chunk (Chunk.pack ~addr ~write ~label:(!state land 7));
-    ignore (Cache.access_full reference ~write addr)
-  done;
-  let replayed = Cache.create direct_mapped in
-  Cache.simulate_chunk replayed chunk;
-  Alcotest.check stats_t "direct-mapped replay" (Cache.stats reference)
-    (Cache.stats replayed)
-
 let test_hierarchy_replay_identical () =
   let p = Kernels.matmul ~order:"IJK" 24 in
   let legacy = Hierarchy.create ~l1:Machine.cache2 ~l2:Machine.cache1 in
@@ -115,11 +95,9 @@ let test_hierarchy_replay_identical () =
     }
   in
   ignore (Fastexec.run ~observer p);
-  let tr, finish = Trace.capturing ~chunk_records:512 () in
-  ignore (Fastexec.run_traced tr p);
-  let cap = finish () in
   let replayed = Hierarchy.create ~l1:Machine.cache2 ~l2:Machine.cache1 in
-  Trace.iter_chunks cap (fun c -> Hierarchy.simulate_chunk replayed c);
+  Trace.iter_run_chunks (capture ~chunk_words:512 p)
+    (Hierarchy.simulate_runs replayed);
   Alcotest.check stats_t "L1" (Hierarchy.l1_stats legacy)
     (Hierarchy.l1_stats replayed);
   Alcotest.check stats_t "L2" (Hierarchy.l2_stats legacy)
@@ -154,17 +132,29 @@ let test_measure_matches_observer_semantics () =
 
 let test_trace_labels () =
   let p = Kernels.matmul ~order:"IJK" 8 in
-  let tr, finish = Trace.capturing () in
-  ignore (Fastexec.run_traced tr p);
-  let cap = finish () in
-  Alcotest.(check bool) "labels interned" true
-    (Array.length cap.Trace.trace_labels > 0);
-  (* Every record's label id decodes to an interned label. *)
-  Trace.iter cap (fun ~label ~addr ~write:_ ->
+  let cap = capture ~chunk_words:65536 p in
+  let labels = cap.Trace.run_trace_labels in
+  Alcotest.(check bool) "labels interned" true (Array.length labels > 0);
+  (* Every record's label id decodes to an interned label, and the
+     expanded stream carries the observer's labels in order. *)
+  let observed = ref [] in
+  ignore
+    (Fastexec.run
+       ~observer:
+         {
+           Exec.on_access =
+             (fun ~label ~addr:_ ~write:_ -> observed := label :: !observed);
+           on_stmt = (fun ~label:_ -> ());
+         }
+       p);
+  let expanded = ref [] in
+  Trace.iter_runs cap (fun ~label ~addr ~write:_ ->
       Alcotest.(check bool) "label id in range" true
-        (label >= 0 && label < Array.length cap.Trace.trace_labels);
-      Alcotest.(check bool) "addr in range" true (addr >= 0));
-  Alcotest.(check bool) "records counted" true (cap.Trace.records > 0)
+        (label >= 0 && label < Array.length labels);
+      Alcotest.(check bool) "addr in range" true (addr >= 0);
+      expanded := labels.(label) :: !expanded);
+  Alcotest.(check (list string)) "labels decode in order" !observed !expanded;
+  Alcotest.(check bool) "records counted" true (cap.Trace.run_records > 0)
 
 (* ------------------------------------------------------ domain pool --- *)
 
@@ -210,8 +200,6 @@ let suite =
       test_replay_identical;
     Alcotest.test_case "workload produces writebacks" `Quick
       test_replay_has_writebacks;
-    Alcotest.test_case "direct-mapped fast path" `Quick
-      test_direct_mapped_fast_path;
     Alcotest.test_case "hierarchy replay identical" `Quick
       test_hierarchy_replay_identical;
     Alcotest.test_case "measure matches observer semantics" `Quick
