@@ -10,26 +10,26 @@ module Obs = Locality_obs.Obs
 module Measure = Locality_interp.Measure
 module Settings = Locality_driver.Settings
 
-(* The interpreter hot path is supposed to be allocation-free: trace a
-   kernel into a discarding sink and report the minor-heap words each
-   access cost. Goes to stderr so the CI A/B diff of stdout across
+(* The measurement walker's hot path is supposed to be allocation-free:
+   walk a kernel into a discarding sink and report the minor-heap words
+   each access cost. Goes to stderr so the CI A/B diff of stdout across
    replay modes is unaffected; the residue is the per-run setup
    (closure compilation, chunk buffer), amortised over ~10^6 accesses. *)
 let alloc_probe () =
   let module Trace = Locality_interp.Trace in
-  let module Fastexec = Locality_interp.Fastexec in
+  let module Walk = Locality_interp.Walk in
   let p = (List.assoc "matmul" Locality_suite.Kernels.all) 64 in
   let silent_run () =
     let rb = Trace.run_create ~sink:(fun _ -> ()) () in
     let w0 = Gc.minor_words () in
-    ignore (Fastexec.run_traced_runs rb p);
+    ignore (Walk.run rb p);
     let w1 = Gc.minor_words () in
     (w1 -. w0, Trace.run_total rb)
   in
   ignore (silent_run ());
   let words, accesses = silent_run () in
   Printf.eprintf "alloc: %.4f minor words/access (%d accesses, matmul n=64, \
-                  silent sink)\n%!"
+                  walker, silent sink)\n%!"
     (words /. float_of_int accesses)
     accesses
 

@@ -1,7 +1,7 @@
 module Driver = Locality_driver.Driver
 module Measure = Locality_interp.Measure
 module Exec = Locality_interp.Exec
-module Fastexec = Locality_interp.Fastexec
+module Walk = Locality_interp.Walk
 module Trace = Locality_interp.Trace
 module Cache = Locality_cachesim.Cache
 module Machine = Locality_cachesim.Machine
@@ -340,7 +340,7 @@ let check_analytic ~which p =
 let check_sample ~which p =
   let fail detail = { kind = `Sample; detail = which ^ ": " ^ detail } in
   let rb, finish = Trace.run_capturing () in
-  ignore (Fastexec.run_traced_runs rb p);
+  ignore (Walk.run rb p);
   let cap = finish () in
   let labels = Trace.(cap.run_trace_labels) in
   let build ~rate ~max_tracked ~sets ~line_bytes ~grouped =

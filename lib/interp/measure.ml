@@ -129,28 +129,32 @@ let key src ~kind ?labels parts =
   in
   Store.key ~kind (Lazy.force src.ident @ parts @ labels)
 
-(* The one memo: look the value up, else compute it and publish it
-   unless it is [None]. A corrupt entry reads as a miss (the store
-   quarantines it), so it is recomputed and republished. *)
-let memo_some src ~kind ?labels parts compute =
+(* The one memo: look the value up, else compute it and publish what
+   [keep] makes of it. A corrupt entry reads as a miss (the store
+   quarantines it), so it is recomputed and republished. [memo] stores
+   every result; [memo_some] only the [Some] ones. *)
+let memo_by src ~kind ?labels parts ~hit ~keep compute =
   match src.store with
   | None -> compute ()
   | Some st -> (
     let k = key src ~kind ?labels parts in
     match Store.get_value st k with
-    | Some v -> Some v
+    | Some v -> hit v
     | None ->
-      let v = compute () in
-      Option.iter (Store.put_value st k) v;
-      v)
+      let r = compute () in
+      Option.iter (Store.put_value st k) (keep r);
+      r)
 
 let memo src ~kind ?labels parts compute =
-  Option.get (memo_some src ~kind ?labels parts (fun () -> Some (compute ())))
+  memo_by src ~kind ?labels parts ~hit:Fun.id ~keep:Option.some compute
+
+let memo_some src ~kind ?labels parts compute =
+  memo_by src ~kind ?labels parts ~hit:Option.some ~keep:Fun.id compute
 
 let geometry config timing = [ config_tag config; timing_tag timing ]
 
 (* Membership in the optimized region, for trace labels that are either
-   this build's names (a live interpretation) or positions (a capture). *)
+   this build's names (a live walk) or positions (a capture). *)
 let marker src labels =
   let marked = List.map (position src) labels in
   fun l -> List.mem (position src l) marked
@@ -159,14 +163,14 @@ let marker src labels =
 
 (* One execution's trace, pushed chunk by chunk into a sink along with
    the labels interned so far; returns the operation count. A stored
-   capture replays its chunks; a live interpretation hands each chunk
+   capture replays its chunks; a live walk hands each chunk
    over the moment it fills, so no trace is materialised. *)
 type feed = (string array -> Trace.Runchunk.t -> unit) -> int
 
-(* Interpret into the run-chunk sink. Labels are interned at
-   closure-compile time, before the first access, so the label table is
-   complete by the first flush. *)
-let interpret src sink =
+(* Walk the program's addresses into the run-chunk sink. Labels are
+   interned at compile time, before the first access, so the label
+   table is complete by the first flush. *)
+let walk src sink =
   let buf = ref None in
   let rb =
     Trace.run_create
@@ -175,10 +179,10 @@ let interpret src sink =
       ()
   in
   buf := Some rb;
-  let res = Fastexec.run_traced_runs ?params:src.params rb src.program in
-  (res.Fastexec.ops, Trace.run_labels rb)
+  let res = Walk.run ?params:src.params rb src.program in
+  (res.Walk.ops, Trace.run_labels rb)
 
-let live src : feed = fun sink -> fst (interpret src sink)
+let live src : feed = fun sink -> fst (walk src sink)
 
 (* Chunk counts of one simulation, under the streamed or the replayed
    counters; called inside the simulation's span. *)
@@ -256,10 +260,10 @@ type capture = {
 }
 
 (* Stored traces name statements by position (see [source]). *)
-let interpret_capture src =
+let walk_capture src =
   Obs.span "capture" ~args:[ ("format", trace_tag) ] (fun () ->
       let rb, finish = Trace.run_capturing () in
-      let res = Fastexec.run_traced_runs ?params:src.params rb src.program in
+      let res = Walk.run ?params:src.params rb src.program in
       let t = finish () in
       if Obs.enabled () then begin
         Obs.counter "trace.runs_emitted" t.Trace.run_groups;
@@ -270,11 +274,11 @@ let interpret_capture src =
       ( { t with
           Trace.run_trace_labels =
             Array.map (position src) t.Trace.run_trace_labels },
-        res.Fastexec.ops ))
+        res.Walk.ops ))
 
 let capture_of src =
   let trace, cap_ops =
-    memo src ~kind:"capture" capture_parts (fun () -> interpret_capture src)
+    memo src ~kind:"capture" capture_parts (fun () -> walk_capture src)
   in
   { src; trace; cap_ops }
 
@@ -313,7 +317,7 @@ type backend = {
   hierarchy : l1:Cache.config -> l2:Cache.config -> hier_run;
 }
 
-(* [Runs]: interpret once (lazily — a warm store never does), replay
+(* [Runs]: walk once (lazily — a warm store never does), replay
    the capture per geometry. *)
 let replay_backend src =
   let cap = lazy (capture_of src) in
@@ -332,7 +336,7 @@ let stream_hierarchy src ~l1 ~l2 =
   memo src ~kind:"stream" [ "hier"; config_tag l1; config_tag l2 ] (fun () ->
       simulate_hierarchy ~streamed:true ~l1 ~l2 (live src))
 
-(* [Stream]: re-interpret per geometry, simulating each chunk as it fills
+(* [Stream]: re-walk per geometry, simulating each chunk as it fills
    — O(chunk) trace memory at any iteration count. *)
 let stream_backend src =
   {
@@ -357,7 +361,7 @@ let profile src ~rate ~line_bytes ~sets =
     (fun () ->
       let sampler = Sample.create ~rate ~line_bytes ~sets () in
       let ops, labels =
-        interpret src (fun _ rc -> Sample.consume_runchunk sampler rc)
+        walk src (fun _ rc -> Sample.consume_runchunk sampler rc)
       in
       let prof =
         Sample.profile sampler ~labels:(Array.map (position src) labels) ~ops

@@ -1,4 +1,4 @@
-(** Measurement harness: execute a program with its address trace feeding
+(** Measurement harness: walk a program's address trace ({!Walk}) into
     a simulated cache, with statistics split between the statements the
     optimizer touched and the whole program — the methodology behind
     Tables 1, 3 and 4.
@@ -51,16 +51,16 @@ type replay_mode = Runs | Stream | Sampled | Analytic
     {!Cache.access_full} one access at a time, which shares no capture,
     compression or bulk-replay code with these backends.
 
-    [Runs] interprets the program once into a run-compressed trace and
+    [Runs] walks the program once into a run-compressed trace and
     replays it per cache geometry; its strided-run groups both shrink
     the capture and let replay bulk-advance whole cache-line windows.
     Statistics are bit-identical to the reference.
 
-    [Stream] fuses capture and simulation: the interpreter's run chunks
+    [Stream] fuses capture and simulation: the walker's run chunks
     feed the simulator as they fill, so no trace is materialised and
     peak trace memory is O(chunk) at any iteration count. The chunks and
     the simulator are those of a capture-then-replay, so the runs are
-    bit-identical to [Runs]; the trade is one re-execution per geometry.
+    bit-identical to [Runs]; the trade is one re-walk per geometry.
 
     [Sampled] replaces exact simulation with a SHARDS sampled
     reuse-distance profile ({!Locality_sample.Sample}) at the rate given
@@ -99,7 +99,7 @@ type backend = {
       (** A two-level write-back hierarchy. *)
 }
 (** A program staged for measurement in one mode. Work is deferred and
-    store-backed: a [Runs] backend interprets the program at most once,
+    store-backed: a [Runs] backend walks the program at most once,
     and only when a result is missing from the store. A backend memoises
     its capture and is meant for one domain; each pool work item should
     {!prepare} its own. *)

@@ -2,11 +2,12 @@ module Reuse = Locality_cachesim.Reuse
 
 let profile ?(line_bytes = 32) ?params (p : Program.t) =
   let tracker = Reuse.create ~line_bytes () in
-  let observer =
-    {
-      Exec.on_access = (fun ~label:_ ~addr ~write:_ -> Reuse.access tracker addr);
-      on_stmt = (fun ~label:_ -> ());
-    }
+  let rb =
+    Trace.run_create
+      ~sink:(fun rc ->
+        Trace.Runchunk.iter rc (fun ~label:_ ~addr ~write:_ ->
+            Reuse.access tracker addr))
+      ()
   in
-  ignore (Fastexec.run ~observer ?params p);
+  ignore (Walk.run ?params rb p);
   tracker

@@ -31,7 +31,7 @@ module Interner = struct
     a
 end
 
-(* The run-aware buffer behind [Fastexec.run_traced_runs]: per-access
+(* The run-aware buffer behind [Walk.run]: per-access
    records and strided-run group descriptors share one [Runchunk]
    stream. The capacity is in words, so a group costs 1 + 2*nrefs slots
    against it rather than trip*nrefs. *)
@@ -104,8 +104,6 @@ let run_group t ~trip ~packed ~bases ~strides n =
   end
 
 let run_total t = t.rtotal
-let run_runs t = t.rruns
-let run_words t = t.rwords
 
 type captured_runs = {
   run_chunks : Runchunk.t list;

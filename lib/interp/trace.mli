@@ -1,15 +1,15 @@
 (** Run-compressed address traces.
 
     A chunked trace buffer decouples trace generation from cache
-    simulation: the interpreter appends packed records (address, write
-    bit, interned statement-label id — see {!Locality_cachesim.Chunk})
-    and strided-run group descriptors to one
+    simulation: the measurement walker ({!Walk}) appends packed records
+    (address, write bit, interned statement-label id — see
+    {!Locality_cachesim.Chunk}) and strided-run group descriptors to one
     {!Locality_cachesim.Runchunk} stream, and the buffer hands full
     blocks to a sink. A qualifying innermost-loop instance costs
     [1 + 2*nrefs] words instead of [trip * nrefs] records. Capacity is
     counted in stream words. When the sink captures the chunks, a
-    program is interpreted once and its trace replayed against any
-    number of cache configurations. *)
+    program is walked once and its trace replayed against any number of
+    cache configurations. *)
 
 module Chunk = Locality_cachesim.Chunk
 module Runchunk = Locality_cachesim.Runchunk
@@ -51,9 +51,6 @@ val run_flush : runbuf -> unit
 val run_total : runbuf -> int
 (** Logical accesses represented (groups expanded). *)
 
-val run_runs : runbuf -> int
-val run_words : runbuf -> int
-
 type captured_runs = {
   run_chunks : Runchunk.t list;  (** in recording order, independently owned *)
   run_trace_labels : string array;
@@ -69,5 +66,4 @@ val iter_run_chunks : captured_runs -> (Runchunk.t -> unit) -> unit
 
 val iter_runs :
   captured_runs -> (label:int -> addr:int -> write:bool -> unit) -> unit
-(** Expanded access sequence, identical to what an observer passed to
-    {!Fastexec.run} sees for the same program. *)
+(** Expanded access sequence, groups round-robin, in recording order. *)

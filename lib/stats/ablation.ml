@@ -156,13 +156,17 @@ let step3 ?(settings = Settings.default ()) ?(n = 64) () =
   let nest = List.hd (Program.top_loops p) in
   let row label q =
     let r = measure settings ~config:Machine.cache2 q in
-    let res = Locality_interp.Fastexec.run q in
+    let res =
+      Locality_interp.Walk.run
+        (Locality_interp.Trace.run_create ~sink:ignore ())
+        q
+    in
     [
       label;
-      string_of_int res.Locality_interp.Fastexec.accesses;
+      string_of_int res.Locality_interp.Walk.accesses;
       Printf.sprintf "%.2f"
-        (float_of_int res.Locality_interp.Fastexec.accesses
-        /. float_of_int res.Locality_interp.Fastexec.ops);
+        (float_of_int res.Locality_interp.Walk.accesses
+        /. float_of_int res.Locality_interp.Walk.ops);
       Printf.sprintf "%.4f" r.Measure.seconds;
     ]
   in

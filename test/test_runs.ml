@@ -15,6 +15,10 @@ module Machine = Locality_cachesim.Machine
 module Reuse = Locality_cachesim.Reuse
 module Exec = Locality_interp.Exec
 module Fastexec = Locality_interp.Fastexec
+module Walk = Locality_interp.Walk
+module Driver = Locality_driver.Driver
+module Request = Locality_driver.Request
+module Response = Locality_driver.Response
 module Trace = Locality_interp.Trace
 module Measure = Locality_interp.Measure
 module Kernels = Locality_suite.Kernels
@@ -49,7 +53,7 @@ let small_assoc =
    boundaries land mid-loop. *)
 let capture p =
   let rb, finish = Trace.run_capturing ~chunk_words:509 () in
-  ignore (Fastexec.run_traced_runs rb p);
+  ignore (Walk.run rb p);
   finish ()
 
 (* Every access of [p], in order, from the reference interpreter. *)
@@ -177,7 +181,7 @@ let test_measure_modes_identical () =
 let test_matmul_emits_groups () =
   let p = Kernels.matmul ~order:"IJK" 16 in
   let rb, finish = Trace.run_capturing () in
-  ignore (Fastexec.run_traced_runs rb p);
+  ignore (Walk.run rb p);
   let cap = finish () in
   Alcotest.(check bool) "groups emitted" true (cap.Trace.run_groups > 0);
   Alcotest.(check bool) "stream smaller than records" true
@@ -197,7 +201,7 @@ let test_nonaffine_falls_back () =
       ]
   in
   let rb, finish = Trace.run_capturing () in
-  ignore (Fastexec.run_traced_runs rb p);
+  ignore (Walk.run rb p);
   let cap = finish () in
   Alcotest.(check int) "no groups" 0 cap.Trace.run_groups;
   check_program "quad" p
@@ -219,7 +223,7 @@ let test_min_subscript_falls_back () =
       ]
   in
   let rb, finish = Trace.run_capturing () in
-  ignore (Fastexec.run_traced_runs rb p);
+  ignore (Walk.run rb p);
   let cap = finish () in
   Alcotest.(check int) "no groups" 0 cap.Trace.run_groups;
   check_program "clamped" p
@@ -241,7 +245,7 @@ let test_invariant_factor_qualifies () =
       ]
   in
   let rb, finish = Trace.run_capturing () in
-  ignore (Fastexec.run_traced_runs rb p);
+  ignore (Walk.run rb p);
   let cap = finish () in
   Alcotest.(check bool) "groups emitted" true (cap.Trace.run_groups > 0);
   check_program "skewed" p
@@ -258,10 +262,205 @@ let test_downward_loop_qualifies () =
       ]
   in
   let rb, finish = Trace.run_capturing () in
-  ignore (Fastexec.run_traced_runs rb p);
+  ignore (Walk.run rb p);
   let cap = finish () in
   Alcotest.(check bool) "groups emitted" true (cap.Trace.run_groups > 0);
   check_program "reversed" p
+
+(* ------------------------------------------------ walker contract --- *)
+
+(* The address-only walker against the value interpreter: the expanded
+   stream access for access (labels decoded through the walker's
+   table), the label table itself — every statement that touches an
+   array, in program order — and the counters. *)
+let walker_agrees name p =
+  let trace = ref [] in
+  let observer =
+    {
+      Exec.on_access =
+        (fun ~label ~addr ~write -> trace := (label, addr, write) :: !trace);
+      on_stmt = (fun ~label:_ -> ());
+    }
+  in
+  let fr = Fastexec.run ~observer p in
+  let rb, finish = Trace.run_capturing ~chunk_words:509 () in
+  let wr = Walk.run rb p in
+  let cap = finish () in
+  let labels = cap.Trace.run_trace_labels in
+  let expanded = ref [] in
+  Trace.iter_runs cap (fun ~label ~addr ~write ->
+      expanded := (labels.(label), addr, write) :: !expanded);
+  let touching =
+    List.fold_left
+      (fun acc (st : Stmt.t) ->
+        if Stmt.refs st = [] || List.mem st.Stmt.label acc then acc
+        else acc @ [ st.Stmt.label ])
+      []
+      (Loop.block_statements p.Program.body)
+  in
+  let check what a b = Alcotest.(check int) (name ^ ": " ^ what) a b in
+  Alcotest.(check bool) (name ^ ": stream") true (!expanded = !trace);
+  Alcotest.(check (list string))
+    (name ^ ": labels") touching (Array.to_list labels);
+  check "ops" fr.Fastexec.ops wr.Walk.ops;
+  check "accesses" fr.Fastexec.accesses wr.Walk.accesses;
+  check "iterations" fr.Fastexec.iterations wr.Walk.iterations;
+  check "records" fr.Fastexec.accesses cap.Trace.run_records
+
+let test_walker_kernels () =
+  List.iter (fun (name, mk) -> walker_agrees name (mk 12)) Kernels.all
+
+let test_walker_suite () =
+  List.iter
+    (fun (e : Programs.entry) ->
+      walker_agrees e.Programs.name (Programs.program_of ~n:10 e))
+    Programs.all
+
+let prop_walker_fuzz =
+  QCheck.Test.make ~name:"fuzz: walker and interpreter agree" ~count:150
+    QCheck.(pair small_nat (int_range 4 24))
+    (fun (index, size) ->
+      walker_agrees "fuzz" (Locality_fuzz.Gen.generate ~seed:11 ~index ~size);
+      true)
+
+(* The stream's shape is part of the stored-capture format: stored
+   captures of these programs hold exactly these words and groups. *)
+let test_walker_stream_shape () =
+  List.iter
+    (fun (name, p, records, words, groups) ->
+      let rb, finish = Trace.run_capturing () in
+      ignore (Walk.run rb p);
+      let cap = finish () in
+      Alcotest.(check (triple int int int))
+        (name ^ ": records, words, groups")
+        (records, words, groups)
+        (cap.Trace.run_records, cap.Trace.run_stream_words,
+         cap.Trace.run_groups))
+    [
+      ("matmul 16", Kernels.matmul 16, 16384, 2304, 256);
+      ("cholesky 16", Kernels.cholesky 16, 3112, 1472, 120);
+    ]
+
+(* A right-hand side that divides keeps per-iteration evaluation, yet
+   its loop still compresses to groups. *)
+let test_walker_dividing_rhs () =
+  let p =
+    let open Builder in
+    let n = v "N" in
+    program "ramp" ~params:[ ("N", 16) ]
+      ~arrays:[ ("A", [ n ]); ("B", [ n ]) ]
+      [
+        do_ "I" (i 1) n
+          [
+            asn (r "A" [ v "I" ])
+              (ld "B" [ v "I" ] +! Stmt.Iexpr (Expr.Div (n, v "I")));
+          ];
+      ]
+  in
+  let rb, finish = Trace.run_capturing () in
+  ignore (Walk.run rb p);
+  Alcotest.(check int) "one group" 1 (finish ()).Trace.run_groups;
+  walker_agrees "ramp" p
+
+(* ---------------------------------------------------- error parity --- *)
+
+(* Programs that fail at run time must fail the same way measured as
+   computed: [Driver.run] reports, in every trace-walking mode, the
+   exception [Fastexec.run] raises. *)
+let failing =
+  let open Builder in
+  let n = v "N" in
+  let arrays = [ ("A", [ n ]); ("B", [ n ]); ("C", [ n ]) ] in
+  let params = [ ("N", 16); ("Z", 0) ] in
+  [
+    (* B(I+1) leaves B only at I = N, in a loop that compresses. *)
+    program "oob_group" ~params ~arrays
+      [ do_ "I" (i 1) n [ asn (r "A" [ v "I" ]) (ld "B" [ v "I" +$ i 1 ]) ] ];
+    (* The same, in a loop whose body holds a loop: per-access path. *)
+    program "oob_plain" ~params ~arrays
+      [
+        do_ "I" (i 1) n
+          [
+            asn (r "A" [ v "I" ]) (ld "B" [ v "I" +$ i 1 ]);
+            do_ "J" (i 1) n [ asn (r "C" [ v "J" ]) (ld "C" [ v "J" ]) ];
+          ];
+      ];
+    program "div_bound" ~params ~arrays
+      [
+        do_ "I" (i 1) (Expr.Div (n, v "Z"))
+          [ asn (r "A" [ v "I" ]) (ld "B" [ v "I" ]) ];
+      ];
+    program "div_subscript" ~params ~arrays
+      [
+        do_ "I" (i 1) n
+          [ asn (r "A" [ v "I" ]) (ld "B" [ v "I" +$ Expr.Div (n, v "Z") ]) ];
+      ];
+    (* N / (N - I) divides by zero at the last iteration only. *)
+    program "div_rhs" ~params ~arrays
+      [
+        do_ "I" (i 1) n
+          [
+            asn (r "A" [ v "I" ])
+              (ld "B" [ v "I" ] +! Stmt.Iexpr (Expr.Div (n, n -$ v "I")));
+          ];
+      ];
+  ]
+
+let test_error_parity () =
+  List.iter
+    (fun p ->
+      let name = p.Program.name in
+      let expected =
+        match Fastexec.run p with
+        | _ -> Alcotest.failf "%s: the interpreter did not fail" name
+        | exception e -> Printf.sprintf "%s: %s" name (Printexc.to_string e)
+      in
+      List.iter
+        (fun replay ->
+          let cfg =
+            Driver.config ~transform:Driver.Keep ~machines:[ Machine.cache1 ]
+              ~replay
+              (Driver.Source_program { name; program = p })
+          in
+          match Driver.run cfg with
+          | Ok _ -> Alcotest.failf "%s: measured without error" name
+          | Error msg ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s under %s" name (Measure.mode_to_string replay))
+              expected msg)
+        [ Measure.Runs; Measure.Stream; Measure.Sampled ])
+    failing
+
+(* The wire reply of a failing request, byte for byte. *)
+let test_error_replies () =
+  List.iter
+    (fun (id, text, reply) ->
+      let doc =
+        Printf.sprintf
+          {|{"schema_version":1,"id":%S,"source":{"kind":"text","name":%S,"text":%S},"machines":["cache1","cache2"]}|}
+          id id text
+      in
+      let resp =
+        match Request.of_json doc with
+        | Error e -> Alcotest.failf "%s: %s" id e
+        | Ok req -> (
+          match Request.to_config req with
+          | Error e -> Alcotest.failf "%s: %s" id e
+          | Ok cfg -> Response.of_run ~id (Driver.run cfg))
+      in
+      Alcotest.(check string) id reply (Response.to_json resp))
+    [
+      ( "oobq",
+        "PROGRAM oobq\nPARAMETER (N = 16)\nREAL A(N), B(N)\nDO I = 1, N\n\
+        \  A(I) = B(I+1) + 1.0\nENDDO\nEND\n",
+        {|{"schema_version":1,"id":"oobq","status":"error","error":"oobq: Invalid_argument(\"index out of bounds\")"}|}
+      );
+      ( "divs",
+        "PROGRAM divs\nPARAMETER (N = 16)\nPARAMETER (Z = 0)\n\
+         REAL A(N), B(N)\nDO I = 1, N\n  A(I) = B(I + N/Z) + 1.0\nENDDO\nEND\n",
+        {|{"schema_version":1,"id":"divs","status":"error","error":"divs: Invalid_argument(\"Fastexec: division by zero\")"}|}
+      );
+    ]
 
 (* --------------------------------------------------------- fuzzing --- *)
 
@@ -449,6 +648,18 @@ let suite =
       test_downward_loop_qualifies;
     Alcotest.test_case "hit rate of an all-cold run is 0" `Quick
       test_hit_rate_all_cold;
+    Alcotest.test_case "walker: kernels agree with the interpreter" `Quick
+      test_walker_kernels;
+    Alcotest.test_case "walker: all 35 programs agree with the interpreter"
+      `Slow test_walker_suite;
+    Alcotest.test_case "walker: stream shape pinned" `Quick
+      test_walker_stream_shape;
+    Alcotest.test_case "walker: dividing right-hand side" `Quick
+      test_walker_dividing_rhs;
+    Alcotest.test_case "walker: run-time errors match the interpreter" `Quick
+      test_error_parity;
+    Alcotest.test_case "walker: failing request replies unchanged" `Quick
+      test_error_replies;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_fuzz_all_paths_agree; prop_runchunk_roundtrip ]
+      [ prop_fuzz_all_paths_agree; prop_runchunk_roundtrip; prop_walker_fuzz ]

@@ -22,7 +22,7 @@ module Cache = Locality_cachesim.Cache
 module Machine = Locality_cachesim.Machine
 module Measure = Locality_interp.Measure
 module Trace = Locality_interp.Trace
-module Fastexec = Locality_interp.Fastexec
+module Walk = Locality_interp.Walk
 module Sample = Locality_sample.Sample
 module Kernels = Locality_suite.Kernels
 module Programs = Locality_suite.Programs
@@ -38,7 +38,7 @@ let sets_of (c : Cache.config) = c.size_bytes / (c.line_bytes * c.assoc)
 
 let capture p =
   let rb, finish = Trace.run_capturing () in
-  ignore (Fastexec.run_traced_runs rb p);
+  ignore (Walk.run rb p);
   finish ()
 
 let build cap ~rate ?(seed = 0) ?(max_tracked = max_int) ~sets ~line_bytes

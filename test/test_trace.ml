@@ -8,6 +8,7 @@ module Hierarchy = Locality_cachesim.Hierarchy
 module Machine = Locality_cachesim.Machine
 module Exec = Locality_interp.Exec
 module Fastexec = Locality_interp.Fastexec
+module Walk = Locality_interp.Walk
 module Trace = Locality_interp.Trace
 module Measure = Locality_interp.Measure
 module Pool = Locality_par.Pool
@@ -38,12 +39,12 @@ let observer_stats config p =
   ignore (Fastexec.run ~observer p);
   Cache.stats cache
 
-(* Same program through the buffered-trace path: interpreted once into
+(* Same program through the buffered-trace path: walked once into
    captured run chunks, then replayed with [simulate_runs]. A small
    chunk size forces multiple flushes. *)
 let capture ?(chunk_words = 256) p =
   let rb, finish = Trace.run_capturing ~chunk_words () in
-  ignore (Fastexec.run_traced_runs rb p);
+  ignore (Walk.run rb p);
   finish ()
 
 let replay_stats config p =
