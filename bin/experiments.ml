@@ -36,8 +36,8 @@ let alloc_probe () =
 (* Capture the Table 4 workload (both program versions per row, same N)
    and total the stream statistics; the ratio column is the compression
    against one word per access. The output does not depend on
-   MEMORIA_REPLAY, so CI's replay A/B byte-diff is unaffected by it. *)
-let tracestats ~store rows =
+   MEMORIA_REPLAY. *)
+let tracestats rows =
   alloc_probe ();
   let tally =
     List.fold_left
@@ -45,7 +45,7 @@ let tracestats ~store rows =
         if r.Stats.Table2.nests = 0 then acc
         else
           let add (recs, words, groups) p =
-            let cap = Measure.capture ~params:[ ("N", 32) ] ~store p in
+            let cap = Measure.capture ~params:[ ("N", 32) ] p in
             let r', w', g' = Measure.trace_stats cap in
             (recs + r', words + w', groups + g')
           in
@@ -87,10 +87,7 @@ let analytic_stats ~store rows =
         (1 + Option.value ~default:0 (Hashtbl.find_opt reasons reason));
       "fallback      -      -      -"
     | Ok est ->
-      let sim =
-        Measure.replay ~config ~store
-          (Measure.capture ~mode:Measure.Runs ~params ~store p)
-      in
+      let sim = Measure.measure ~config ~params ~store p in
       let w = sim.Measure.whole in
       let sim_rate = rate w.Measure.accesses (w.Measure.accesses - w.Measure.hits) in
       let a = est.Analytic.e_whole in
@@ -179,7 +176,7 @@ let registry ~settings ~tune ~scale ~rows :
       fun () -> Stats.Ablation.interference ~settings () );
     ("ablation-step3", fun () -> Stats.Ablation.step3 ~settings ());
     ("ablation-tilesize", fun () -> Stats.Ablation.tilesize ~settings ());
-    ("tracestats", fun () -> tracestats ~store (Lazy.force rows));
+    ("tracestats", fun () -> tracestats (Lazy.force rows));
     ("alloc", fun () -> alloc_probe (); "(see stderr)\n");
     ("analytic", fun () -> analytic_stats ~store (Lazy.force rows));
     ("scale", fun () -> Stats.Scale.render_scale ~settings ~factor:scale ());

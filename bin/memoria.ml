@@ -86,7 +86,7 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Record the pipeline (parse, dependence analysis, compound \
-           transformation, capture, replay) and write a Chrome \
+           transformation, replay) and write a Chrome \
            trace-event JSON file; open it in chrome://tracing or \
            Perfetto.")
 
@@ -137,7 +137,7 @@ let scale_arg default =
           "Geometry multiplier: run with an effective size of K times the \
            base (the $(b,-n) value, or 64 when absent; 32 for $(b,bench)'s \
            $(b,scale) experiment). Large factors are where the \
-           $(b,stream) and $(b,sample) replay modes pay off; the layout \
+           $(b,sample) replay mode pays off; the layout \
            stage rejects factors whose arrays would overflow the traceable \
            address space.")
 
@@ -1011,8 +1011,8 @@ let store_cmd =
     (Cmd.info "store"
        ~doc:
          "Inspect and maintain the content-addressed experiment store \
-          ($(b,MEMORIA_STORE)): cached trace captures and simulation \
-          results keyed by program text, transform configuration and cache \
+          ($(b,MEMORIA_STORE)): cached simulation results and optimizer \
+          output keyed by program text, transform configuration and cache \
           geometry.")
     [ stats_cmd; verify_cmd; gc_cmd ]
 
@@ -1448,18 +1448,16 @@ let main =
                 output is identical at any value).";
            Cmd.Env.info "MEMORIA_REPLAY"
              ~doc:
-               "Measurement backend: $(b,stream) fuses capture and \
-                simulation so no trace is materialised (bit-identical \
-                statistics in O(chunk) memory at any problem size); \
-                $(b,sample) builds a SHARDS \
+               "Measurement backend: $(b,sample) builds a SHARDS \
                 hash-sampled reuse-distance profile instead of simulating \
                 exactly (see $(b,MEMORIA_SAMPLE_RATE)); $(b,analytic) skips \
                 tracing and asks the closed-form locality model \
                 (simulator-equal on programs it certifies exact, sound \
                 estimates elsewhere, automatic fallback to simulation when \
                 out of scope); any other value (or unset) selects \
-                $(b,runs): interpret once into a run-compressed trace and \
-                replay it exactly per cache geometry.";
+                $(b,runs): walk each program version once and feed its \
+                run-compressed trace to an exact simulator per cache \
+                geometry, so no trace is materialised.";
            Cmd.Env.info "MEMORIA_SAMPLE_RATE"
              ~doc:
                "Sampling rate in (0, 1] for $(b,MEMORIA_REPLAY=sample) \
@@ -1468,7 +1466,7 @@ let main =
            Cmd.Env.info "MEMORIA_STORE"
              ~doc:
                "Directory of the content-addressed experiment store. When \
-                set, trace captures and simulation results are reused \
+                set, simulation results and optimizer output are reused \
                 across runs (byte-identical output); unset disables \
                 caching. See $(b,memoria store).";
            Cmd.Env.info "MEMORIA_TELEMETRY"

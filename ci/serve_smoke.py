@@ -93,13 +93,13 @@ def req(id, **kw):
 
 
 def cmd_probes(sock_path, server_pid):
-    # Holds the single worker for seconds: streamed replay (one
-    # re-execution per cache), both caches, the store disabled so a
-    # previous smoke run can't have warmed it into returning instantly.
+    # Holds the single worker for seconds: exact replay of a large
+    # matmul on both caches, the store disabled so a previous smoke run
+    # can't have warmed it into returning instantly.
     slow = req(
         "slow",
         n=192,
-        replay="stream",
+        replay="runs",
         machines=["cache1", "cache2"],
         store="none",
     )

@@ -198,39 +198,33 @@ let run_loaded cfg name program =
       in
       (program, p', Some stats, labels)
   in
+  (* One batch per program version, covering every machine: its misses
+     share one walk, and with a warm store no walk happens at all. *)
+  let labels = if cfg.use_labels then optimized_labels else [] in
+  let queries =
+    List.map
+      (fun config -> { Measure.config; timing = cfg.timing; labels })
+      cfg.machines
+  in
+  let runs p =
+    (Measure.prepare ~mode:cfg.replay ~rate:cfg.sample_rate ?params:cfg.params
+       ~store:cfg.store p)
+      .Measure.runs queries
+  in
+  let orig = runs program in
+  let final = match cfg.transform with Keep -> orig | _ -> runs transformed in
   let measured =
-    if cfg.machines = [] then []
-    else begin
-      (* One prepared capture per program version, shared by every
-         geometry — and deferred: with a warm store no interpretation
-         happens at all. *)
-      let prep p =
-        Measure.prepare ~mode:cfg.replay ~rate:cfg.sample_rate
-          ?params:cfg.params ~store:cfg.store p
-      in
-      let orig = prep program in
-      let final =
-        match cfg.transform with Keep -> orig | _ -> prep transformed
-      in
-      let labels = if cfg.use_labels then optimized_labels else [] in
-      List.map
-        (fun machine ->
-          let replay p =
-            Measure.replay_prepared ~config:machine ~timing:cfg.timing
-              ~optimized_labels:labels p
-          in
-          let o = replay orig in
-          let f = if final == orig then o else replay final in
-          let speedup = o.Measure.cycles /. f.Measure.cycles in
-          (* Milli-units: histograms take ints, and log2 buckets on raw
-             ratios would collapse every speedup below 2x into one
-             bucket. *)
-          if Obs.enabled () then
-            Obs.histogram "driver.speedup_milli"
-              (int_of_float (speedup *. 1000.0));
-          { machine; original_run = o; transformed_run = f; speedup })
-        cfg.machines
-    end
+    List.map2
+      (fun machine (o, f) ->
+        let speedup = o.Measure.cycles /. f.Measure.cycles in
+        (* Milli-units: histograms take ints, and log2 buckets on raw
+           ratios would collapse every speedup below 2x into one
+           bucket. *)
+        if Obs.enabled () then
+          Obs.histogram "driver.speedup_milli"
+            (int_of_float (speedup *. 1000.0));
+        { machine; original_run = o; transformed_run = f; speedup })
+      cfg.machines (List.combine orig final)
   in
   { name; original = program; transformed; compound; optimized_labels;
     measured }

@@ -1,5 +1,5 @@
 (** The unified pipeline: load → (dependence-driven) compound transform
-    → capture → replay, as one typed configuration.
+    → measurement, as one typed configuration.
 
     Every consumer of the pipeline — the [memoria] CLI subcommands, the
     benchmark harness and the table/figure generators in [Stats] — used
@@ -10,10 +10,11 @@
     program versions, the optimizer's statistics, and one measurement
     per geometry.
 
-    Measurement goes through {!Locality_interp.Measure.prepare}, so with
-    a store attached a warm run skips capture and replay entirely, and
-    each program version is interpreted at most once per run however
-    many geometries are measured. *)
+    Measurement goes through {!Locality_interp.Measure.prepare}, one
+    batch per program version covering every geometry: with a store
+    attached a warm run never walks the program, and each program
+    version is walked at most once per run however many geometries are
+    measured. *)
 
 module Cache = Locality_cachesim.Cache
 module Machine = Locality_cachesim.Machine
@@ -57,11 +58,10 @@ type config = {
   cls : int;  (** Cache line size in elements for the cost model. *)
   transform : transform;
   machines : Cache.config list;
-      (** Geometries to measure on; empty = analysis only (no capture,
-          no replay). *)
+      (** Geometries to measure on; empty = analysis only (no walk). *)
   timing : Machine.timing;
   params : (string * int) list option;
-      (** Capture-time parameter overrides, as {!Measure.capture}. *)
+      (** Walk-time parameter overrides, as {!Measure.prepare}. *)
   replay : Measure.replay_mode;
   sample_rate : float;
       (** SHARDS rate for the [Sampled] replay mode, threaded into

@@ -378,7 +378,7 @@ let decode src keys json =
         match Measure.mode_of_string s with
         | Some m -> m
         | None ->
-          reject "%s: unknown replay mode %S (runs|stream|sample|analytic)"
+          reject "%s: unknown replay mode %S (runs|sample|analytic)"
             (pos_of src keys "replay") s)
       (str_field ~src ~keys fields "replay")
   in

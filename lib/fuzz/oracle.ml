@@ -101,7 +101,7 @@ let alternate_labels p =
 (* The reference simulator: the tree-walking interpreter's observer
    feeding one cache per geometry through [Cache.access_full], one
    access at a time, with the region tallied by hand — none of the
-   capture, run compression or bulk replay the backends use. *)
+   walk, run compression or bulk replay the backends use. *)
 let reference ~configs ~labels p =
   let tally (r : Cache.region) cls =
     r.Cache.r_accesses <- r.Cache.r_accesses + 1;

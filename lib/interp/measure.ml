@@ -42,40 +42,29 @@ let make_run ~timing ~ops whole optimized =
     seconds = Machine.seconds timing ~ops ~hits:whole.hits ~misses;
   }
 
-type replay_mode = Runs | Stream | Sampled | Analytic
+type replay_mode = Runs | Sampled | Analytic
 
 let mode_of_string = function
   | "runs" -> Some Runs
-  | "stream" -> Some Stream
   | "sample" -> Some Sampled
   | "analytic" -> Some Analytic
   | _ -> None
 
 let mode_to_string = function
   | Runs -> "runs"
-  | Stream -> "stream"
   | Sampled -> "sample"
   | Analytic -> "analytic"
 
-(* The trace format's tag in capture, run and hierarchy keys: every
-   mode that needs a trace captures the run-compressed stream, so they
-   share these entries. *)
+(* The trace format's tag in run and hierarchy keys. *)
 let trace_tag = "v2"
-
-(* A stored capture is a bare [Trace.captured_runs]; it once sat in a
-   format sum under the key [[trace_tag]], and store reads are unchecked
-   unmarshals, so the bare payload takes a key of its own that those
-   older entries cannot answer. Run and hierarchy results did not change
-   shape and keep their keys. *)
-let capture_parts = [ trace_tag; "runs" ]
 
 (* ------------------------------------------------- store keying ----- *)
 
 (* The program being measured, with what every store key of it starts
    with: the canonical program text (the pretty printer is the normal
    form; it prints no statement labels) and the parameter overrides.
-   Statement labels are process-wide counter tickets, so keys and stored
-   traces name a statement by its position in program order instead
+   Statement labels are process-wide counter tickets, so keys name a
+   statement by its position in program order instead
    ({!Program.positional_label}); a store entry written by one build of
    a program is then read correctly by any other. *)
 type source = {
@@ -151,26 +140,34 @@ let memo src ~kind ?labels parts compute =
 let memo_some src ~kind ?labels parts compute =
   memo_by src ~kind ?labels parts ~hit:Option.some ~keep:Fun.id compute
 
-let geometry config timing = [ config_tag config; timing_tag timing ]
+type query = {
+  config : Cache.config;
+  timing : Machine.timing;
+  labels : string list;
+}
 
-(* Membership in the optimized region, for trace labels that are either
-   this build's names (a live walk) or positions (a capture). *)
+let geometry q = [ config_tag q.config; timing_tag q.timing ]
+
+(* Membership in the optimized region, by program position, so a label
+   of this build and a positional one mark the same statement. *)
 let marker src labels =
   let marked = List.map (position src) labels in
   fun l -> List.mem (position src l) marked
 
-(* ------------------------------------------------ run-chunk streams - *)
+(* ---------------------------------------------- one walk, N sinks --- *)
 
-(* One execution's trace, pushed chunk by chunk into a sink along with
-   the labels interned so far; returns the operation count. A stored
-   capture replays its chunks; a live walk hands each chunk
-   over the moment it fills, so no trace is materialised. *)
-type feed = (string array -> Trace.Runchunk.t -> unit) -> int
+(* A sink takes each chunk with the labels interned so far. *)
+type sink = string array -> Trace.Runchunk.t -> unit
 
-(* Walk the program's addresses into the run-chunk sink. Labels are
-   interned at compile time, before the first access, so the label
-   table is complete by the first flush. *)
-let walk src sink =
+(* One execution's trace, pushed chunk by chunk into a sink; returns
+   the operation count. A live walk hands each chunk over the moment it
+   fills, so no trace is materialised; a capture replays its chunks. *)
+type feed = sink -> int
+
+(* Walk the program's addresses into the sink. Labels are interned at
+   compile time, before the first access, so the label table is
+   complete by the first flush. *)
+let walk src (sink : sink) =
   let buf = ref None in
   let rb =
     Trace.run_create
@@ -184,170 +181,111 @@ let walk src sink =
 
 let live src : feed = fun sink -> fst (walk src sink)
 
-(* Chunk counts of one simulation, under the streamed or the replayed
-   counters; called inside the simulation's span. *)
-let count_chunks ~streamed ~chunks ~accesses =
-  Obs.add_span_arg "chunks" (string_of_int chunks);
-  if streamed then begin
-    Obs.counter "stream.chunks" chunks;
-    Obs.counter "stream.accesses" accesses
-  end
-  else Obs.counter "chunks.replayed" chunks
-
-(* The one cache simulation, shared by capture-then-replay and
-   streaming: identical chunks into the same simulator give
-   bit-identical runs either way. [streamed] says which the feed is. *)
-let simulate ~streamed ~config ~timing ~marked (feed : feed) =
-  let phase = if streamed then "stream" else "replay" in
-  Obs.span phase ~args:[ ("cache", config.Cache.name) ] (fun () ->
-      let cache = Cache.create config in
-      let region = Cache.fresh_region () in
-      let metrics = Cache.fresh_run_metrics () in
-      let flags = ref [||] and chunks = ref 0 in
+(* The fan-out: one pass of [feed], every chunk handed to each sink in
+   turn, so any number of simulations share one walk and hold only
+   their own state. *)
+let fan_out (feed : feed) (sinks : sink list) =
+  Obs.span "replay" ~args:[ ("sinks", string_of_int (List.length sinks)) ]
+    (fun () ->
+      let chunks = ref 0 in
       let ops =
         feed (fun labels rc ->
-            if Array.length !flags <> Array.length labels then
-              flags := Array.map marked labels;
             incr chunks;
-            Cache.simulate_runs cache ~marked:!flags ~region ~metrics rc)
+            List.iter (fun sink -> sink labels rc) sinks)
       in
-      let s = Cache.stats cache in
       if Obs.enabled () then begin
-        Obs.add_span_arg "accesses" (string_of_int s.Cache.accesses);
-        Obs.add_span_arg "hits" (string_of_int s.Cache.hits);
-        count_chunks ~streamed ~chunks:!chunks ~accesses:s.Cache.accesses;
-        Obs.counter "cache.accesses" s.Cache.accesses;
-        Obs.counter "cache.hits" s.Cache.hits;
-        Obs.counter "cache.cold" s.Cache.cold_misses;
-        Obs.histogram "replay.accesses" s.Cache.accesses;
-        Obs.counter "replay.run_groups" metrics.Cache.m_groups;
-        Obs.counter "replay.boundary_events" metrics.Cache.m_boundaries;
-        Obs.counter "replay.bulk_iters" metrics.Cache.m_bulk_iters;
-        Obs.counter "replay.fallbacks" metrics.Cache.m_fallbacks
+        Obs.add_span_arg "chunks" (string_of_int !chunks);
+        Obs.counter "chunks.replayed" !chunks
       end;
-      make_run ~timing ~ops
-        { accesses = s.Cache.accesses; hits = s.Cache.hits;
-          cold = s.Cache.cold_misses }
-        { accesses = region.Cache.r_accesses; hits = region.Cache.r_hits;
-          cold = region.Cache.r_cold })
+      ops)
 
-let simulate_hierarchy ~streamed ~l1 ~l2 (feed : feed) =
-  let phase = if streamed then "stream_hierarchy" else "replay_hierarchy" in
-  Obs.span phase ~args:[ ("l1", l1.Cache.name); ("l2", l2.Cache.name) ]
-    (fun () ->
+(* A simulation in progress: the sink it is fed through and the run it
+   reports once the feed's operation count is known. *)
+type sim = { sink : sink; finish : int -> run }
+
+(* The one cache simulation, whatever feeds it: identical chunks into
+   the same simulator give bit-identical runs. *)
+let cache_sim src q =
+  let cache = Cache.create q.config in
+  let region = Cache.fresh_region () in
+  let metrics = Cache.fresh_run_metrics () in
+  let marked = marker src q.labels in
+  let flags = ref [||] in
+  {
+    sink =
+      (fun labels rc ->
+        if Array.length !flags <> Array.length labels then
+          flags := Array.map marked labels;
+        Cache.simulate_runs cache ~marked:!flags ~region ~metrics rc);
+    finish =
+      (fun ops ->
+        let s = Cache.stats cache in
+        if Obs.enabled () then begin
+          Obs.counter "cache.accesses" s.Cache.accesses;
+          Obs.counter "cache.hits" s.Cache.hits;
+          Obs.counter "cache.cold" s.Cache.cold_misses;
+          Obs.histogram "replay.accesses" s.Cache.accesses;
+          Obs.counter "replay.run_groups" metrics.Cache.m_groups;
+          Obs.counter "replay.boundary_events" metrics.Cache.m_boundaries;
+          Obs.counter "replay.bulk_iters" metrics.Cache.m_bulk_iters;
+          Obs.counter "replay.fallbacks" metrics.Cache.m_fallbacks
+        end;
+        make_run ~timing:q.timing ~ops
+          { accesses = s.Cache.accesses; hits = s.Cache.hits;
+            cold = s.Cache.cold_misses }
+          { accesses = region.Cache.r_accesses; hits = region.Cache.r_hits;
+            cold = region.Cache.r_cold });
+  }
+
+(* ------------------------------------------------------- backends --- *)
+
+type backend = {
+  runs : query list -> run list;
+  hierarchy : l1:Cache.config -> l2:Cache.config -> hier_run;
+}
+
+(* [Runs]: complete a batch. A [Left] answer stands; each [Right]
+   query is answered from the store under its run key, and the misses
+   share one walk, a simulator each. A fully warm batch never walks. *)
+let exact_runs src answers =
+  let run_key q =
+    key src ~kind:"run" ~labels:q.labels (trace_tag :: geometry q)
+  in
+  let stored q =
+    Option.bind src.store (fun st -> Store.get_value st (run_key q))
+  in
+  let answers =
+    List.map
+      (Either.fold ~left:Either.left ~right:(fun q ->
+           match stored q with
+           | Some r -> Either.Left r
+           | None -> Either.Right (q, cache_sim src q)))
+      answers
+  in
+  let missing = List.filter_map Either.find_right answers in
+  let ops =
+    if missing = [] then 0
+    else fan_out (live src) (List.map (fun (_, s) -> s.sink) missing)
+  in
+  List.map
+    (Either.fold ~left:Fun.id ~right:(fun (q, s) ->
+         let r = s.finish ops in
+         Option.iter (fun st -> Store.put_value st (run_key q) r) src.store;
+         r))
+    answers
+
+(* Hierarchies are exact in every mode. *)
+let exact_hierarchy src ~l1 ~l2 =
+  memo src ~kind:"hier" [ trace_tag; config_tag l1; config_tag l2 ] (fun () ->
       let h = Hierarchy.create ~l1 ~l2 in
-      let chunks = ref 0 in
       ignore
-        (feed (fun _ rc ->
-             incr chunks;
-             Hierarchy.simulate_runs h rc));
-      if Obs.enabled () then
-        count_chunks ~streamed ~chunks:!chunks
-          ~accesses:(Hierarchy.l1_stats h).Cache.accesses;
+        (fan_out (live src) [ (fun _ rc -> Hierarchy.simulate_runs h rc) ]);
       {
         l1_rate = Cache.hit_rate (Hierarchy.l1_stats h);
         l2_rate = Cache.hit_rate (Hierarchy.l2_stats h);
         amat = Hierarchy.amat h;
         hier_writebacks = Hierarchy.writebacks h;
       })
-
-(* ------------------------------------------------------- captures --- *)
-
-type capture = {
-  src : source;
-  trace : Trace.captured_runs;
-  cap_ops : int;
-}
-
-(* Stored traces name statements by position (see [source]). *)
-let walk_capture src =
-  Obs.span "capture" ~args:[ ("format", trace_tag) ] (fun () ->
-      let rb, finish = Trace.run_capturing () in
-      let res = Walk.run ?params:src.params rb src.program in
-      let t = finish () in
-      if Obs.enabled () then begin
-        Obs.counter "trace.runs_emitted" t.Trace.run_groups;
-        Obs.counter "trace.records_compressed"
-          (t.Trace.run_records - t.Trace.run_stream_words);
-        Obs.histogram "capture.records" t.Trace.run_records
-      end;
-      ( { t with
-          Trace.run_trace_labels =
-            Array.map (position src) t.Trace.run_trace_labels },
-        res.Walk.ops ))
-
-let capture_of src =
-  let trace, cap_ops =
-    memo src ~kind:"capture" capture_parts (fun () -> walk_capture src)
-  in
-  { src; trace; cap_ops }
-
-let capture_key ?params p =
-  key (source ?params ~store:None p) ~kind:"capture" capture_parts
-
-let capture ?mode:_ ?params ?(store = None) p =
-  capture_of (source ?params ~store p)
-
-let trace_stats { trace = t; _ } =
-  (t.Trace.run_records, t.Trace.run_stream_words, t.Trace.run_groups)
-
-let replayed cap : feed =
- fun sink ->
-  Trace.iter_run_chunks cap.trace (sink cap.trace.Trace.run_trace_labels);
-  cap.cap_ops
-
-(* A result of replaying the capture of [src]; the capture is only
-   forced on a store miss. *)
-let replay_run src cap ~config ~timing ~labels =
-  memo src ~kind:"run" ~labels (trace_tag :: geometry config timing)
-    (fun () ->
-      simulate ~streamed:false ~config ~timing ~marked:(marker src labels)
-        (replayed (Lazy.force cap)))
-
-let replay ?(config = Machine.cache1) ?(timing = Machine.default_timing)
-    ?(optimized_labels = []) ?(store = None) cap =
-  replay_run { cap.src with store } (Lazy.from_val cap) ~config ~timing
-    ~labels:optimized_labels
-
-(* ------------------------------------------------------- backends --- *)
-
-type backend = {
-  run :
-    config:Cache.config -> timing:Machine.timing -> labels:string list -> run;
-  hierarchy : l1:Cache.config -> l2:Cache.config -> hier_run;
-}
-
-(* [Runs]: walk once (lazily — a warm store never does), replay
-   the capture per geometry. *)
-let replay_backend src =
-  let cap = lazy (capture_of src) in
-  {
-    run = replay_run src cap;
-    hierarchy =
-      (fun ~l1 ~l2 ->
-        memo src ~kind:"hier" [ trace_tag; config_tag l1; config_tag l2 ]
-          (fun () ->
-            simulate_hierarchy ~streamed:false ~l1 ~l2
-              (replayed (Lazy.force cap))));
-  }
-
-(* Streamed hierarchies are exact in [Sampled] mode too. *)
-let stream_hierarchy src ~l1 ~l2 =
-  memo src ~kind:"stream" [ "hier"; config_tag l1; config_tag l2 ] (fun () ->
-      simulate_hierarchy ~streamed:true ~l1 ~l2 (live src))
-
-(* [Stream]: re-walk per geometry, simulating each chunk as it fills
-   — O(chunk) trace memory at any iteration count. *)
-let stream_backend src =
-  {
-    run =
-      (fun ~config ~timing ~labels ->
-        memo src ~kind:"stream" ~labels ("run" :: geometry config timing)
-          (fun () ->
-            simulate ~streamed:true ~config ~timing
-              ~marked:(marker src labels) (live src)));
-    hierarchy = stream_hierarchy src;
-  }
 
 (* [Sampled]: one SHARDS profile per (line size, set count) partition —
    the associativity does not enter it — serves every geometry sharing
@@ -398,35 +336,30 @@ let run_of_profile ~timing ~ways ~marked (prof : Sample.profile) =
     (clamp ~accesses:prof.Sample.pf_accesses !w_hits !w_cold)
     (clamp ~accesses:!o_acc !o_hits !o_cold)
 
-let sample_backend ~rate src =
-  {
-    run =
-      (fun ~config ~timing ~labels ->
-        let line_bytes = config.Cache.line_bytes in
-        let sets =
-          max 1 (config.Cache.size_bytes / (line_bytes * config.Cache.assoc))
-        in
-        let prof =
-          memo src ~kind:"sample"
-            [
-              "profile"; Printf.sprintf "%h" rate; "0";
-              string_of_int line_bytes; string_of_int sets;
-            ]
-            (fun () -> profile src ~rate ~line_bytes ~sets)
-        in
-        run_of_profile ~timing ~ways:config.Cache.assoc
-          ~marked:(marker src labels) prof);
-    hierarchy = stream_hierarchy src;
-  }
+let sample_run ~rate src q =
+  let line_bytes = q.config.Cache.line_bytes in
+  let sets =
+    max 1 (q.config.Cache.size_bytes / (line_bytes * q.config.Cache.assoc))
+  in
+  let prof =
+    memo src ~kind:"sample"
+      [
+        "profile"; Printf.sprintf "%h" rate; "0"; string_of_int line_bytes;
+        string_of_int sets;
+      ]
+      (fun () -> profile src ~rate ~line_bytes ~sets)
+  in
+  run_of_profile ~timing:q.timing ~ways:q.config.Cache.assoc
+    ~marked:(marker src q.labels) prof
 
 (* [Analytic]: the closed-form model, O(nest size). Only estimates are
    memoised: a fallback verdict ([None]) is cheaper to recompute than a
-   store round trip, and the fallback's replay has its own entries. *)
-let estimate src ~config ~timing ~labels =
-  Obs.span "analytic" ~args:[ ("cache", config.Cache.name) ] (fun () ->
+   store round trip, and the fallback's runs have their own entries. *)
+let estimate src q =
+  Obs.span "analytic" ~args:[ ("cache", q.config.Cache.name) ] (fun () ->
       match
-        Analytic.estimate ?params:src.params ~optimized_labels:labels ~config
-          src.program
+        Analytic.estimate ?params:src.params ~optimized_labels:q.labels
+          ~config:q.config src.program
       with
       | Ok est ->
         if Obs.enabled () then
@@ -436,7 +369,7 @@ let estimate src ~config ~timing ~labels =
             cold = c.Analytic.c_cold }
         in
         Some
-          (make_run ~timing ~ops:est.Analytic.e_ops
+          (make_run ~timing:q.timing ~ops:est.Analytic.e_ops
              (region est.Analytic.e_whole) (region est.Analytic.e_optimized))
       | Error reason ->
         if Obs.enabled () then begin
@@ -445,32 +378,41 @@ let estimate src ~config ~timing ~labels =
         end;
         None)
 
-let analytic_backend src =
-  let fallback = replay_backend src in
-  {
-    run =
-      (fun ~config ~timing ~labels ->
-        match
-          memo_some src ~kind:"analytic" ~labels (geometry config timing)
-            (fun () -> estimate src ~config ~timing ~labels)
-        with
-        | Some r -> r
-        | None -> fallback.run ~config ~timing ~labels);
-    hierarchy = fallback.hierarchy;
-  }
+(* Estimates answer what they can; the fallbacks go to the exact
+   backend as one batch, so they share one walk. *)
+let analytic_runs src queries =
+  exact_runs src
+    (List.map
+       (fun q ->
+         match
+           memo_some src ~kind:"analytic" ~labels:q.labels (geometry q)
+             (fun () -> estimate src q)
+         with
+         | Some r -> Either.Left r
+         | None -> Either.Right q)
+       queries)
 
 let prepare ?(mode = Runs) ?(rate = Sample.default_rate) ?params
     ?(store = None) p =
   let src = source ?params ~store p in
-  match mode with
-  | Runs -> replay_backend src
-  | Stream -> stream_backend src
-  | Sampled -> sample_backend ~rate src
-  | Analytic -> analytic_backend src
+  let runs =
+    match mode with
+    | Runs -> fun qs -> exact_runs src (List.map Either.right qs)
+    | Sampled -> List.map (sample_run ~rate src)
+    | Analytic -> analytic_runs src
+  in
+  { runs; hierarchy = exact_hierarchy src }
 
-let replay_prepared ?(config = Machine.cache1)
-    ?(timing = Machine.default_timing) ?(optimized_labels = []) b =
-  b.run ~config ~timing ~labels:optimized_labels
+let query ?(config = Machine.cache1) ?(timing = Machine.default_timing)
+    ?(optimized_labels = []) () =
+  { config; timing; labels = optimized_labels }
+
+let replay_prepared ?config ?timing ?optimized_labels b =
+  match b.runs [ query ?config ?timing ?optimized_labels () ] with
+  | [ r ] -> r
+  | rs ->
+    invalid_arg
+      (Printf.sprintf "Measure: %d runs for one query" (List.length rs))
 
 let replay_hierarchy_prepared ?(l1 = Machine.cache2) ?(l2 = Machine.cache1) b =
   b.hierarchy ~l1 ~l2
@@ -481,3 +423,33 @@ let measure ?config ?timing ?optimized_labels ?mode ?rate ?params ?store p =
 
 let measure_hierarchy ?l1 ?l2 ?mode ?params ?store p =
   replay_hierarchy_prepared ?l1 ?l2 (prepare ?mode ?params ?store p)
+
+(* ------------------------------------------------------- captures --- *)
+
+type capture = {
+  src : source;
+  trace : Trace.captured_runs;
+  cap_ops : int;
+}
+
+let capture ?mode:_ ?params ?store:_ p =
+  let rb, finish = Trace.run_capturing () in
+  let res = Walk.run ?params rb p in
+  {
+    src = source ?params ~store:None p;
+    trace = finish ();
+    cap_ops = res.Walk.ops;
+  }
+
+let trace_stats { trace = t; _ } =
+  (t.Trace.run_records, t.Trace.run_stream_words, t.Trace.run_groups)
+
+let replay ?config ?timing ?optimized_labels ?store:_ cap =
+  let s = cache_sim cap.src (query ?config ?timing ?optimized_labels ()) in
+  s.finish
+    (fan_out
+       (fun sink ->
+         let t = cap.trace in
+         Trace.iter_run_chunks t (sink t.Trace.run_trace_labels);
+         cap.cap_ops)
+       [ s.sink ])

@@ -3,14 +3,15 @@
     optimizer touched and the whole program — the methodology behind
     Tables 1, 3 and 4.
 
-    {!prepare} builds one {!backend} per replay mode. Every entry point
-    takes an optional content-addressed {!Locality_store.Store.t}
-    (default: none): results are then looked up by a digest of the
-    canonical program text, parameter overrides, mode, cache geometry,
-    timing model and optimized-region statements, and only computed (and
-    stored) on a miss. Statements are named by their position in program
-    order in keys and stored traces, so an entry written by one build of
-    a program reads correctly in any other. Cached values are
+    {!prepare} builds one {!backend} per replay mode; it answers a batch
+    of queries (geometry, timing model, optimized-region labels) at once.
+    Every entry point takes an optional content-addressed
+    {!Locality_store.Store.t} (default: none): results are then looked up
+    by a digest of the canonical program text, parameter overrides, mode,
+    cache geometry, timing model and optimized-region statements, and
+    only computed (and stored) on a miss. Statements are named by their
+    position in program order in keys, so an entry written by one build
+    of a program reads correctly in any other. Cached values are
     bit-identical to recomputation; a corrupt entry is quarantined and
     transparently recomputed. *)
 
@@ -45,22 +46,17 @@ type hier_run = {
   hier_writebacks : int;
 }
 
-type replay_mode = Runs | Stream | Sampled | Analytic
+type replay_mode = Runs | Sampled | Analytic
 (** The measurement backend. Each mode's contract is stated against the
     reference simulator — the interpreter's observer feeding
-    {!Cache.access_full} one access at a time, which shares no capture,
+    {!Cache.access_full} one access at a time, which shares no walk,
     compression or bulk-replay code with these backends.
 
-    [Runs] walks the program once into a run-compressed trace and
-    replays it per cache geometry; its strided-run groups both shrink
-    the capture and let replay bulk-advance whole cache-line windows.
-    Statistics are bit-identical to the reference.
-
-    [Stream] fuses capture and simulation: the walker's run chunks
-    feed the simulator as they fill, so no trace is materialised and
-    peak trace memory is O(chunk) at any iteration count. The chunks and
-    the simulator are those of a capture-then-replay, so the runs are
-    bit-identical to [Runs]; the trade is one re-walk per geometry.
+    [Runs] walks the program's run-compressed trace once per batch of
+    queries and fans each chunk out to one simulator per query, so no
+    trace is materialised: memory is O(chunk × geometries) at any
+    iteration count. Strided-run groups let replay bulk-advance whole
+    cache-line windows. Statistics are bit-identical to the reference.
 
     [Sampled] replaces exact simulation with a SHARDS sampled
     reuse-distance profile ({!Locality_sample.Sample}) at the rate given
@@ -73,16 +69,15 @@ type replay_mode = Runs | Stream | Sampled | Analytic
 
     [Analytic] skips tracing: the closed-form locality model
     ({!Locality_analytic.Analytic}) answers in O(nest size), exactly on
-    programs it certifies and as sound estimates elsewhere; programs out
-    of its scope fall back to [Runs] (counted under
+    programs it certifies and as sound estimates elsewhere; queries out
+    of its scope fall back to [Runs] as one batch (counted under
     [analytic.fallback]).
 
-    Hierarchy measurements are exact in every mode: [Stream] and
-    [Sampled] stream them, the others replay the capture. *)
+    Hierarchy measurements are exact in every mode. *)
 
 val mode_of_string : string -> replay_mode option
-(** Strict parse of ["runs"], ["stream"], ["sample"], ["analytic"]
-    ([None] on anything else) — the wire-API and CLI surface. *)
+(** Strict parse of ["runs"], ["sample"], ["analytic"] ([None] on
+    anything else) — the wire-API and CLI surface. *)
 
 val mode_to_string : replay_mode -> string
 (** Inverse of {!mode_of_string}; these strings are the documented
@@ -90,19 +85,32 @@ val mode_to_string : replay_mode -> string
 
 (** {1 Backends} *)
 
+type query = {
+  config : Cache.config;
+  timing : Machine.timing;
+  labels : string list;  (** the optimized region's statements *)
+}
+(** One geometry and timing model, with a label set. *)
+
+val query :
+  ?config:Cache.config ->
+  ?timing:Machine.timing ->
+  ?optimized_labels:string list ->
+  unit ->
+  query
+(** Defaults: cache1, {!Machine.default_timing}, no labels. *)
+
 type backend = {
-  run :
-    config:Cache.config -> timing:Machine.timing -> labels:string list -> run;
-      (** One geometry and timing model; [labels] names the optimized
-          region's statements. *)
+  runs : query list -> run list;
+      (** One run per query, in order. *)
   hierarchy : l1:Cache.config -> l2:Cache.config -> hier_run;
       (** A two-level write-back hierarchy. *)
 }
 (** A program staged for measurement in one mode. Work is deferred and
-    store-backed: a [Runs] backend walks the program at most once,
-    and only when a result is missing from the store. A backend memoises
-    its capture and is meant for one domain; each pool work item should
-    {!prepare} its own. *)
+    store-backed: each query is first looked up under its own key, and
+    a [Runs] batch walks the program once for all its misses — never
+    when the store answers them all. A backend is meant for one domain;
+    each pool work item should {!prepare} its own. *)
 
 val prepare :
   ?mode:replay_mode ->
@@ -113,7 +121,7 @@ val prepare :
   backend
 (** [mode] defaults to [Runs]; [rate] is the SHARDS sampling rate of
     the [Sampled] mode (default {!Locality_sample.Sample.default_rate});
-    [params] are capture-time parameter overrides. *)
+    [params] are walk-time parameter overrides. *)
 
 val replay_prepared :
   ?config:Cache.config ->
@@ -121,7 +129,7 @@ val replay_prepared :
   ?optimized_labels:string list ->
   backend ->
   run
-(** [run] with defaults: cache1, {!Machine.default_timing}, no labels. *)
+(** [runs] on the one {!query} these arguments make. *)
 
 val replay_hierarchy_prepared :
   ?l1:Cache.config -> ?l2:Cache.config -> backend -> hier_run
@@ -167,15 +175,12 @@ val params_tag : (string * int) list -> string
 
 (** {1 Captures}
 
-    A trace captured once and replayed against several geometries by
-    hand — for tools that inspect the trace ({!trace_stats}) or replay
-    one capture with many label sets. *)
+    A trace walked once into memory, for tools that inspect it
+    ({!trace_stats}) or time the walk and the simulation apart. These
+    never touch the store: measurement itself goes through {!prepare},
+    which never materialises a trace. *)
 
 type capture
-
-val capture_key : ?params:(string * int) list -> Program.t -> Store.key
-(** The digest a capture is stored under: trace format tag, canonical
-    program text and parameter overrides. Stable across processes. *)
 
 val capture :
   ?mode:replay_mode ->
@@ -183,8 +188,9 @@ val capture :
   ?store:Store.t option ->
   Program.t ->
   capture
-(** There is one trace format, so [mode] selects nothing and is
-    ignored; it is accepted so existing callers keep compiling. *)
+(** There is one trace format and a capture is never stored, so [mode]
+    and [store] are ignored; they are accepted so existing callers keep
+    compiling. *)
 
 val trace_stats : capture -> int * int * int
 (** [(records, stream_words, groups)]: logical access count, words
@@ -197,4 +203,6 @@ val replay :
   ?store:Store.t option ->
   capture ->
   run
-(** Bit-identical to the corresponding backend's [run]. *)
+(** The capture's chunks through the [Runs] simulator: bit-identical to
+    {!replay_prepared} on a [Runs] backend. [store] is ignored, as in
+    {!capture}. *)

@@ -7,9 +7,9 @@
     {!Locality_cachesim.Runchunk} stream, and the buffer hands full
     blocks to a sink. A qualifying innermost-loop instance costs
     [1 + 2*nrefs] words instead of [trip * nrefs] records. Capacity is
-    counted in stream words. When the sink captures the chunks, a
-    program is walked once and its trace replayed against any number of
-    cache configurations. *)
+    counted in stream words. Measurement simulates each chunk as it
+    fills, so no trace is held; {!run_capturing} keeps the chunks for
+    tools that inspect the trace. *)
 
 module Chunk = Locality_cachesim.Chunk
 module Runchunk = Locality_cachesim.Runchunk

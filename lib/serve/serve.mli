@@ -14,7 +14,7 @@
     {!Locality_par.Pool.pool} of worker domains, so concurrent requests
     simulate in parallel while sharing the process-wide warm state: the
     store the server was started with (warm requests are answered from
-    it without re-capture) and one resolved configuration.
+    it without a walk) and one resolved configuration.
 
     Real-service behaviours, all observable as typed responses and
     [serve.*] counters:

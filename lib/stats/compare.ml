@@ -75,16 +75,17 @@ let run ?params ?(config = Machine.cache1) ?(tune = false) ?jobs
   | Error reason ->
     { c_name = name; c_config = config; c_exact = false;
       c_verdict = `Fallback reason; c_tuned }
-  | Ok est ->
-    let cap = Measure.capture ~mode:Measure.Runs ?params ~store p in
-    let whole_sim = Measure.replay ~config ~store cap in
+  | Ok est -> (
+    (* One batch, one walk: the whole program, then each unit's
+       statements as the optimized region. *)
+    let query labels = Measure.query ~config ~optimized_labels:labels () in
+    let units = List.map (fun node -> query (unit_labels node)) p.Program.body in
+    match (Measure.prepare ?params ~store p).Measure.runs (query [] :: units) with
+    | [] -> invalid_arg "Compare.run: no whole-program run"
+    | whole_sim :: unit_sims ->
     let rows =
       List.map2
-        (fun (u : Analytic.unit_report) node ->
-          let sim =
-            Measure.replay ~config ~optimized_labels:(unit_labels node) ~store
-              cap
-          in
+        (fun (u : Analytic.unit_report) (sim : Measure.run) ->
           let reg = sim.Measure.optimized in
           make_row ~unit:u.Analytic.u_name
             ~cls:(match u.Analytic.u_class with
@@ -94,7 +95,7 @@ let run ?params ?(config = Machine.cache1) ?(tune = false) ?jobs
             ~sim_acc:reg.Measure.accesses
             ~sim_miss:(reg.Measure.accesses - reg.Measure.hits)
             ~ana_acc:u.Analytic.u_accesses ~ana_miss:u.Analytic.u_misses)
-        est.Analytic.e_units p.Program.body
+        est.Analytic.e_units unit_sims
     in
     let whole =
       make_row ~unit:"(whole)"
@@ -110,7 +111,7 @@ let run ?params ?(config = Machine.cache1) ?(tune = false) ?jobs
           - est.Analytic.e_whole.Analytic.c_hits)
     in
     { c_name = name; c_config = config; c_exact = est.Analytic.e_exact;
-      c_verdict = `Compared (rows, whole); c_tuned }
+      c_verdict = `Compared (rows, whole); c_tuned })
 
 (* ------------------------------------------------------- rendering --- *)
 

@@ -37,11 +37,11 @@ val run :
   ?jobs:int -> ?store:Locality_store.Store.t option -> name:string ->
   Program.t -> t
 (** Analyze and simulate the program under one geometry (default
-    {!Locality_cachesim.Machine.cache1}). The simulator side replays
-    one capture once per unit, with that unit's statement labels as the
-    optimized region, so per-unit numbers come from the same replay
-    machinery as every table. [?jobs] is the pool width of the
-    [~tune] search. *)
+    {!Locality_cachesim.Machine.cache1}). The simulator side is one
+    batch on one walk: the whole program, then one query per unit with
+    that unit's statement labels as the optimized region, so per-unit
+    numbers come from the same replay machinery as every table.
+    [?jobs] is the pool width of the [~tune] search. *)
 
 val render : t -> string
 

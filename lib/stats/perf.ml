@@ -58,9 +58,8 @@ let table1 ?(settings = Settings.default ()) ?(n = 64) () =
     ~note:"Paper (RS/6000): Hand .390, Distributed .400, Fused .383 s."
     [ Report.Left ] [ "Version"; "Seconds"; "Hit%" ] rows
 
-(* One compound run, one trace capture per program version, then a
-   replay per cache geometry (and with a store, warm rows replay
-   nothing at all). *)
+(* One compound run, one walk per program version feeding every cache
+   geometry (and with a store, warm rows walk nothing at all). *)
 let perf_of ~settings ?(cls = 4) name (p : Program.t) =
   let r =
     D.run_exn

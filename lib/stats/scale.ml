@@ -34,9 +34,8 @@ let render_scale ?(settings = Settings.default ()) ?factor:(f = 4) () =
     "Replay modes on scaled geometries (n=32, scale=%d -> effective n=%d, \
      rate=%g)"
     f (32 * f) settings.Settings.sample_rate;
-  line "%-10s %-8s %-12s %9s %9s %9s %10s" "kernel" "cache" "version"
-    "runs%" "stream%" "sample%" "sample-err";
-  let mismatches = ref 0 in
+  line "%-10s %-8s %-12s %9s %9s %10s" "kernel" "cache" "version" "runs%"
+    "sample%" "sample-err";
   let row_errors = ref 0 in
   let max_err = ref 0.0 in
   List.iter
@@ -56,42 +55,32 @@ let render_scale ?(settings = Settings.default ()) ?factor:(f = 4) () =
         | Ok cfg -> D.run cfg
         | Error msg -> Error msg
       in
-      match (run Measure.Runs, run Measure.Stream, run Measure.Sampled) with
-      | (Error msg, _, _) | (_, Error msg, _) | (_, _, Error msg) ->
+      match (run Measure.Runs, run Measure.Sampled) with
+      | Error msg, _ | _, Error msg ->
         incr row_errors;
         line "%-10s %-8s %-12s error: %s" kernel "-" "-" msg
-      | Ok exact, Ok streamed, Ok sampled ->
-      List.iteri
-        (fun i cache ->
-          let pick (r : D.result) = List.nth r.D.measured i in
-          let me = pick exact and ms = pick streamed and mp = pick sampled in
-          (* The stream tentpole's contract is structural equality of the
-             whole run record, not just the headline rate. *)
-          if
-            me.D.original_run <> ms.D.original_run
-            || me.D.transformed_run <> ms.D.transformed_run
-          then incr mismatches;
-          List.iter
-            (fun (version, sel) ->
-              let re = sel me and rs = sel ms and rp = sel mp in
-              let err =
-                Float.abs
-                  (miss_rate rp.Measure.whole -. miss_rate re.Measure.whole)
-              in
-              if err > !max_err then max_err := err;
-              line "%-10s %-8s %-12s %9.2f %9.2f %9.2f %9.2fpt" kernel
-                (cache_short cache) version
-                (miss_rate re.Measure.whole)
-                (miss_rate rs.Measure.whole)
-                (miss_rate rp.Measure.whole)
-                err)
-            [
-              ("original", fun (m : D.measured) -> m.D.original_run);
-              ("transformed", fun (m : D.measured) -> m.D.transformed_run);
-            ])
-        caches)
+      | Ok exact, Ok sampled ->
+        List.iter2
+          (fun (me : D.measured) (mp : D.measured) ->
+            List.iter
+              (fun (version, sel) ->
+                let re = sel me and rp = sel mp in
+                let err =
+                  Float.abs
+                    (miss_rate rp.Measure.whole -. miss_rate re.Measure.whole)
+                in
+                if err > !max_err then max_err := err;
+                line "%-10s %-8s %-12s %9.2f %9.2f %9.2fpt" kernel
+                  (cache_short me.D.machine) version
+                  (miss_rate re.Measure.whole)
+                  (miss_rate rp.Measure.whole)
+                  err)
+              [
+                ("original", fun (m : D.measured) -> m.D.original_run);
+                ("transformed", fun (m : D.measured) -> m.D.transformed_run);
+              ])
+          exact.D.measured sampled.D.measured)
     kernels;
-  line "stream-mismatches=%d" !mismatches;
   line "row-errors=%d" !row_errors;
   line "sample max-err=%.2fpt" !max_err;
   Buffer.contents buf
@@ -111,34 +100,35 @@ let render_err ?(settings = Settings.default ()) (rows : Table2.row list) =
   let max_err = ref 0.0 in
   let sum_err = ref 0.0 in
   let n_err = ref 0 in
+  let queries = List.map (fun config -> Measure.query ~config ()) caches in
+  let misses mode p =
+    (Measure.prepare ~mode ~rate ~params ~store:settings.Settings.store p)
+      .Measure.runs queries
+    |> List.map (fun (r : Measure.run) -> miss_rate r.Measure.whole)
+  in
+  (* Exact and sampled miss rates of one version, one cell per cache. *)
+  let cells p =
+    List.map2
+      (fun re rs -> (re, rs, Float.abs (rs -. re)))
+      (misses Measure.Runs p) (misses Measure.Sampled p)
+  in
+  let tally (_, _, err) =
+    if err > !max_err then max_err := err;
+    sum_err := !sum_err +. err;
+    incr n_err
+  in
   List.iter
     (fun (r : Table2.row) ->
       if r.Table2.nests > 0 then
-        let prep mode p =
-          Measure.prepare ~mode ~rate ~params ~store:settings.Settings.store p
-        in
-        let exact = prep Measure.Runs and sampled = prep Measure.Sampled in
-        let eo = exact r.Table2.original
-        and et = exact r.Table2.transformed
-        and so = sampled r.Table2.original
-        and st = sampled r.Table2.transformed in
-        List.iter
-          (fun config ->
-            let m prep = Measure.replay_prepared ~config prep in
-            let cell pe ps =
-              let re = miss_rate (m pe).Measure.whole
-              and rs = miss_rate (m ps).Measure.whole in
-              let err = Float.abs (rs -. re) in
-              if err > !max_err then max_err := err;
-              sum_err := !sum_err +. err;
-              incr n_err;
-              (re, rs, err)
-            in
-            let oe, os, oerr = cell eo so and te, ts, terr = cell et st in
+        List.iter2
+          (fun config (((oe, os, oerr) as o), ((te, ts, terr) as t)) ->
+            tally o;
+            tally t;
             line "%-10s %-8s %8.2f %8.2f %5.2fp   %8.2f %8.2f %5.2fp"
               r.Table2.entry.S.Programs.name (cache_short config) oe os oerr
               te ts terr)
-          caches)
+          caches
+          (List.combine (cells r.Table2.original) (cells r.Table2.transformed)))
     rows;
   let mean = if !n_err = 0 then 0.0 else !sum_err /. float_of_int !n_err in
   let bound = 1.0 in

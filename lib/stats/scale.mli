@@ -1,13 +1,11 @@
-(** The two experiments behind the streaming/sampling PR's claims.
+(** The two sampled-versus-exact experiments.
 
     {!render_scale} (the [scale] bench experiment) runs a pair of 2-D
-    kernels at [--scale]-multiplied geometry through the three
-    trace-driven replay modes — [Runs], [Stream], [Sampled] — on both
+    kernels at [--scale]-multiplied geometry through the two
+    trace-driven replay modes — [Runs] and [Sampled] — on both
     reference caches and prints their whole-program miss rates side by
-    side, a [stream-mismatches=N] line counting any structural
-    difference between the [Runs] and [Stream] run records (the
-    streaming mode's bit-identity contract; CI greps for [=0]), and the
-    worst sampled-estimate error.
+    side, a [row-errors=N] line counting kernels that failed to run (CI
+    greps for [=0]), and the worst sampled-estimate error.
 
     {!render_err} (the [sampleerr] bench experiment) sweeps the Table 4
     workload (every suite program with nests, both versions, N=32) on

@@ -1,10 +1,10 @@
 (** A content-addressed, on-disk experiment store.
 
-    Caches expensive pipeline products — captured address traces and
-    simulation statistics — keyed by a stable digest of everything that
+    Caches expensive pipeline products — simulation statistics and
+    optimizer output — keyed by a stable digest of everything that
     determines them (normalized program text, parameter overrides, cache
     geometry, replay mode and trace-format version, plus a store format
-    version). A warm run looks its results up instead of re-interpreting
+    version). A warm run looks its results up instead of re-walking
     and re-simulating, and is guaranteed to produce bit-identical
     values: every entry carries a checksum footer, and any corruption,
     truncation or version mismatch quarantines the entry and silently

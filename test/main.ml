@@ -23,7 +23,6 @@ let () =
       ("store", Test_store.suite);
       ("fuzz", Test_fuzz.suite);
       ("analytic", Test_analytic.suite);
-      ("stream", Test_stream.suite);
       ("sample", Test_sample.suite);
       ("serve", Test_serve.suite);
       ("tune", Test_tune.suite);

@@ -572,8 +572,8 @@ let test_recording_does_not_change_fusion () =
         (Pretty.program_to_string traced_p))
     [ 14; 1617 ]
 
-(* Hierarchy measurements count their chunks like single-cache ones:
-   under the stream counters when streamed, as replayed otherwise. *)
+(* Hierarchy measurements count their chunks like single-cache ones,
+   under the one walk counter, in every mode. *)
 let test_hierarchy_counts_chunks () =
   let p = List.assoc "matmul" Suite.Kernels.all 16 in
   let counters mode =
@@ -583,14 +583,19 @@ let test_hierarchy_counts_chunks () =
     in
     (Summary.of_events events).Summary.counters
   in
-  let positive name cs =
-    checkb (name ^ " counted") true
-      (match List.assoc_opt name cs with Some n -> n > 0 | None -> false)
-  in
-  let streamed = counters Locality_interp.Measure.Stream in
-  positive "stream.chunks" streamed;
-  positive "stream.accesses" streamed;
-  positive "chunks.replayed" (counters Locality_interp.Measure.Runs)
+  List.iter
+    (fun mode ->
+      let cs = counters mode in
+      let what = Locality_interp.Measure.mode_to_string mode ^ ": " in
+      let chunky (name, _) =
+        String.starts_with ~prefix:"chunks" name
+        || String.ends_with ~suffix:"chunks" name
+      in
+      checkb (what ^ "chunks.replayed, the one chunk counter, counted") true
+        (match List.filter chunky cs with
+        | [ ("chunks.replayed", n) ] -> n > 0
+        | _ -> false))
+    Locality_interp.Measure.[ Runs; Sampled ]
 
 let suite =
   [

@@ -4,7 +4,8 @@
    the reference simulator (one [Cache.access_full] per access, fed by
    the tree-walking interpreter's observer), on the hand-written
    kernels, on all 35 synthetic suite programs, and on adversarial fuzz
-   streams mixing group descriptors with plain records. *)
+   streams mixing group descriptors with plain records. The measurement
+   backend's batches are held to the same reference. *)
 
 open Locality_ir
 module Cache = Locality_cachesim.Cache
@@ -21,6 +22,9 @@ module Request = Locality_driver.Request
 module Response = Locality_driver.Response
 module Trace = Locality_interp.Trace
 module Measure = Locality_interp.Measure
+module Store = Locality_store.Store
+module Obs = Locality_obs.Obs
+module Summary = Locality_obs.Summary
 module Kernels = Locality_suite.Kernels
 module Programs = Locality_suite.Programs
 
@@ -51,15 +55,15 @@ let small_assoc =
 
 (* Capture a program; a small chunk size forces flushes so chunk
    boundaries land mid-loop. *)
-let capture p =
+let capture ?params p =
   let rb, finish = Trace.run_capturing ~chunk_words:509 () in
-  ignore (Walk.run rb p);
+  ignore (Walk.run ?params rb p);
   finish ()
 
 (* Every access of [p], in order, from the reference interpreter. *)
-let observed p f =
+let observed ?params p f =
   let observer = { Exec.on_access = f; on_stmt = (fun ~label:_ -> ()) } in
-  ignore (Exec.run ~observer p)
+  ignore (Exec.run ?params ~observer p)
 
 (* The reference: sequential [access_full] with a manual region tally,
    one cache per config, all fed by one pass of [feed], which calls its
@@ -95,14 +99,40 @@ let replay_capture config ~marked (cap : Trace.captured_runs) =
       Cache.simulate_runs c ~marked ~region:reg ~metrics rc);
   (Cache.stats c, reg, metrics)
 
-let check_program name p =
-  let cap = capture p in
+let counts (m : Measure.region) =
+  (m.Measure.accesses, m.Measure.hits, m.Measure.cold)
+
+(* A measured run against the reference's stats and region tally. *)
+let check_run where ~ops (s0, r0) (r : Measure.run) =
+  Alcotest.(check (triple int int int))
+    (where ^ ": whole")
+    (s0.Cache.accesses, s0.Cache.hits, s0.Cache.cold_misses)
+    (counts r.Measure.whole);
+  Alcotest.(check (triple int int int))
+    (where ^ ": optimized")
+    (r0.Cache.r_accesses, r0.Cache.r_hits, r0.Cache.r_cold)
+    (counts r.Measure.optimized);
+  Alcotest.(check int) (where ^ ": ops") ops r.Measure.ops
+
+let default_configs =
+  [ Machine.cache1; Machine.cache2; direct_mapped; small_assoc ]
+
+(* The capture replayed chunk by chunk, and the measurement backend's
+   batch over the same configs, both against the reference. *)
+let check_program ?params ?(configs = default_configs) name p =
+  let cap = capture ?params p in
   let labels = cap.Trace.run_trace_labels in
   let names = alternate_names labels in
   let is_marked l = List.mem l names in
-  let configs = [ Machine.cache1; Machine.cache2; direct_mapped; small_assoc ] in
+  let ops = (Exec.run ?params p).Exec.ops in
+  let batch =
+    (Measure.prepare ?params ~store:None p).Measure.runs
+      (List.map
+         (fun config -> Measure.query ~config ~optimized_labels:names ())
+         configs)
+  in
   List.iter2
-    (fun config (s0, r0) ->
+    (fun (config, run) (s0, r0) ->
       let s2, r2, _ =
         replay_capture config ~marked:(Array.map is_marked labels) cap
       in
@@ -111,9 +141,10 @@ let check_program name p =
         (where ^ ": logical record count")
         s0.Cache.accesses cap.Trace.run_records;
       Alcotest.check stats_t (where ^ ": stats") s0 s2;
-      Alcotest.check region_t (where ^ ": region") r0 r2)
-    configs
-    (reference_replay configs ~marked:is_marked (observed p))
+      Alcotest.check region_t (where ^ ": region") r0 r2;
+      check_run (where ^ ", measured") ~ops (s0, r0) run)
+    (List.combine configs batch)
+    (reference_replay configs ~marked:is_marked (observed ?params p))
 
 let test_kernels_identical () =
   List.iter
@@ -132,49 +163,124 @@ let test_suite_identical () =
       check_program e.Programs.name (Programs.program_of ~n:10 e))
     Programs.all
 
+(* Parameter overrides reach the walk: the suite's ocean at N=20. *)
+let test_params_identical () =
+  match Programs.find "ocean" with
+  | None -> Alcotest.fail "suite program ocean missing"
+  | Some e ->
+    check_program ~params:[ ("N", 20) ]
+      ~configs:[ Machine.cache2; direct_mapped ]
+      "ocean N=20" (Programs.program_of e)
+
+(* The two-level hierarchy as measured, against the reference fed one
+   access at a time. *)
 let test_hierarchy_identical () =
-  let p = Kernels.matmul ~order:"IJK" 24 in
-  let h1 = Hierarchy.create ~l1:Machine.cache2 ~l2:Machine.cache1 in
-  observed p (fun ~label:_ ~addr ~write ->
-      ignore (Hierarchy.access h1 ~write addr));
-  let h2 = Hierarchy.create ~l1:Machine.cache2 ~l2:Machine.cache1 in
-  Trace.iter_run_chunks (capture p) (fun rc -> Hierarchy.simulate_runs h2 rc);
-  Alcotest.check stats_t "L1" (Hierarchy.l1_stats h1) (Hierarchy.l1_stats h2);
-  Alcotest.check stats_t "L2" (Hierarchy.l2_stats h1) (Hierarchy.l2_stats h2);
-  Alcotest.(check int) "writebacks" (Hierarchy.writebacks h1)
-    (Hierarchy.writebacks h2)
+  List.iter
+    (fun (name, p) ->
+      let h = Hierarchy.create ~l1:Machine.cache2 ~l2:Machine.cache1 in
+      observed p (fun ~label:_ ~addr ~write ->
+          ignore (Hierarchy.access h ~write addr));
+      Alcotest.(check bool) (name ^ ": measured = reference") true
+        (Measure.measure_hierarchy ~store:None p
+        = {
+            Measure.l1_rate = Cache.hit_rate (Hierarchy.l1_stats h);
+            l2_rate = Cache.hit_rate (Hierarchy.l2_stats h);
+            amat = Hierarchy.amat h;
+            hier_writebacks = Hierarchy.writebacks h;
+          }))
+    [
+      ("matmul", Kernels.matmul ~order:"IJK" 24);
+      ("lu", Kernels.lu 12);
+      ("gmtry", Kernels.gmtry 12);
+    ]
 
 let test_measure_modes_identical () =
-  (* The user-facing surface: Measure's two exact trace modes — capture
-     then replay, and streamed — report the reference's numbers. *)
+  (* The user-facing surface: Measure's exact paths — a backend's
+     batch, and a capture replayed by hand — report the reference's
+     numbers. *)
   let p = Kernels.erlebacher_hand 12 in
   let labels = [ "S1"; "S2" ] in
   let ops = (Exec.run p).Exec.ops in
-  let region (m : Measure.region) =
-    (m.Measure.accesses, m.Measure.hits, m.Measure.cold)
-  in
   let configs = [ Machine.cache1; Machine.cache2 ] in
+  let cap = Measure.capture p in
   List.iter2
-    (fun config (s0, r0) ->
-      List.iter
-        (fun mode ->
-          let r = Measure.measure ~config ~optimized_labels:labels ~mode p in
-          let where =
-            Printf.sprintf "%s on %s" (Measure.mode_to_string mode)
-              config.Cache.name
-          in
-          Alcotest.(check (triple int int int))
-            (where ^ ": whole")
-            (s0.Cache.accesses, s0.Cache.hits, s0.Cache.cold_misses)
-            (region r.Measure.whole);
-          Alcotest.(check (triple int int int))
-            (where ^ ": optimized")
-            (r0.Cache.r_accesses, r0.Cache.r_hits, r0.Cache.r_cold)
-            (region r.Measure.optimized);
-          Alcotest.(check int) (where ^ ": ops") ops r.Measure.ops)
-        [ Measure.Runs; Measure.Stream ])
+    (fun config reference ->
+      let where = "on " ^ config.Cache.name in
+      check_run ("measure " ^ where) ~ops reference
+        (Measure.measure ~config ~optimized_labels:labels p);
+      check_run ("capture then replay " ^ where) ~ops reference
+        (Measure.replay ~config ~optimized_labels:labels cap))
     configs
     (reference_replay configs ~marked:(fun l -> List.mem l labels) (observed p))
+
+(* ------------------------------------------------ batch contract --- *)
+
+(* Walks made by [f], counted from its [replay] spans. *)
+let walks f =
+  let r, events = Obs.collect f in
+  let replay (s : Summary.span_row) = s.Summary.name = "replay" in
+  ( r,
+    match List.find_opt replay (Summary.of_events events).Summary.spans with
+    | Some s -> s.Summary.count
+    | None -> 0 )
+
+let fresh_store () =
+  let root = Filename.temp_file "memoria-runs-test" "" in
+  Sys.remove root;
+  Store.open_root root
+
+(* A batch answers each query as it would be answered alone and as the
+   reference does; its misses share one walk, and a warm batch makes
+   none. *)
+let test_batch_contract () =
+  let p = Kernels.cholesky 16 in
+  let names = alternate_names (capture p).Trace.run_trace_labels in
+  let label_sets = [ []; names ] in
+  let queries =
+    List.concat_map
+      (fun labels ->
+        List.map
+          (fun config -> Measure.query ~config ~optimized_labels:labels ())
+          default_configs)
+      label_sets
+  in
+  let batch, cold_walks =
+    walks (fun () -> (Measure.prepare ~store:None p).Measure.runs queries)
+  in
+  Alcotest.(check int) "one walk for the whole batch" 1 cold_walks;
+  let ops = (Exec.run p).Exec.ops in
+  let references =
+    List.concat_map
+      (fun labels ->
+        reference_replay default_configs
+          ~marked:(fun l -> List.mem l labels)
+          (observed p))
+      label_sets
+  in
+  List.iter2
+    (fun ((q : Measure.query), r) reference ->
+      let where =
+        Printf.sprintf "%s, %d labels" q.Measure.config.Cache.name
+          (List.length q.Measure.labels)
+      in
+      Alcotest.(check bool) (where ^ ": batch = alone") true
+        (r
+        = Measure.replay_prepared ~config:q.Measure.config
+            ~optimized_labels:q.Measure.labels
+            (Measure.prepare ~store:None p));
+      check_run where ~ops reference r)
+    (List.combine queries batch)
+    references;
+  let st = fresh_store () in
+  let backend () = Measure.prepare ~store:(Some st) p in
+  ignore
+    ((backend ()).Measure.runs (List.filteri (fun i _ -> i mod 2 = 0) queries));
+  let half, half_walks = walks (fun () -> (backend ()).Measure.runs queries) in
+  Alcotest.(check bool) "half-warm batch = cold batch" true (half = batch);
+  Alcotest.(check int) "half-warm batch: one walk" 1 half_walks;
+  let warm, warm_walks = walks (fun () -> (backend ()).Measure.runs queries) in
+  Alcotest.(check bool) "warm batch = cold batch" true (warm = batch);
+  Alcotest.(check int) "warm batch: no walk" 0 warm_walks
 
 (* ------------------------------------------------- run compression --- *)
 
@@ -323,8 +429,8 @@ let prop_walker_fuzz =
       walker_agrees "fuzz" (Locality_fuzz.Gen.generate ~seed:11 ~index ~size);
       true)
 
-(* The stream's shape is part of the stored-capture format: stored
-   captures of these programs hold exactly these words and groups. *)
+(* The stream's shape is pinned: a walk of these programs emits
+   exactly these records, words and groups. *)
 let test_walker_stream_shape () =
   List.iter
     (fun (name, p, records, words, groups) ->
@@ -428,7 +534,7 @@ let test_error_parity () =
             Alcotest.(check string)
               (Printf.sprintf "%s under %s" name (Measure.mode_to_string replay))
               expected msg)
-        [ Measure.Runs; Measure.Stream; Measure.Sampled ])
+        [ Measure.Runs; Measure.Sampled ])
     failing
 
 (* The wire reply of a failing request, byte for byte. *)
@@ -660,6 +766,10 @@ let suite =
       test_error_parity;
     Alcotest.test_case "walker: failing request replies unchanged" `Quick
       test_error_replies;
+    Alcotest.test_case "parameter overrides: runs identical" `Quick
+      test_params_identical;
+    Alcotest.test_case "batch: one walk, each query as if alone" `Quick
+      test_batch_contract;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_fuzz_all_paths_agree; prop_runchunk_roundtrip; prop_walker_fuzz ]

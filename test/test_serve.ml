@@ -26,7 +26,7 @@ let sample_requests =
     Request.make (Request.Kernel "matmul");
     Request.make ~id:"r-1" ~n:32 ~scale:2 ~cls:8
       ~machines:[ Request.Named "cache1"; Request.Named "cache2" ]
-      ~replay:Measure.Stream ~sample_rate:0.25 ~use_labels:true ~jobs:4
+      ~replay:Measure.Runs ~sample_rate:0.25 ~use_labels:true ~jobs:4
       ~timeout_ms:500 ~emit_program:true
       (Request.Suite "dmxpy");
     Request.make ~transform:Request.Keep ~store:Request.No_store
@@ -135,22 +135,29 @@ let test_malformed_rejection () =
       check "resolution error keeps the request prefix" true
         (String.length msg >= 8 && String.sub msg 0 8 = "request:"))
 
-(* The retired per-access mode is an unknown mode like any other, and
-   the diagnostic lists the four that remain. *)
-let test_retired_replay_mode () =
+(* A retired replay mode is an unknown mode like any other, and the
+   diagnostic lists the three that remain. *)
+let check_retired_mode mode =
   match
     Request.of_json
-      {|{"schema_version":1,"source":{"kind":"kernel","name":"m"},
-         "replay":"per-access"}|}
+      (Printf.sprintf
+         {|{"schema_version":1,"source":{"kind":"kernel","name":"m"},
+         "replay":%S}|}
+         mode)
   with
-  | Ok _ -> Alcotest.fail "per-access replay accepted"
+  | Ok _ -> Alcotest.failf "%s replay accepted" mode
   | Error msg ->
     let suffix =
-      {|unknown replay mode "per-access" (runs|stream|sample|analytic)|}
+      Printf.sprintf {|unknown replay mode %S (runs|sample|analytic)|} mode
     in
     let n = String.length msg and k = String.length suffix in
     check (Printf.sprintf "typed diagnostic %S" msg) true
       (n >= k && String.sub msg (n - k) k = suffix)
+
+let test_retired_replay_mode () = check_retired_mode "per-access"
+
+(* The streamed mode merged into [runs]: its name is retired too. *)
+let test_retired_stream_mode () = check_retired_mode "stream"
 
 (* Fuzz the reader with the fuzzer's deterministic seed streams: random
    bytes and random mutations of a valid document must produce an Error,
@@ -314,11 +321,11 @@ let light ~id ~store n =
   Request.make ~id ~n ~machines:[ Request.Named "cache2" ]
     ~store:(Request.Root store) (Request.Kernel "matmul")
 
-(* A request that holds a worker for a while: streamed replay (one
-   re-execution per cache), both caches, no store (so reruns of the
-   test can't answer it warm). *)
+(* A request that holds a worker for a while: exact replay of a large
+   matmul on both caches, no store (so reruns of the test can't answer
+   it warm). *)
 let heavy ?timeout_ms ~id () =
-  Request.make ~id ~n:192 ~replay:Measure.Stream
+  Request.make ~id ~n:192 ~replay:Measure.Runs
     ~machines:[ Request.Named "cache1"; Request.Named "cache2" ]
     ~store:Request.No_store ?timeout_ms (Request.Kernel "matmul")
 
@@ -509,6 +516,8 @@ let suite =
     ("request: malformed documents rejected", `Quick, test_malformed_rejection);
     ("request: retired per-access replay rejected", `Quick,
      test_retired_replay_mode);
+    ("request: retired stream replay rejected", `Quick,
+     test_retired_stream_mode);
     ("request: reader survives seed-stream fuzz", `Quick, test_fuzz_reader);
     ("driver: error format is stable", `Quick, test_error_format);
     ("driver: sample rate is per-request, never sticky", `Slow, test_rate_isolation);

@@ -48,17 +48,6 @@ let test_key_stability () =
     (Store.equal_key k1 (Store.key ~kind:"y" [ "a"; "bc" ]));
   check_int "hex is 32 chars" 32 (String.length (Store.hex k1))
 
-let test_capture_key_stability () =
-  let p1 = S.Kernels.cholesky 16 and p2 = S.Kernels.cholesky 16 in
-  check "same program built twice, same key" true
-    (Store.equal_key (Measure.capture_key p1) (Measure.capture_key p2));
-  check "size is part of the digest" false
-    (Store.equal_key (Measure.capture_key p1)
-       (Measure.capture_key (S.Kernels.cholesky 17)));
-  check "param overrides are part of the digest" false
-    (Store.equal_key (Measure.capture_key p1)
-       (Measure.capture_key ~params:[ ("N", 8) ] p1))
-
 (* ------------------------------------- hit = recompute, whole suite --- *)
 
 let runs_equal (a : Measure.run) (b : Measure.run) = a = b
@@ -167,8 +156,8 @@ let test_corruption_recomputes_identically () =
       let p = S.Kernels.matmul ~order:"IJK" 16 in
       let plain = Measure.measure ~store:None p in
       let cold = Measure.measure ~store:(Some st) p in
-      (* Damage every entry: capture and result alike must be retired
-         and recomputed without changing a single field. *)
+      (* Damage every entry: each must be retired and recomputed
+         without changing a single field. *)
       let rec each dir f =
         Array.iter
           (fun n ->
@@ -279,7 +268,7 @@ let test_gc_min_age () =
 
 (* Statement labels are process-wide tickets, so the second config below
    builds matmul with different labels than the first, under a different
-   analysis key but the same capture (and sample profile). Its measured
+   analysis key but the same run (and sample profile) keys. Its measured
    optimized region must still be the store-less one — in every mode. *)
 let test_labels_across_builds () =
   let cfg ~store ~replay transform =
@@ -302,7 +291,7 @@ let test_labels_across_builds () =
                plain.D.measured);
           check (what ^ "b with a's entries = b without a store") true
             (warm.D.measured = plain.D.measured)))
-    Measure.[ Runs; Stream; Sampled; Analytic ]
+    Measure.[ Runs; Sampled; Analytic ]
 
 (* Key bytes are a persistent format: a warm store written by one
    version must read in the next. Pin the on-disk name of one entry per
@@ -322,15 +311,9 @@ let test_pinned_keys () =
   in
   check_int "format version" 2 Store.format_version;
   pinned "measure run" "93be6671cd69b0b99b40fa29437b1205" (fun st ->
-      ignore (Measure.measure ~mode:Measure.Runs ~store:(Some st) p));
-  (* A stored capture is a bare [Trace.captured_runs]; a change to its
-     shape must come with a new capture key, or a warm store would
-     unmarshal the old shape as the new one. *)
-  let capture_hex = "762e6d4d6cce6836b84377a223267975" in
-  Alcotest.(check string) "capture key" capture_hex
-    (Store.hex (Measure.capture_key p));
-  pinned "measure capture" capture_hex (fun st ->
-      ignore (Measure.capture ~store:(Some st) p));
+      ignore (Measure.measure ~mode:Measure.Runs ~store:(Some st) p);
+      (* The run is all a cold measurement publishes: no trace is kept. *)
+      check_int "entries published" 1 (fst (Store.verify st)));
   pinned "driver analysis" "07579b05f2f7eb1ff07a192ba3adbc47" (fun st ->
       ignore (D.run (D.config ~n:8 ~store:(Some st) (D.Source_kernel "cholesky"))));
   pinned "tune screen" "f1e19933ab0c0dee2410897efd17a48a" (fun st ->
@@ -341,7 +324,6 @@ let test_pinned_keys () =
 let suite =
   [
     ("key: digest stability", `Quick, test_key_stability);
-    ("key: capture digests", `Quick, test_capture_key_stability);
     ( "measure: hit = recompute on all suite programs",
       `Slow,
       test_suite_hit_equals_recompute );

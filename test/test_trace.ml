@@ -107,7 +107,7 @@ let test_hierarchy_replay_identical () =
     (Hierarchy.writebacks replayed)
 
 let test_measure_matches_observer_semantics () =
-  (* Measure.measure is capture+replay underneath; its hit/cold numbers
+  (* Measure.measure is a walk feeding the simulator; its hit/cold numbers
      must equal a from-scratch classified observer run (the seed path). *)
   let p = Kernels.erlebacher_hand 12 in
   let config = Machine.cache2 in
