@@ -3,10 +3,10 @@ module Layout = Locality_cachesim.Layout
 type env = int array
 
 type geometry = {
-  strides : int array;
-  base : int;
-  elem : int;
-  size : int;
+  strides : int array;  (* column-major element stride per dimension *)
+  base : int;  (* byte address of the first element *)
+  elem : int;  (* bytes per element *)
+  size : int;  (* elements *)
 }
 
 (* The slot table alone carries the name-to-slot mapping; nothing needs
@@ -161,10 +161,11 @@ let rec deriv t idx (e : Expr.t) : (env -> int) option =
       else None
     | Expr.Min _ | Expr.Max _ | Expr.Div _ -> None
 
-(* Rank-specialized so the per-access path is a pure arithmetic
-   expression over preallocated subscript closures — the general rank
-   folds through a tail-recursive helper bound outside the closure, so
-   no list node, array or ref cell is allocated per access. *)
+(* The flat element offset, rank-specialized so the per-access path is
+   a pure arithmetic expression over preallocated subscript closures —
+   the general rank folds through a tail-recursive helper bound outside
+   the closure, so no list node, array or ref cell is allocated per
+   access. *)
 let offset t (r : Reference.t) : env -> int =
   let s = (geometry t r.Reference.array).strides in
   let n = List.length r.Reference.subs in
@@ -190,6 +191,15 @@ let offset t (r : Reference.t) : env -> int =
       if k = n then acc else go (k + 1) (acc + ((fsubs.(k) env - 1) * s.(k))) env
     in
     fun env -> go 0 0 env
+
+let address t (r : Reference.t) =
+  let g = geometry t r.Reference.array in
+  let offset = offset t r in
+  let base = g.base and elem = g.elem and size = g.size in
+  fun env ->
+    let off = offset env in
+    if off < 0 || off >= size then invalid_arg "index out of bounds";
+    base + (off * elem)
 
 let stride t ~idx ~step (r : Reference.t) =
   let g = geometry t r.Reference.array in

@@ -1,21 +1,17 @@
-(** The integer side of a compiled program, shared by the value
-    interpreter {!Fastexec} and the address-only walker {!Walk}: loop
-    indices and parameters resolved to slots of an [int array]
-    environment, integer expressions compiled to closures over it, the
-    flat element offset of every array reference, its byte stride per
-    iteration of an innermost loop, and the loop driver itself. Both
-    executors compile through this module, so their subscripts, bounds
-    and errors cannot drift apart. *)
+(** The integer side of a program, compiled for the address-only walker
+    {!Walk}: loop indices and parameters resolved to slots of an
+    [int array] environment, integer expressions compiled to closures
+    over it, the checked byte address of every array reference, its
+    byte stride per iteration of an innermost loop, and the loop driver
+    itself.
+
+    The ["Fastexec: "] prefix of two error messages below names no
+    module: it is frozen wire text. [Driver.run] reports these messages
+    verbatim and [memoria serve] replies carry them (doc/PROTOCOL.md),
+    so their bytes do not change. *)
 
 type env = int array
 (** Loop indices and parameters by slot. *)
-
-type geometry = {
-  strides : int array;  (** column-major element stride per dimension *)
-  base : int;  (** byte address of the first element *)
-  elem : int;  (** bytes per element *)
-  size : int;  (** elements *)
-}
 
 type t
 
@@ -26,9 +22,6 @@ val prepare : ?params:(string * int) list -> Program.t -> t
     extent names an unknown parameter, and whatever {!Locality_cachesim.Layout.build}
     raises. *)
 
-val geometry : t -> string -> geometry
-(** @raise Not_found for an undeclared array. *)
-
 val expr : t -> Expr.t -> env -> int
 (** Compile an integer expression. Evaluation raises
     [Invalid_argument "Fastexec: division by zero"]. *)
@@ -36,8 +29,11 @@ val expr : t -> Expr.t -> env -> int
 val has_div : Expr.t -> bool
 (** Whether evaluating the expression can raise (it divides). *)
 
-val offset : t -> Reference.t -> env -> int
-(** The reference's 0-based flat element offset, unchecked. *)
+val address : t -> Reference.t -> env -> int
+(** The reference's byte address.
+    @raise Invalid_argument ["index out of bounds"] when its flat
+    column-major element offset falls outside the array. Subscripts are
+    not checked one by one against their extents. *)
 
 val stride : t -> idx:string -> step:int -> Reference.t -> (env -> int) option
 (** The reference's byte stride per iteration of a loop over [idx] with

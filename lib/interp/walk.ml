@@ -16,7 +16,7 @@ type ctx = {
 let env c = c.env
 
 (* What one statement instance does that can be observed without its
-   values, in the order the value interpreter does it: the array
+   values, in the order [Exec] evaluates them: the array
    references (loads left to right, then the store) and the right-hand
    side integer expressions that can raise, i.e. divide. *)
 type event =
@@ -63,17 +63,7 @@ let rec straight_line (b : Loop.block) =
 
 let run ?params rb (p : Program.t) =
   let ic = Intcode.prepare ?params p in
-  (* A reference's byte address, its offset checked as [Array.get]
-     checks an index. *)
-  let address (r : Reference.t) =
-    let g = Intcode.geometry ic r.Reference.array in
-    let offset = Intcode.offset ic r in
-    let base = g.Intcode.base and elem = g.Intcode.elem and size = g.Intcode.size in
-    fun e ->
-      let off = offset e in
-      if off < 0 || off >= size then invalid_arg "index out of bounds";
-      base + (off * elem)
-  in
+  let address = Intcode.address ic in
   let check = function
     | Access (r, _) ->
       let addr = address r in
@@ -129,7 +119,8 @@ let run ?params rb (p : Program.t) =
      The body is not entered: with its references affine in the index,
      checking every offset at both ends checks them all. A right-hand
      side that divides is evaluated (with every offset, in order) at
-     each iteration first, so the first error is the interpreter's. *)
+     each iteration first, so the first error is the one the
+     per-access path would raise. *)
   and compile_group (l : Loop.t) =
     let h = l.Loop.header in
     let idx = h.Loop.index and step = h.Loop.step in

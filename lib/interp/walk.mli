@@ -16,15 +16,20 @@
       times the body's static counts.
     - Every other loop emits one record per access, each offset checked.
 
-    The stream is word for word what the value interpreter's loop
-    structure would give: the same groups, the same records, and labels
-    interned in program order at compile time. Expanded, it is the
-    access sequence an observer passed to {!Fastexec.run} sees, and the
-    counters equal {!Fastexec.run}'s. Errors match too: a subscript
-    outside its array raises [Invalid_argument "index out of bounds"],
-    as [Array.get] does there, and a right-hand side integer expression
-    that divides is still evaluated at every iteration, so
-    ["Fastexec: division by zero"] fires where it would. *)
+    The reference is {!Exec}, which shares no code with the walker. On
+    every program [Exec.run] completes, the expanded stream is the
+    access sequence an observer passed to [Exec.run] sees, label for
+    label, and the counters equal [Exec.run]'s. Labels are interned in
+    program order at compile time, for every statement that touches an
+    array. The run-time errors [Exec.run] raises fail the walk too,
+    with the walker's own messages: a subscript that leaves its array
+    raises [Invalid_argument "index out of bounds"], and a right-hand
+    side integer expression that divides is still evaluated at every
+    iteration, so ["Fastexec: division by zero"] fires where [Exec]
+    fails (the prefix is frozen wire text, see {!Intcode}). One
+    exception: offsets are checked against the whole array, not each
+    subscript against its extent, so a subscript that leaves its
+    dimension but not its array passes here and fails [Exec]. *)
 
 type result = {
   ops : int;  (** arithmetic operations *)

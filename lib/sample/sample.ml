@@ -536,3 +536,21 @@ let merged_histogram pf =
     pf.pf_label_hist;
   let l = Hashtbl.fold (fun d w acc -> (d, w) :: acc) tbl [] in
   List.sort (fun (a, _) (b, _) -> compare (a : int) b) l
+
+let mean_distance pf =
+  let sum, n =
+    List.fold_left
+      (fun (sum, n) (d, w) -> (sum +. (float_of_int d *. w), n +. w))
+      (0.0, 0.0) (merged_histogram pf)
+  in
+  if n = 0.0 then 0.0 else sum /. n
+
+let predicted_hit_rate pf ~lines =
+  let hits =
+    List.fold_left
+      (fun acc (d, w) -> if d < lines then acc +. w else acc)
+      0.0 (merged_histogram pf)
+  in
+  let count x = int_of_float (Float.round x) in
+  Locality_cachesim.Cache.rate_of_counts ~accesses:pf.pf_accesses
+    ~hits:(count hits) ~cold:(count (cold pf)) ()

@@ -16,7 +16,8 @@
     set-associativity model error — at rate 1.0 it reproduces the exact
     simulator, and at lower rates the only error is sampling noise.
     [sets = 1] (the default) gives the classic fully-associative SHARDS
-    profile, comparable with {!Locality_cachesim.Reuse}.
+    profile; at rate 1.0 with no bound on tracked lines it is the exact
+    LRU stack-distance profile (Bennett–Kruskal).
 
     When the tracked-line set exceeds [max_tracked] the
     threshold halves and no-longer-qualifying lines are evicted
@@ -118,3 +119,14 @@ val hits_under : profile -> int -> ways:int -> float
 
 val merged_histogram : profile -> (int * float) list
 (** All labels merged: (scaled distance, total weight), sorted. *)
+
+val mean_distance : profile -> float
+(** Weighted mean of the {!merged_histogram} distances; 0 when no line
+    was reused. *)
+
+val predicted_hit_rate : profile -> lines:int -> float
+(** Hit rate (percent) of a fully associative LRU cache of [lines]
+    lines, from a [sets = 1] profile: the weight of distances below
+    [lines] over the non-cold accesses, through
+    {!Locality_cachesim.Cache.rate_of_counts} with weights rounded to
+    counts. Exact at rate 1.0. *)

@@ -381,7 +381,7 @@ let tilesize ?(settings = Settings.default ()) () =
 
 let reuse_profile ?(settings = Settings.default ()) ?(n = 48) () =
   let module RP = Locality_interp.Reuse_profile in
-  let module Reuse = Locality_cachesim.Reuse in
+  let module Sample = Locality_sample.Sample in
   let lines_i860 = Machine.cache2.Locality_cachesim.Cache.size_bytes / 32 in
   let rows =
     List.map
@@ -391,8 +391,8 @@ let reuse_profile ?(settings = Settings.default ()) ?(n = 48) () =
         let sim = measure settings ~config:Machine.cache2 p in
         [
           order;
-          Printf.sprintf "%.0f" (Reuse.mean_distance r);
-          Printf.sprintf "%.2f" (Reuse.predicted_hit_rate r ~lines:lines_i860);
+          Printf.sprintf "%.0f" (Sample.mean_distance r);
+          Printf.sprintf "%.2f" (Sample.predicted_hit_rate r ~lines:lines_i860);
           Printf.sprintf "%.2f" (Measure.hit_rate sim.Measure.whole);
         ])
       S.Kernels.matmul_orders

@@ -168,23 +168,27 @@ let test_hierarchy_writeback_flows_down () =
 
 (* ----------------------------------------------------------- reuse --- *)
 
-module Reuse = Locality_cachesim.Reuse
+module Sample = Locality_sample.Sample
+
+(* The exact reuse-distance profile of a byte-address sequence: the
+   sampler at rate 1.0, one set, no bound on tracked lines. *)
+let exact_profile addrs =
+  let s =
+    Sample.create ~rate:1.0 ~max_tracked:max_int ~sets:1 ~line_bytes:32 ()
+  in
+  List.iter (fun addr -> Sample.access s ~label:0 ~addr) addrs;
+  Sample.profile s ~labels:[| "L" |] ~ops:0
 
 let test_reuse_basic () =
-  let r = Reuse.create ~line_bytes:32 () in
-  Reuse.access r 0;
-  Reuse.access r 32;
-  Reuse.access r 64;
-  Reuse.access r 0;
+  let pf = exact_profile [ 0; 32; 64; 0 ] in
   (* 0 reused after touching 2 other lines: distance 2. *)
-  checki "accesses" 4 (Reuse.accesses r);
-  checki "cold" 3 (Reuse.cold r);
-  checkb "distance 2 recorded" true (List.mem (2, 1) (Reuse.histogram r));
+  checki "accesses" 4 pf.Sample.pf_accesses;
+  checkf "cold" 3.0 (Sample.cold pf);
+  checkb "distance 2 recorded" true
+    (List.mem (2, 1.0) (Sample.merged_histogram pf));
   (* A 3-line LRU cache holds it; a 2-line one does not. *)
-  Alcotest.check (Alcotest.float 1e-9) "hit with 3 lines" 100.0
-    (Reuse.predicted_hit_rate r ~lines:3);
-  Alcotest.check (Alcotest.float 1e-9) "miss with 2 lines" 0.0
-    (Reuse.predicted_hit_rate r ~lines:2)
+  checkf "hit with 3 lines" 100.0 (Sample.predicted_hit_rate pf ~lines:3);
+  checkf "miss with 2 lines" 0.0 (Sample.predicted_hit_rate pf ~lines:2)
 
 let prop_reuse_matches_fully_assoc_lru =
   (* The reuse-distance prediction must equal a simulated fully
@@ -193,9 +197,9 @@ let prop_reuse_matches_fully_assoc_lru =
   let gen = QCheck.Gen.(list_size (int_range 1 400) (int_range 0 1023)) in
   QCheck.Test.make ~name:"reuse distance = fully associative LRU" ~count:60
     (QCheck.make gen) (fun addrs ->
+      let pf = exact_profile addrs in
       List.for_all
         (fun capacity ->
-          let r = Reuse.create ~line_bytes:32 () in
           let c =
             Cache.create
               {
@@ -205,31 +209,23 @@ let prop_reuse_matches_fully_assoc_lru =
                 line_bytes = 32;
               }
           in
-          List.iter
-            (fun a ->
-              Reuse.access r a;
-              ignore (Cache.access c a))
-            addrs;
-          let predicted = Reuse.predicted_hit_rate r ~lines:capacity in
+          List.iter (fun a -> ignore (Cache.access c a)) addrs;
+          let predicted = Sample.predicted_hit_rate pf ~lines:capacity in
           let simulated = Cache.hit_rate (Cache.stats c) in
           Float.abs (predicted -. simulated) < 1e-9)
         [ 1; 2; 4; 8; 16 ])
 
 let test_reuse_mean_and_growth () =
-  (* Force the Fenwick tree to grow past its initial capacity. *)
-  let r = Reuse.create ~line_bytes:32 () in
-  for pass = 1 to 2 do
-    ignore pass;
-    for i = 0 to 1499 do
-      Reuse.access r (i * 32)
-    done
-  done;
-  checki "accesses" 3000 (Reuse.accesses r);
-  checki "cold once per line" 1500 (Reuse.cold r);
-  checki "distinct lines" 1500 (Reuse.distinct_lines r);
+  (* 1500 lines twice over: the distance tracker grows past its initial
+     capacity and the exact profile never adapts its rate. *)
+  let line k = k * 32 in
+  let pf = exact_profile (List.init 1500 line @ List.init 1500 line) in
+  checki "accesses" 3000 pf.Sample.pf_accesses;
+  checkf "cold once per line" 1500.0 (Sample.cold pf);
+  checki "no rate adaptation" 0 pf.Sample.pf_adaptations;
   (* Every reuse has distance 1499. *)
-  checkb "distances" true (Reuse.histogram r = [ (1499, 1500) ]);
-  Alcotest.check (Alcotest.float 1e-6) "mean" 1499.0 (Reuse.mean_distance r)
+  checkb "distances" true (Sample.merged_histogram pf = [ (1499, 1500.0) ]);
+  Alcotest.check (Alcotest.float 1e-6) "mean" 1499.0 (Sample.mean_distance pf)
 
 (* -------------------------------------------------------------- layout *)
 

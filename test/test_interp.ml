@@ -125,65 +125,6 @@ let test_param_override () =
   let res = Exec.run ~params:[ ("N", 4) ] p in
   checki "overridden size" 64 res.Exec.iterations
 
-(* ------------------------------------------------------------ Fastexec *)
-
-module Fast = Locality_interp.Fastexec
-
-let same_results (a : Exec.result) (b : Fast.result) =
-  a.Exec.ops = b.Fast.ops
-  && a.Exec.accesses = b.Fast.accesses
-  && a.Exec.iterations = b.Fast.iterations
-  && List.for_all2
-       (fun (n1, x) (n2, y) -> n1 = n2 && x = y)
-       a.Exec.arrays b.Fast.arrays
-
-let test_fastexec_matches_exec () =
-  List.iter
-    (fun p ->
-      checkb "fastexec bit-identical to exec" true
-        (same_results (Exec.run p) (Fast.run p)))
-    [
-      matmul "IJK" 8;
-      matmul "JKI" 8;
-      Locality_suite.Kernels.cholesky 10;
-      Locality_suite.Kernels.adi_fragment 10;
-      Locality_suite.Kernels.erlebacher_hand 6;
-      Locality_suite.Kernels.gmtry 10;
-      Locality_suite.Kernels.vpenta 10;
-    ]
-
-let test_fastexec_observer_trace_identical () =
-  (* The two executors must emit the same address trace. *)
-  let p = matmul "KIJ" 6 in
-  let record () =
-    let acc = ref [] in
-    let observer =
-      {
-        Exec.on_access =
-          (fun ~label ~addr ~write -> acc := (label, addr, write) :: !acc);
-        on_stmt = (fun ~label:_ -> ());
-      }
-    in
-    (observer, acc)
-  in
-  let o1, t1 = record () in
-  ignore (Exec.run ~observer:o1 p);
-  let o2, t2 = record () in
-  ignore (Fast.run ~observer:o2 p);
-  checkb "identical traces" true (!t1 = !t2)
-
-let test_fastexec_negative_step_and_scalars () =
-  let open Builder in
-  let p =
-    program "fx" ~arrays:[ ("A", [ i 10 ]) ]
-      [
-        sasn "s" (f 3.0);
-        do_ ~step:(-1) "I" (i 10) (i 1)
-          [ asn (r "A" [ v "I" ]) (sc "s" *! idx (v "I")) ];
-      ]
-  in
-  checkb "matches" true (same_results (Exec.run p) (Fast.run p))
-
 (* ------------------------------------------------------------- Measure *)
 
 let test_measure_orders () =
@@ -214,49 +155,43 @@ let test_measure_cycles_positive () =
   checkb "cycles positive" true (r.Measure.cycles > 0.0);
   checkb "seconds positive" true (r.Measure.seconds > 0.0)
 
-let test_zero_trip_loop () =
-  (* lb > ub with a positive step: the body must never execute, in both
-     executors. *)
+(* lb > ub with a positive step: the body must never execute. *)
+let zero_trip =
   let open Builder in
-  let p =
-    program "zt" ~arrays:[ ("A", [ i 8 ]) ]
-      [
-        do_ "I" (i 5) (i 4) [ asn (r "A" [ i 1 ]) (f 9.0) ];
-        do_ "J" (i 1) (i 0) [ asn (r "A" [ i 2 ]) (f 9.0) ];
-        do_ "K" (i 1) (i 3) [ asn (r "A" [ v "K" ]) (f 1.0) ];
-      ]
-  in
-  let r = Exec.run p in
-  checki "only the real loop runs" 3 r.Exec.iterations;
-  let fr = Locality_interp.Fastexec.run p in
-  checki "fastexec agrees" 3 fr.Locality_interp.Fastexec.iterations
+  program "zt" ~arrays:[ ("A", [ i 8 ]) ]
+    [
+      do_ "I" (i 5) (i 4) [ asn (r "A" [ i 1 ]) (f 9.0) ];
+      do_ "J" (i 1) (i 0) [ asn (r "A" [ i 2 ]) (f 9.0) ];
+      do_ "K" (i 1) (i 3) [ asn (r "A" [ v "K" ]) (f 1.0) ];
+    ]
 
-let test_minmaxdiv_subscripts () =
-  (* MIN/MAX/DIV evaluated inside subscripts at runtime — the forms the
-     tiled and unrolled programs produce. *)
+let test_zero_trip_loop () =
+  let r = Exec.run zero_trip in
+  checki "only the real loop runs" 3 r.Exec.iterations
+
+(* MIN/MAX/DIV evaluated inside subscripts at runtime — the forms the
+   tiled and unrolled programs produce. *)
+let min_max_div =
   let open Builder in
   let nn = v "N" in
-  let p =
-    program "mmd" ~params:[ ("N", 6) ] ~arrays:[ ("A", [ nn ]) ]
-      [
-        do_ "I" (i 1) nn
-          [
-            asn (r "A" [ Expr.Min (Expr.Add (Expr.Var "I", Expr.Int 2), nn) ])
-              (idx (Expr.Max (Expr.Var "I", Expr.Int 3)));
-            asn (r "A" [ Expr.Div (Expr.Var "I", Expr.Int 2) +$ i 1 ]) (f 0.5);
-          ];
-      ]
-  in
-  let r = Exec.run p in
+  program "mmd" ~params:[ ("N", 6) ] ~arrays:[ ("A", [ nn ]) ]
+    [
+      do_ "I" (i 1) nn
+        [
+          asn (r "A" [ Expr.Min (Expr.Add (Expr.Var "I", Expr.Int 2), nn) ])
+            (idx (Expr.Max (Expr.Var "I", Expr.Int 3)));
+          asn (r "A" [ Expr.Div (Expr.Var "I", Expr.Int 2) +$ i 1 ]) (f 0.5);
+        ];
+    ]
+
+let test_minmaxdiv_subscripts () =
+  let r = Exec.run min_max_div in
   let a = List.assoc "A" r.Exec.arrays in
   (* Last writes: A(MIN(I+2,6)) = MAX(I,3): I=4,5,6 all hit A(6): last is
      6.0; A(I/2+1) = 0.5 for I/2+1 in {1,2,3,4}. *)
   checkf "min subscript last write" 6.0 a.(5);
   checkf "div subscript write" 0.5 a.(0);
-  checkf "div subscript write 4" 0.5 a.(3);
-  checkb "fastexec agrees" true
-    (let fr = Locality_interp.Fastexec.run p in
-     a = List.assoc "A" fr.Locality_interp.Fastexec.arrays)
+  checkf "div subscript write 4" 0.5 a.(3)
 
 let suite =
   [
@@ -269,9 +204,6 @@ let suite =
     ("triangular iteration count", `Quick, test_triangular_execution);
     ("bounds violation detected", `Quick, test_out_of_bounds_detected);
     ("parameter override", `Quick, test_param_override);
-    ("fastexec matches exec (kernels)", `Quick, test_fastexec_matches_exec);
-    ("fastexec identical traces", `Quick, test_fastexec_observer_trace_identical);
-    ("fastexec negative step + scalars", `Quick, test_fastexec_negative_step_and_scalars);
     ("loop order changes simulated hit rate", `Quick, test_measure_orders);
     ("optimized-region attribution", `Quick, test_measure_optimized_region);
     ("timing model sanity", `Quick, test_measure_cycles_positive);

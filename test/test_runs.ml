@@ -13,15 +13,14 @@ module Chunk = Locality_cachesim.Chunk
 module Runchunk = Locality_cachesim.Runchunk
 module Hierarchy = Locality_cachesim.Hierarchy
 module Machine = Locality_cachesim.Machine
-module Reuse = Locality_cachesim.Reuse
 module Exec = Locality_interp.Exec
-module Fastexec = Locality_interp.Fastexec
 module Walk = Locality_interp.Walk
 module Driver = Locality_driver.Driver
 module Request = Locality_driver.Request
 module Response = Locality_driver.Response
 module Trace = Locality_interp.Trace
 module Measure = Locality_interp.Measure
+module Sample = Locality_sample.Sample
 module Store = Locality_store.Store
 module Obs = Locality_obs.Obs
 module Summary = Locality_obs.Summary
@@ -375,10 +374,11 @@ let test_downward_loop_qualifies () =
 
 (* ------------------------------------------------ walker contract --- *)
 
-(* The address-only walker against the value interpreter: the expanded
-   stream access for access (labels decoded through the walker's
-   table), the label table itself — every statement that touches an
-   array, in program order — and the counters. *)
+(* The address-only walker against the tree-walking interpreter, which
+   shares no code with it: the expanded stream access for access
+   (labels decoded through the walker's table), the label table itself
+   — every statement that touches an array, in program order — and the
+   counters. *)
 let walker_agrees name p =
   let trace = ref [] in
   let observer =
@@ -388,7 +388,7 @@ let walker_agrees name p =
       on_stmt = (fun ~label:_ -> ());
     }
   in
-  let fr = Fastexec.run ~observer p in
+  let er = Exec.run ~observer p in
   let rb, finish = Trace.run_capturing ~chunk_words:509 () in
   let wr = Walk.run rb p in
   let cap = finish () in
@@ -408,13 +408,27 @@ let walker_agrees name p =
   Alcotest.(check bool) (name ^ ": stream") true (!expanded = !trace);
   Alcotest.(check (list string))
     (name ^ ": labels") touching (Array.to_list labels);
-  check "ops" fr.Fastexec.ops wr.Walk.ops;
-  check "accesses" fr.Fastexec.accesses wr.Walk.accesses;
-  check "iterations" fr.Fastexec.iterations wr.Walk.iterations;
-  check "records" fr.Fastexec.accesses cap.Trace.run_records
+  check "ops" er.Exec.ops wr.Walk.ops;
+  check "accesses" er.Exec.accesses wr.Walk.accesses;
+  check "iterations" er.Exec.iterations wr.Walk.iterations;
+  check "records" er.Exec.accesses cap.Trace.run_records
 
+(* The kernels, then a downward loop over a scalar, zero-trip loops and
+   MIN/MAX/DIV subscripts. *)
 let test_walker_kernels () =
-  List.iter (fun (name, mk) -> walker_agrees name (mk 12)) Kernels.all
+  List.iter (fun (name, mk) -> walker_agrees name (mk 12)) Kernels.all;
+  let negative_step_scalar =
+    let open Builder in
+    program "fx" ~arrays:[ ("A", [ i 10 ]) ]
+      [
+        sasn "s" (f 3.0);
+        do_ ~step:(-1) "I" (i 10) (i 1)
+          [ asn (r "A" [ v "I" ]) (sc "s" *! idx (v "I")) ];
+      ]
+  in
+  List.iter
+    (fun p -> walker_agrees p.Program.name p)
+    [ negative_step_scalar; Test_interp.zero_trip; Test_interp.min_max_div ]
 
 let test_walker_suite () =
   List.iter
@@ -470,9 +484,10 @@ let test_walker_dividing_rhs () =
 
 (* ---------------------------------------------------- error parity --- *)
 
-(* Programs that fail at run time must fail the same way measured as
-   computed: [Driver.run] reports, in every trace-walking mode, the
-   exception [Fastexec.run] raises. *)
+(* Programs that fail at run time fail when measured too: [Exec.run]
+   raises on each, and [Driver.run] reports, in every trace-walking
+   mode, the walker's message — pinned bytes, since serve replies carry
+   them. *)
 let failing =
   let open Builder in
   let n = v "N" in
@@ -513,14 +528,12 @@ let failing =
   ]
 
 let test_error_parity () =
-  List.iter
-    (fun p ->
+  List.iter2
+    (fun p expected ->
       let name = p.Program.name in
-      let expected =
-        match Fastexec.run p with
-        | _ -> Alcotest.failf "%s: the interpreter did not fail" name
-        | exception e -> Printf.sprintf "%s: %s" name (Printexc.to_string e)
-      in
+      (match Exec.run p with
+      | _ -> Alcotest.failf "%s: the interpreter did not fail" name
+      | exception Invalid_argument _ -> ());
       List.iter
         (fun replay ->
           let cfg =
@@ -536,6 +549,13 @@ let test_error_parity () =
               expected msg)
         [ Measure.Runs; Measure.Sampled ])
     failing
+    [
+      {|oob_group: Invalid_argument("index out of bounds")|};
+      {|oob_plain: Invalid_argument("index out of bounds")|};
+      {|div_bound: Invalid_argument("Fastexec: division by zero")|};
+      {|div_subscript: Invalid_argument("Fastexec: division by zero")|};
+      {|div_rhs: Invalid_argument("Fastexec: division by zero")|};
+    ]
 
 (* The wire reply of a failing request, byte for byte. *)
 let test_error_replies () =
@@ -725,13 +745,14 @@ let test_hit_rate_all_cold () =
   Alcotest.(check (float 1e-9))
     "simulated all-cold run" 0.0
     (Cache.hit_rate (Cache.stats c));
-  let r = Reuse.create ~line_bytes:32 () in
+  let s = Sample.create ~rate:1.0 ~max_tracked:max_int ~sets:1 ~line_bytes:32 () in
   for k = 0 to 9 do
-    Reuse.access r (k * 1024)
+    Sample.access s ~label:0 ~addr:(k * 1024)
   done;
   Alcotest.(check (float 1e-9))
     "reuse predictor agrees" 0.0
-    (Reuse.predicted_hit_rate r ~lines:4)
+    (Sample.predicted_hit_rate (Sample.profile s ~labels:[| "L" |] ~ops:0)
+       ~lines:4)
 
 let suite =
   [

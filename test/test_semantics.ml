@@ -420,18 +420,6 @@ let prop_deep3_compound =
       let p', _ = C.Compound.run_program ~cls:4 p in
       Exec.equivalent ~tol:1e-6 p p')
 
-let prop_fastexec_matches_exec =
-  QCheck.Test.make ~name:"fastexec bit-identical to exec (random programs)"
-    ~count:150
-    (QCheck.make ~print:print_program gen_program)
-    (fun p ->
-      let a = Exec.run p and b = Locality_interp.Fastexec.run p in
-      a.Exec.ops = b.Locality_interp.Fastexec.ops
-      && a.Exec.accesses = b.Locality_interp.Fastexec.accesses
-      && List.for_all2
-           (fun (n1, x) (n2, y) -> n1 = n2 && x = y)
-           a.Exec.arrays b.Locality_interp.Fastexec.arrays)
-
 let prop_fusion_preserves_semantics =
   QCheck.Test.make ~name:"fuse_block preserves semantics (random siblings)"
     ~count:300
@@ -498,7 +486,6 @@ let suite =
         prop_reversal_preserves_semantics;
         prop_fusion_preserves_semantics;
         prop_compound_preserves_siblings;
-        prop_fastexec_matches_exec;
         prop_deep3_compound;
         prop_compound_fixpoint;
       ]

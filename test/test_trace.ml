@@ -7,7 +7,6 @@ module Cache = Locality_cachesim.Cache
 module Hierarchy = Locality_cachesim.Hierarchy
 module Machine = Locality_cachesim.Machine
 module Exec = Locality_interp.Exec
-module Fastexec = Locality_interp.Fastexec
 module Walk = Locality_interp.Walk
 module Trace = Locality_interp.Trace
 module Measure = Locality_interp.Measure
@@ -36,7 +35,7 @@ let observer_stats config p =
       on_stmt = (fun ~label:_ -> ());
     }
   in
-  ignore (Fastexec.run ~observer p);
+  ignore (Exec.run ~observer p);
   Cache.stats cache
 
 (* Same program through the buffered-trace path: walked once into
@@ -95,7 +94,7 @@ let test_hierarchy_replay_identical () =
       on_stmt = (fun ~label:_ -> ());
     }
   in
-  ignore (Fastexec.run ~observer p);
+  ignore (Exec.run ~observer p);
   let replayed = Hierarchy.create ~l1:Machine.cache2 ~l2:Machine.cache1 in
   Trace.iter_run_chunks (capture ~chunk_words:512 p)
     (Hierarchy.simulate_runs replayed);
@@ -125,7 +124,7 @@ let test_measure_matches_observer_semantics () =
       on_stmt = (fun ~label:_ -> ());
     }
   in
-  ignore (Fastexec.run ~observer p);
+  ignore (Exec.run ~observer p);
   let r = Measure.measure ~config p in
   Alcotest.(check int) "accesses" !acc r.Measure.whole.Measure.accesses;
   Alcotest.(check int) "hits" !hit r.Measure.whole.Measure.hits;
@@ -140,7 +139,7 @@ let test_trace_labels () =
      expanded stream carries the observer's labels in order. *)
   let observed = ref [] in
   ignore
-    (Fastexec.run
+    (Exec.run
        ~observer:
          {
            Exec.on_access =

@@ -93,9 +93,9 @@ let test_hierarchy_rejects_bad_lines () =
 
 (* --------------------------------------------------------- measure --- *)
 
-let test_measure_attribution_fastexec () =
-  (* Region attribution must survive the switch to the fast executor:
-     label only the statement of one of two nests. *)
+let test_measure_attribution () =
+  (* Label only the statement of one of two nests: exactly its accesses
+     are attributed to the optimized region. *)
   let open Builder in
   let nn = v "N" in
   let p =
@@ -199,7 +199,7 @@ let suite =
     ("csv write_all", `Quick, test_csv_write_all);
     ("hierarchy amat arithmetic", `Quick, test_hierarchy_amat_arithmetic);
     ("hierarchy config validation", `Quick, test_hierarchy_rejects_bad_lines);
-    ("measure attribution (fastexec)", `Quick, test_measure_attribution_fastexec);
+    ("measure attribution by label", `Quick, test_measure_attribution);
     ("normalize inside loops", `Quick, test_normalize_inside_loops);
     ("scalar expansion then compound", `Quick, test_expansion_then_compound);
     ("decl and reference api", `Quick, test_decl_and_reference_api);
