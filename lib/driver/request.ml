@@ -305,6 +305,28 @@ let decode_params ~src ~keys v =
         reject "%s: parameter %S: expected an integer" (pos_of src keys k) k)
     fields
 
+(* The tune spec's range rules, for the decoder and for [to_config] (the
+   path the CLI's flags take). Fields are checked in the order the
+   decoder has always reported them. *)
+let tune_spec_error (s : tune_spec) =
+  let count = function
+    | Some i when i < 1 -> Some "must be >= 1"
+    | _ -> None
+  in
+  let band = function
+    | Some [] -> Some "expected a non-empty array"
+    | Some l when List.exists (fun i -> i < 1) l ->
+      Some "expected positive integers"
+    | _ -> None
+  in
+  List.find_map
+    (fun (field, problem) -> Option.map (fun m -> (field, m)) problem)
+    [
+      ("max_candidates", count s.t_max_candidates);
+      ("unrolls", band s.t_unrolls); ("tiles", band s.t_tiles);
+      ("top_k", count s.t_top_k);
+    ]
+
 let decode_tune ~src ~keys v =
   let fields = obj_of ~src ~keys v ~what:"tune" in
   check_fields ~src ~keys ~ctx:"tune"
@@ -314,39 +336,35 @@ let decode_tune ~src ~keys v =
     Option.map
       (function
         | Jsonin.List items ->
-          let l =
-            List.map
-              (fun v ->
-                match Jsonin.to_int_opt v with
-                | Some i when i >= 1 -> i
-                | _ ->
-                  reject "%s: field %S: expected positive integers"
-                    (pos_of src keys k) k)
-              items
-          in
-          if l = [] then
-            reject "%s: field %S: expected a non-empty array"
-              (pos_of src keys k) k;
-          l
+          List.map
+            (fun v ->
+              match Jsonin.to_int_opt v with
+              | Some i -> i
+              | None ->
+                reject "%s: field %S: expected positive integers"
+                  (pos_of src keys k) k)
+            items
         | _ ->
           reject "%s: field %S: expected an array of integers"
             (pos_of src keys k) k)
       (non_null fields k)
   in
-  let pos k =
-    let v = int_field ~src ~keys fields k in
+  (* Each field's range is checked as soon as it is decoded, so a
+     request with several bad fields names the one it always named. *)
+  let checked spec =
     Option.iter
-      (fun i ->
-        if i < 1 then reject "%s: field %S: must be >= 1" (pos_of src keys k) k)
-      v;
-    v
+      (fun (k, m) -> reject "%s: field %S: %s" (pos_of src keys k) k m)
+      (tune_spec_error spec);
+    spec
   in
-  {
-    t_top_k = pos "top_k";
-    t_tiles = int_list "tiles";
-    t_unrolls = int_list "unrolls";
-    t_max_candidates = pos "max_candidates";
-  }
+  let s =
+    checked
+      { t_top_k = None; t_tiles = None; t_unrolls = None;
+        t_max_candidates = int_field ~src ~keys fields "max_candidates" }
+  in
+  let s = checked { s with t_unrolls = int_list "unrolls" } in
+  let s = checked { s with t_tiles = int_list "tiles" } in
+  checked { s with t_top_k = int_field ~src ~keys fields "top_k" }
 
 let allowed_fields =
   [
@@ -483,6 +501,9 @@ let to_config ?(settings = Settings.default ()) r =
   try
     if r.scale < 1 then reject "request: field \"scale\": must be >= 1";
     if r.cls < 1 then reject "request: field \"cls\": must be >= 1";
+    Option.iter
+      (fun (k, m) -> reject "request: field %S: %s" k m)
+      (Option.bind r.tune tune_spec_error);
     let source =
       match r.source with
       | Kernel name -> Driver.Source_kernel name

@@ -60,6 +60,13 @@ type tune_spec = {
     [Stats.Tune.default_spec]. The presence of the [tune] field is what
     turns a request into a tuning query. *)
 
+val tune_spec_error : tune_spec -> (string * string) option
+(** The range rules of a tune spec, wherever it came from: [top_k] and
+    [max_candidates] at least 1, [tiles] and [unrolls] non-empty lists
+    of positive integers. [Some (field, problem)] names the first field
+    that breaks them, e.g. [("tiles", "expected positive integers")].
+    {!of_json} and {!to_config} both apply them. *)
+
 type t = {
   id : string;  (** client correlation token, echoed in the response *)
   source : source;
@@ -146,6 +153,7 @@ val to_config :
   ?settings:Settings.t -> t -> (Driver.config, string) Stdlib.result
 (** Resolve to a runnable {!Driver.config}: look up named machines,
     validate custom geometries (positive sizes, power-of-two line,
-    size divisible by [line * assoc]), open the store. Absent fields
+    size divisible by [line * assoc]), check the tune spec's ranges
+    ({!tune_spec_error}), open the store. Absent fields
     and ["ambient"] take [settings] (default {!Settings.default}).
     Errors follow the ["request: <detail>"] format. *)

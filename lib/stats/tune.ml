@@ -164,78 +164,153 @@ let enumerate ~spec ~cls (nest : Loop.t) =
   @ cross Fused (C.Fusion.fuse_all_inner ~cls nest)
   @ [ { structure = Distributed; perm = None; tile = None; unroll = None } ]
 
+let nest_at (p : Program.t) nest_idx =
+  if nest_idx < 0 then None
+  else
+    match List.nth_opt p.Program.body nest_idx with
+    | Some (Loop.Loop nest) -> Some nest
+    | Some (Loop.Stmt _) | None -> None
+
+let candidates ?(cls = 4) spec p =
+  Option.bind (target_index p) (fun idx ->
+      Option.map (fun nest -> (idx, enumerate ~spec ~cls nest)) (nest_at p idx))
+
 (* ------------------------------------------------------ application --- *)
 
-let apply ?(cls = 4) (p : Program.t) ~nest_idx cand =
+(* A candidate is applied in four stages, in enumeration order:
+   structure, permutation, tiling, unroll-and-jam. Each stage maps the
+   block that replaces the target nest to a new block, [None] when it
+   rejects. [apply] composes them for one candidate; [screen_map]
+   computes each distinct prefix once for the candidates that share
+   it. *)
+
+let shape ~cls nest = function
+  | Asis -> Some [ Loop.Loop nest ]
+  | Fused ->
+    Option.map (fun l -> [ Loop.Loop l ]) (C.Fusion.fuse_all_inner ~cls nest)
+  | Distributed ->
+    Option.map
+      (fun (r : C.Distribution.result) ->
+        List.map (fun l -> Loop.Loop l) r.C.Distribution.nests)
+      (C.Distribution.run ~cls nest)
+
+let true_deps l = List.filter Dep.is_true_dep (An.deps_in_nest l)
+
+(* [deps l] is [l]'s true dependences, asked for only when [perm]
+   reorders the spine. *)
+let permute ~deps block perm =
+  match (perm, block) with
+  | None, b -> Some b
+  | Some order, [ Loop.Loop l ] ->
+    if order = spine_names l then Some block
+    else if not (C.Legality.permutation_legal ~deps:(deps l) ~target:order)
+    then None
+    else
+      Option.map
+        (fun l' -> [ Loop.Loop l' ])
+        (C.Interchange.permute_spine l order)
+  | Some _, _ -> None
+
+(* [band l] is [Tiling.recommend]'s band for [l]. *)
+let tile ~band block t =
+  match (t, block) with
+  | None, b -> Some b
+  | Some t, [ Loop.Loop l ] -> begin
+    match band l with
+    | [] -> None
+    | band ->
+      Option.map (fun l' -> [ Loop.Loop l' ]) (C.Tiling.tile ~sizes:t l ~band)
+  end
+  | Some _, _ -> None
+
+(* [avoid] is every statement label of the program, which the copies'
+   fresh labels must dodge. *)
+let unroll ~avoid block u =
+  match (u, block) with
+  | None, b -> Some b
+  | Some (loop, factor), [ Loop.Loop l ] ->
+    C.Unroll.unroll_and_jam ~avoid l ~loop ~factor
+  | Some _, _ -> None
+
+(* Put the final block in place of the nest. A candidate that breaks
+   program invariants is pruned, never propagated: the search must stay
+   total. *)
+let splice (p : Program.t) ~nest_idx block =
+  let body =
+    List.concat
+      (List.mapi
+         (fun i node -> if i = nest_idx then block else [ node ])
+         p.Program.body)
+  in
+  let p' = { p with Program.body } in
+  let labels =
+    List.map (fun (s : Stmt.t) -> s.Stmt.label) (Loop.block_statements block)
+  in
+  match Program.validate p' with Ok () -> Some (p', labels) | Error _ -> None
+
+let program_labels (p : Program.t) =
+  List.map
+    (fun (s : Stmt.t) -> s.Stmt.label)
+    (Loop.block_statements p.Program.body)
+
+let apply ?(cls = 4) p ~nest_idx cand =
   let ( let* ) = Option.bind in
-  match List.nth_opt p.Program.body nest_idx with
-  | None | Some (Loop.Stmt _) -> None
-  | Some (Loop.Loop nest) ->
-    let* base =
-      match cand.structure with
-      | Asis -> Some [ Loop.Loop nest ]
-      | Fused ->
-        Option.map
-          (fun l -> [ Loop.Loop l ])
-          (C.Fusion.fuse_all_inner ~cls nest)
-      | Distributed ->
-        Option.map
-          (fun (r : C.Distribution.result) ->
-            List.map (fun l -> Loop.Loop l) r.C.Distribution.nests)
-          (C.Distribution.run ~cls nest)
-    in
-    let* permuted =
-      match (cand.perm, base) with
-      | None, b -> Some b
-      | Some order, [ Loop.Loop l ] ->
-        if order = spine_names l then Some base
-        else
-          let deps = List.filter Dep.is_true_dep (An.deps_in_nest l) in
-          if not (C.Legality.permutation_legal ~deps ~target:order) then None
-          else
-            Option.map
-              (fun l' -> [ Loop.Loop l' ])
-              (C.Interchange.permute_spine l order)
-      | Some _, _ -> None
-    in
-    let* tiled =
-      match (cand.tile, permuted) with
-      | None, b -> Some b
-      | Some t, [ Loop.Loop l ] -> begin
-        match C.Tiling.recommend ~cls l with
-        | [] -> None
-        | band ->
-          Option.map
-            (fun l' -> [ Loop.Loop l' ])
-            (C.Tiling.tile ~sizes:t l ~band)
-      end
-      | Some _, _ -> None
-    in
-    let* final =
-      match (cand.unroll, tiled) with
-      | None, b -> Some b
-      | Some (loop, factor), [ Loop.Loop l ] ->
-        let avoid =
-          List.map
-            (fun (s : Stmt.t) -> s.Stmt.label)
-            (Loop.block_statements p.Program.body)
-        in
-        C.Unroll.unroll_and_jam ~avoid l ~loop ~factor
-      | Some _, _ -> None
-    in
-    let body =
-      List.concat
-        (List.mapi
-           (fun i node -> if i = nest_idx then final else [ node ])
-           p.Program.body)
-    in
-    let p' = { p with Program.body } in
-    let labels =
-      List.map (fun (s : Stmt.t) -> s.Stmt.label) (Loop.block_statements final)
-    in
-    (* A candidate that breaks program invariants is pruned, never
-       propagated: the search must stay total. *)
-    (match Program.validate p' with Ok () -> Some (p', labels) | Error _ -> None)
+  let* nest = nest_at p nest_idx in
+  let* b = shape ~cls nest cand.structure in
+  let* b = permute ~deps:true_deps b cand.perm in
+  let* b = tile ~band:(C.Tiling.recommend ~cls) b cand.tile in
+  let* b = unroll ~avoid:(program_labels p) b cand.unroll in
+  splice p ~nest_idx b
+
+(* [f] behind a one-entry cache. The enumeration lists the candidates
+   sharing a prefix consecutively, so one entry per stage computes each
+   distinct prefix once (any other order is still answered correctly).
+   Local to one walk, in one domain. *)
+let last_memo eq f =
+  let last = ref None in
+  fun k ->
+    match !last with
+    | Some (k', v) when eq k k' -> v
+    | _ ->
+      let v = f k in
+      last := Some (k, v);
+      v
+
+(* The screen: structure, permutation and tiling run in the calling
+   domain once per distinct prefix, and a rejected prefix prunes every
+   candidate below it unapplied. Unroll, splice, validation and [f] run
+   per candidate, in one fan-out over the pool; [f] gets what [apply]
+   would return. *)
+let screen_map ?(cls = 4) ?jobs p ~nest_idx cands f =
+  let prefixed =
+    match nest_at p nest_idx with
+    | None -> List.map (fun c -> (c, None)) cands
+    | Some nest ->
+      (* Every candidate below a prefix gets that prefix's very nest, so
+         physical identity keys the analyses of a nest. *)
+      let deps = last_memo ( == ) true_deps in
+      let band = last_memo ( == ) (C.Tiling.recommend ~cls) in
+      let shaped = last_memo ( = ) (shape ~cls nest) in
+      let permuted =
+        last_memo ( = ) (fun (s, perm) ->
+            Option.bind (shaped s) (fun b -> permute ~deps b perm))
+      in
+      let tiled =
+        last_memo ( = ) (fun (s, perm, t) ->
+            Option.bind (permuted (s, perm)) (fun b -> tile ~band b t))
+      in
+      List.map (fun c -> (c, tiled (c.structure, c.perm, c.tile))) cands
+  in
+  let avoid = program_labels p in
+  Pool.map ?jobs
+    (fun (c, tiled) ->
+      f c
+        (Option.bind tiled (fun b ->
+             Option.bind (unroll ~avoid b c.unroll) (splice p ~nest_idx))))
+    prefixed
+
+let apply_all ?cls ?jobs p ~nest_idx cands =
+  screen_map ?cls ?jobs p ~nest_idx cands (fun _ applied -> applied)
 
 (* ------------------------------------------------------- evaluation --- *)
 
@@ -284,9 +359,24 @@ let cached_miss ~stage ~mode ~machine ~timing ~params ~store p =
 
 (* ------------------------------------------------------------ search --- *)
 
+(* The wire's range rules, so a hand-built spec gets a typed error
+   instead of an exception from a stage (a tile of 0, say). *)
+let spec_error ~name spec =
+  let module R = Locality_driver.Request in
+  Option.map
+    (fun (field, problem) ->
+      Printf.sprintf "%s: tune spec: field %S: %s" name field problem)
+    (R.tune_spec_error
+       { R.t_top_k = Some spec.top_k; t_tiles = Some spec.tiles;
+         t_unrolls = Some spec.unrolls;
+         t_max_candidates = Some spec.max_candidates })
+
 let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
     ?(timing = Machine.default_timing) ?params ?jobs ?(store = None) ~name
     (p : Program.t) =
+  match spec_error ~name spec with
+  | Some e -> Error e
+  | None ->
   (* Baseline and the paper's single-pass answer, measured exactly: the
      tuned winner is judged against the compound (memory-order) result
      on the same geometry. *)
@@ -299,24 +389,16 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
   | Error e -> Error e
   | Ok base -> begin
     let program = base.D.original in
-    (* [nth_opt] raises on a negative index, so resolve the target nest
-       only once we know there is one — a nest-free program must read
-       as a typed error, not an exception. *)
-    let target =
-      Option.bind (target_index program) (fun idx ->
-          match List.nth_opt program.Program.body idx with
-          | Some (Loop.Loop nest) -> Some (idx, nest)
-          | Some (Loop.Stmt _) | None -> None)
-    in
-    match (base.D.measured, target) with
-    | [], _ -> Error (Printf.sprintf "%s: no measurement" name)
-    | _, None -> Error (Printf.sprintf "%s: no loop nest to tune" name)
-    | m :: _, Some (nest_idx, nest) -> begin
+    match base.D.measured with
+    | [] -> Error (Printf.sprintf "%s: no measurement" name)
+    | m :: _ -> begin
+      match
+        Obs.span "tune.enumerate" (fun () -> candidates ~cls spec program)
+      with
+      | None -> Error (Printf.sprintf "%s: no loop nest to tune" name)
+      | Some (nest_idx, all) ->
         let baseline_miss = miss_of m.D.original_run in
         let memorder_miss = miss_of m.D.transformed_run in
-        let all =
-          Obs.span "tune.enumerate" (fun () -> enumerate ~spec ~cls nest)
-        in
         let generated = List.length all in
         Obs.counter "tune.generated" generated;
         let kept, dropped =
@@ -330,14 +412,13 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
             split spec.max_candidates [] all
         in
         if dropped > 0 then Obs.counter "tune.truncated" dropped;
-        (* Screen every legal candidate with the analytic fast path;
-           items fan out over the pool and come back in input order. *)
+        (* Screen every candidate; the legal ones are costed with the
+           analytic fast path. *)
         let screened =
           Obs.span "tune.screen" (fun () ->
-              Pool.map ?jobs
-                (fun cand ->
+              screen_map ~cls ?jobs program ~nest_idx kept (fun cand applied ->
                   let enc = encode cand in
-                  match apply ~cls program ~nest_idx cand with
+                  match applied with
                   | None ->
                     Obs.counter "tune.pruned_illegal" 1;
                     ( { enc; status = Illegal; analytic_miss = None;
@@ -353,8 +434,7 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
                       (int_of_float (miss *. 100.0));
                     ( { enc; status = Screened; analytic_miss = Some miss;
                         simulated_miss = None },
-                      warm, Some (p', labels) ))
-                kept)
+                      warm, Some (p', labels) )))
         in
         let hits = ref 0 and misses = ref 0 in
         List.iter

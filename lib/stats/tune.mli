@@ -8,12 +8,16 @@
       top-level nest, in a fixed order (identity permutation first, the
       rest lexicographic in spine order; tile and unroll options in spec
       order), so the candidate list is identical on every run;
-    + {e screen} every candidate: illegal ones (a transform stage
-      rejects, or the result fails {!Program.validate}) are pruned,
-      legal ones are costed with the [Analytic] replay mode — O(nest
-      size) with transparent simulator fallback — fanned out over
-      {!Locality_par.Pool} (input-order results, so any [MEMORIA_JOBS]
-      gives the same answer);
+    + {e screen} every candidate as a walk of the tree structure →
+      permutation → tile → unroll: structure, permutation and tiling
+      run once per distinct prefix, in the calling domain, and a prefix
+      a stage rejects prunes every candidate below it unapplied. Then
+      one fan-out over {!Locality_par.Pool} (input-order results, so
+      any [MEMORIA_JOBS] gives the same answer) unrolls each remaining
+      candidate, prunes it if the result fails {!Program.validate}, and
+      costs it with the [Analytic] replay mode — O(nest size) with
+      transparent simulator fallback. Every pruned candidate is a row
+      and a [tune.pruned_illegal] count of its own;
     + {e confirm} the top-K analytic finalists with the exact simulator
       ([Runs] mode); the winner is the lowest simulated miss rate, ties
       broken lexicographically on the candidate encoding;
@@ -70,18 +74,38 @@ val encode : candidate -> string
 (** Canonical encoding, e.g. ["S=asis;P=J,K,I;T=16;U=K*4"] — the store
     key component and the deterministic tie-break. *)
 
+val candidates :
+  ?cls:int -> spec -> Program.t -> (int * candidate list) option
+(** The tuned nest's index in the program body (the deepest top-level
+    nest, the first on ties) and its whole candidate list in enumeration
+    order, before [max_candidates] truncation. [None] when the program
+    has no top-level nest. *)
+
 val apply :
   ?cls:int ->
   Program.t ->
   nest_idx:int ->
   candidate ->
   (Program.t * string list) option
-(** Apply a candidate to the top-level nest at [nest_idx]: structure
+(** Apply one candidate to the top-level nest at [nest_idx]: structure
     first, then permutation (legality-checked), tiling (over
     {!Locality_core.Tiling.recommend}'s band), then unroll-and-jam with
     program-wide label freshening. [None] when any stage rejects or the
     result fails validation — a malformed candidate is pruned, never
-    propagated. Exposed for tests and the fuzz harness. *)
+    propagated. The reference for {!apply_all}; exposed for tests. *)
+
+val apply_all :
+  ?cls:int ->
+  ?jobs:int ->
+  Program.t ->
+  nest_idx:int ->
+  candidate list ->
+  (Program.t * string list) option list
+(** The screen's application: equal, element by element, to
+    [List.map (apply p ~nest_idx) cands], but structure, permutation and
+    tiling run once per distinct prefix of consecutive candidates, and
+    a rejected prefix rejects the candidates below it without applying
+    them. Input-order results at any [jobs]. *)
 
 type status = Illegal | Screened | Confirmed
 
@@ -128,7 +152,9 @@ val run :
 (** Tune one program. Deterministic at any [jobs]: fixed enumeration
     order, pool results in input order, lexicographic tie-breaks.
     Errors follow the driver's ["<name>: <detail>"] contract; no input
-    raises. [machine] defaults to cache1; no store by default. *)
+    raises — a [spec] that breaks the wire's range rules
+    ({!Locality_driver.Request.tune_spec_error}) is an error too.
+    [machine] defaults to cache1; no store by default. *)
 
 val run_config : ?spec:spec -> ?jobs:int -> D.config -> (result, string) Stdlib.result
 (** {!run} driven by a driver config (the serve daemon and

@@ -1,8 +1,10 @@
 (* The transformation-search driver: determinism across pool sizes,
    store warmth on re-tuning, the hardened imperfect-nest paths in
    unroll/distribution, label freshening under collision pressure, the
-   request wire format's tune field, and a fuzz sweep that tunes
-   generated programs without raising. *)
+   request wire format's tune field, a fuzz sweep that tunes generated
+   programs without raising, the staged screen held to the
+   one-candidate [apply], the bench kernels' pinned search shape, and
+   the tune spec's range rules on every path. *)
 
 open Locality_ir
 open Builder
@@ -29,18 +31,27 @@ let test_spec =
 
 (* ------------------------------------------- determinism at any jobs --- *)
 
+(* matmul under the test band; conv2d (whose space has a [Fused]
+   structure) and attention under one tile and one factor, uncapped, so
+   every structure is screened. *)
 let test_jobs_determinism () =
-  let tune jobs =
-    or_fail
-      (Tune.run ~spec:test_spec ~n:8 ~jobs ~store:None ~name:"matmul"
-         (S.Kernels.matmul 8))
+  let wide =
+    { test_spec with Tune.tiles = [ 8 ]; unrolls = [ 2 ]; max_candidates = 4096 }
   in
-  let r1 = tune 1 and r4 = tune 4 in
-  checks "render byte-identical at jobs=1 vs 4" (Tune.render r1)
-    (Tune.render r4);
-  checks "json byte-identical at jobs=1 vs 4" (Tune.to_json r1)
-    (Tune.to_json r4);
-  checkb "a winner was confirmed" true (r1.Tune.t_winner <> None)
+  List.iter
+    (fun (name, spec) ->
+      let tune jobs =
+        or_fail
+          (Tune.run ~spec ~n:8 ~jobs ~store:None ~name
+             ((List.assoc name S.Kernels.all) 8))
+      in
+      let r1 = tune 1 and r4 = tune 4 in
+      checks (name ^ ": render byte-identical at jobs=1 vs 4")
+        (Tune.render r1) (Tune.render r4);
+      checks (name ^ ": json byte-identical at jobs=1 vs 4")
+        (Tune.to_json r1) (Tune.to_json r4);
+      checkb (name ^ ": a winner was confirmed") true (r1.Tune.t_winner <> None))
+    [ ("matmul", test_spec); ("conv2d", wide); ("attention", wide) ]
 
 (* ------------------------------------------------ store cold vs warm --- *)
 
@@ -259,6 +270,160 @@ let test_fuzz_tune_no_raise () =
   done;
   checki "no exceptions over 200 fuzz programs" 0 !failures
 
+(* -------------------------------- the staged screen equals [apply] --- *)
+
+let analytic_miss (p : Program.t) =
+  let module M = Locality_interp.Measure in
+  let prep = M.prepare ~mode:M.Analytic ~store:None p in
+  let w =
+    (M.replay_prepared ~config:Locality_cachesim.Machine.cache1
+       ~timing:Locality_cachesim.Machine.default_timing prep)
+      .M.whole
+  in
+  if w.M.accesses = 0 then 0.0
+  else
+    100.0 *. float_of_int (w.M.accesses - w.M.hits) /. float_of_int w.M.accesses
+
+let with_n n (p : Program.t) =
+  { p with Program.params = List.map (fun (x, _) -> (x, n)) p.Program.params }
+
+(* Every enumerated candidate of [p]: the screen's staged application
+   against the one-candidate [apply], then the search's rows against
+   that reference — illegal exactly where it rejects, and otherwise the
+   analytic rate of the program it builds. *)
+let check_staged ~spec ~n name p =
+  let p = with_n n p in
+  match Tune.candidates spec p with
+  | None -> ()
+  | Some (nest_idx, cands) -> (
+    let staged = Tune.apply_all ~jobs:2 p ~nest_idx cands in
+    let single = List.map (Tune.apply p ~nest_idx) cands in
+    List.iter2
+      (fun c (s, r) ->
+        if s <> r then
+          Alcotest.failf "%s %s: staged screen and apply disagree" name
+            (Tune.encode c))
+      cands (List.combine staged single);
+    match Tune.run ~spec ~n ~store:None ~name p with
+    | Error e -> Alcotest.failf "%s: tune failed: %s" name e
+    | Ok t ->
+      let kept l = List.filteri (fun i _ -> i < spec.Tune.max_candidates) l in
+      List.iter2
+        (fun (row : Tune.row) (c, r) ->
+          if row.Tune.enc <> Tune.encode c then
+            Alcotest.failf "%s: row %s out of enumeration order" name
+              row.Tune.enc;
+          match (r, row.Tune.status) with
+          | None, Tune.Illegal -> ()
+          | Some (p', _), (Tune.Screened | Tune.Confirmed) ->
+            if row.Tune.analytic_miss <> Some (analytic_miss p') then
+              Alcotest.failf "%s %s: analytic rate differs" name row.Tune.enc
+          | _, _ ->
+            Alcotest.failf "%s %s: status differs from apply" name
+              row.Tune.enc)
+        t.Tune.t_rows
+        (List.combine (kept cands) (kept single)))
+
+let test_staged_kernels () =
+  List.iter
+    (fun (name, mk) -> check_staged ~spec:Tune.default_spec ~n:16 name (mk 16))
+    S.Kernels.all
+
+let test_staged_fuzz () =
+  for index = 0 to 199 do
+    check_staged ~spec:fuzz_spec ~n:6
+      (Printf.sprintf "fuzz-%d" index)
+      (Fuzz.Gen.generate ~seed:11 ~index ~size:16)
+  done
+
+(* --------------------------------- the bench kernels' search shape --- *)
+
+let test_bench_search_shape () =
+  List.iter
+    (fun (name, (generated, pruned, screened)) ->
+      let r, events =
+        Locality_obs.Obs.collect (fun () ->
+            Tune.run ~n:24 ~store:None ~name
+              ((List.assoc name S.Kernels.all) 24))
+      in
+      let t = or_fail r in
+      let counter c =
+        Option.value ~default:0
+          (List.assoc_opt c
+             (Locality_obs.Summary.of_events events).Locality_obs.Summary
+               .counters)
+      in
+      checki (name ^ ": generated") generated t.Tune.t_generated;
+      checki (name ^ ": pruned") pruned t.Tune.t_pruned;
+      checki (name ^ ": screened") screened t.Tune.t_screened;
+      checki (name ^ ": tune.pruned_illegal") pruned
+        (counter "tune.pruned_illegal");
+      checki (name ^ ": tune.screened") screened (counter "tune.screened"))
+    [
+      ("matmul", (601, 469, 132)); ("matmul_chain", (601, 469, 132));
+      ("attention", (601, 469, 132)); ("conv2d", (3121, 3119, 2));
+    ]
+
+(* ------------------------------------- tune spec ranges, every path --- *)
+
+let bad_specs =
+  let none =
+    { Request.t_top_k = None; t_tiles = None; t_unrolls = None;
+      t_max_candidates = None }
+  in
+  [
+    ({ none with Request.t_tiles = Some [ 0 ] }, "tiles",
+     "expected positive integers");
+    ({ none with Request.t_unrolls = Some [ 2; -1 ] }, "unrolls",
+     "expected positive integers");
+    ({ none with Request.t_top_k = Some 0 }, "top_k", "must be >= 1");
+    ({ none with Request.t_max_candidates = Some 0 }, "max_candidates",
+     "must be >= 1");
+  ]
+
+(* [memoria tune]'s flags become a request that goes through
+   [to_config], never the decoder: both must apply the same rules. *)
+let test_request_tune_ranges () =
+  List.iter
+    (fun (ts, field, problem) ->
+      let req =
+        Request.make ~n:8 ~machines:[ Request.Named "cache1" ] ~tune:ts
+          (Request.Kernel "matmul")
+      in
+      let expect = Printf.sprintf "field %S: %s" field problem in
+      (match Request.to_config req with
+      | Ok _ -> Alcotest.failf "to_config accepted a bad %s" field
+      | Error e -> checks "to_config names the field" ("request: " ^ expect) e);
+      match Request.of_json (Request.to_json req) with
+      | Ok _ -> Alcotest.failf "the decoder accepted a bad %s" field
+      | Error e ->
+        let n = String.length expect in
+        checks "the decoder names the field" expect
+          (String.sub e (String.length e - n) n))
+    bad_specs
+
+let test_tune_run_spec_ranges () =
+  let p = S.Kernels.matmul 8 in
+  List.iter
+    (fun (spec, (_, field, problem)) ->
+      match Tune.run ~spec ~n:8 ~store:None ~name:"matmul" p with
+      | Ok _ -> Alcotest.failf "Tune.run accepted a bad %s" field
+      | Error e ->
+        checks "a typed error naming the field"
+          (Printf.sprintf "matmul: tune spec: field %S: %s" field problem)
+          e
+      | exception ex ->
+        Alcotest.failf "Tune.run raised on a bad %s: %s" field
+          (Printexc.to_string ex))
+    (List.combine
+       [
+         { test_spec with Tune.tiles = [ 0 ] };
+         { test_spec with Tune.unrolls = [ 2; -1 ] };
+         { test_spec with Tune.top_k = 0 };
+         { test_spec with Tune.max_candidates = 0 };
+       ]
+       bad_specs)
+
 let suite =
   [
     Alcotest.test_case "tune: jobs=1 vs jobs=4 byte-identical" `Quick
@@ -281,4 +446,14 @@ let suite =
       test_request_tune_defaults;
     Alcotest.test_case "fuzz: tuning 200 programs never raises" `Slow
       test_fuzz_tune_no_raise;
+    Alcotest.test_case "tune: staged screen = apply (kernels, n=16)" `Slow
+      test_staged_kernels;
+    Alcotest.test_case "tune: staged screen = apply (200 fuzz programs)" `Slow
+      test_staged_fuzz;
+    Alcotest.test_case "tune: bench kernels' search shape pinned (n=24)" `Slow
+      test_bench_search_shape;
+    Alcotest.test_case "request: tune ranges on the CLI path and the wire"
+      `Quick test_request_tune_ranges;
+    Alcotest.test_case "tune: out-of-range spec is an error, not a raise"
+      `Quick test_tune_run_spec_ranges;
   ]
