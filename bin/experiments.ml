@@ -10,14 +10,18 @@ module Obs = Locality_obs.Obs
 module Measure = Locality_interp.Measure
 module Settings = Locality_driver.Settings
 
-(* The measurement walker's hot path is supposed to be allocation-free:
-   walk a kernel into a discarding sink and report the minor-heap words
-   each access cost. Goes to stderr so the CI A/B diff of stdout across
-   replay modes is unaffected; the residue is the per-run setup
-   (closure compilation, chunk buffer), amortised over ~10^6 accesses. *)
+(* The measurement walker's and the exact simulator's hot paths are
+   supposed to be allocation-free: walk a kernel into a discarding sink,
+   then replay its captured chunks on both paper caches, and report the
+   minor-heap words each access cost. Goes to stderr so the CI A/B diff
+   of stdout across replay modes is unaffected; the residue is the
+   per-run setup (closure compilation, chunk buffer, per-call optional
+   arguments), amortised over ~10^6 accesses. *)
 let alloc_probe () =
   let module Trace = Locality_interp.Trace in
   let module Walk = Locality_interp.Walk in
+  let module Cache = Locality_cachesim.Cache in
+  let module Machine = Locality_cachesim.Machine in
   let p = (List.assoc "matmul" Locality_suite.Kernels.all) 64 in
   let silent_run () =
     let rb = Trace.run_create ~sink:(fun _ -> ()) () in
@@ -30,6 +34,26 @@ let alloc_probe () =
   let words, accesses = silent_run () in
   Printf.eprintf "alloc: %.4f minor words/access (%d accesses, matmul n=64, \
                   walker, silent sink)\n%!"
+    (words /. float_of_int accesses)
+    accesses;
+  let rb, finish = Trace.run_capturing () in
+  ignore (Walk.run rb p);
+  let cap = finish () in
+  let marked = Array.map (fun _ -> true) cap.Trace.run_trace_labels in
+  let caches = List.map Cache.create [ Machine.cache1; Machine.cache2 ] in
+  let region = Cache.fresh_region () and metrics = Cache.fresh_run_metrics () in
+  let w0 = Gc.minor_words () in
+  List.iter
+    (fun c ->
+      Trace.iter_run_chunks cap (fun rc ->
+          Cache.simulate_runs c ~marked ~region ~metrics rc))
+    caches;
+  let words = Gc.minor_words () -. w0 in
+  let accesses =
+    List.fold_left (fun n c -> n + (Cache.stats c).Cache.accesses) 0 caches
+  in
+  Printf.eprintf "alloc: %.4f minor words/access (%d accesses, matmul n=64, \
+                  simulator, cache1+cache2)\n%!"
     (words /. float_of_int accesses)
     accesses
 

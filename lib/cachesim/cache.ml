@@ -17,27 +17,38 @@ type stats = {
 
 type t = {
   config : config;
+  assoc : int;
   sets : int;
   line_shift : int;  (** log2 line_bytes; addr lsr line_shift = line *)
-  set_mask : int;  (** sets - 1 when sets is a power of two, else -1 *)
-  tags : int array;  (** sets * assoc entries; -1 = invalid *)
+  set_mask : int;  (** sets - 1; sets is always a power of two *)
+  tags : int array;  (** entry [set * assoc + way]; -1 = invalid *)
   ages : int array;  (** LRU clock per entry *)
   dirty : bool array;
+  (* One tick per access, so the clock is also the access count. *)
   mutable clock : int;
-  mutable accesses : int;
-  mutable hits : int;
+  mutable misses : int;
   mutable cold : int;
   mutable writes : int;
-  mutable write_hits : int;
+  mutable write_misses : int;
   mutable writebacks : int;
+  mutable written_back : int;  (** line of the last dirty victim *)
   (* First-touch tracking: a growable bitset keyed by line index. Far
      cheaper than a per-access hash probe on the hot path. *)
   mutable seen_bits : Bytes.t;
-  mutable seen_count : int;
+  (* [simulate_runs]' per-group scratch, one slot per reference of the
+     group being replayed. Empty until the first group, then grown to
+     the largest reference count seen; never sized by the cache. *)
+  mutable g_base : int array;  (** address at iteration 0 *)
+  mutable g_stride : int array;
+  mutable g_flags : int array;  (** [write_flag] lor [mark_flag] *)
+  mutable g_entry : int array;  (** entry holding the line; -1 = none *)
+  mutable g_next : int array;  (** iteration of the next line crossing *)
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+(* A power-of-two size divisible by line * assoc makes line * assoc a
+   power of two too, so assoc and the set count always are. *)
 let config_valid c =
   is_pow2 c.size_bytes && is_pow2 c.line_bytes && c.assoc > 0
   && c.line_bytes <= c.size_bytes
@@ -49,24 +60,30 @@ let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
 let create config =
   if not (config_valid config) then invalid_arg "Cache.create: bad config";
-  let sets = config.size_bytes / (config.line_bytes * config.assoc) in
+  let assoc = config.assoc in
+  let sets = config.size_bytes / (config.line_bytes * assoc) in
   {
     config;
+    assoc;
     sets;
     line_shift = log2 config.line_bytes;
-    set_mask = (if is_pow2 sets then sets - 1 else -1);
-    tags = Array.make (sets * config.assoc) (-1);
-    ages = Array.make (sets * config.assoc) 0;
-    dirty = Array.make (sets * config.assoc) false;
+    set_mask = sets - 1;
+    tags = Array.make (sets * assoc) (-1);
+    ages = Array.make (sets * assoc) 0;
+    dirty = Array.make (sets * assoc) false;
     clock = 0;
-    accesses = 0;
-    hits = 0;
+    misses = 0;
     cold = 0;
     writes = 0;
-    write_hits = 0;
+    write_misses = 0;
     writebacks = 0;
+    written_back = 0;
     seen_bits = Bytes.make initial_seen_bytes '\000';
-    seen_count = 0;
+    g_base = [||];
+    g_stride = [||];
+    g_flags = [||];
+    g_entry = [||];
+    g_next = [||];
   }
 
 let seen_mem t line =
@@ -89,56 +106,71 @@ let seen_add t line =
   end;
   Bytes.unsafe_set t.seen_bits byte
     (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.seen_bits byte) lor (1 lsl (line land 7))));
-  t.seen_count <- t.seen_count + 1
+       (Char.code (Bytes.unsafe_get t.seen_bits byte) lor (1 lsl (line land 7))))
 
-let set_of_line t line =
-  if t.set_mask >= 0 then line land t.set_mask else line mod t.sets
+(* The one LRU lookup, shared by [access_full] and [simulate_runs]:
+   touch [line] at time [clock]. A hit refreshes the entry's age (and
+   dirties it on a write) and returns the entry. A miss refills the
+   set's least recently used way — the lowest way among equal ages, so
+   invalid ways (age 0) fill first — writes a dirty victim back, counts
+   the miss, its write and its first touch, and returns
+   [lnot (entry lsl 1 lor cold)], which is negative. The caller owns the
+   clock and the access and write counts. *)
+let lookup t ~clock ~write line =
+  let tags = t.tags and ages = t.ages and dirty = t.dirty in
+  let base = (line land t.set_mask) * t.assoc in
+  let stop = base + t.assoc in
+  let e = ref base in
+  while !e < stop && Array.unsafe_get tags !e <> line do
+    incr e
+  done;
+  if !e < stop then begin
+    let e = !e in
+    Array.unsafe_set ages e clock;
+    if write then Array.unsafe_set dirty e true;
+    e
+  end
+  else begin
+    let v = ref base in
+    for i = base + 1 to stop - 1 do
+      if Array.unsafe_get ages i < Array.unsafe_get ages !v then v := i
+    done;
+    let v = !v in
+    let victim = Array.unsafe_get tags v in
+    if Array.unsafe_get dirty v && victim >= 0 then begin
+      t.writebacks <- t.writebacks + 1;
+      t.written_back <- victim
+    end;
+    Array.unsafe_set tags v line;
+    Array.unsafe_set ages v clock;
+    Array.unsafe_set dirty v write;
+    t.misses <- t.misses + 1;
+    if write then t.write_misses <- t.write_misses + 1;
+    let cold =
+      if seen_mem t line then 0
+      else begin
+        seen_add t line;
+        t.cold <- t.cold + 1;
+        1
+      end
+    in
+    lnot ((v lsl 1) lor cold)
+  end
+
+(* A miss result's refilled entry, and 1 when the miss was cold. *)
+let missed_entry r = lnot r lsr 1
+let missed_cold r = lnot r land 1
 
 let access_full t ?(write = false) addr =
-  let line = addr lsr t.line_shift in
-  let set = set_of_line t line in
-  let base = set * t.config.assoc in
-  t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
+  let clock = t.clock + 1 in
+  t.clock <- clock;
   if write then t.writes <- t.writes + 1;
-  let rec find i =
-    if i = t.config.assoc then None
-    else if t.tags.(base + i) = line then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-    t.hits <- t.hits + 1;
-    if write then begin
-      t.write_hits <- t.write_hits + 1;
-      t.dirty.(base + i) <- true
-    end;
-    t.ages.(base + i) <- t.clock;
-    (`Hit, None)
-  | None ->
-    let cold = not (seen_mem t line) in
-    if cold then begin
-      seen_add t line;
-      t.cold <- t.cold + 1
-    end;
-    (* Evict the least recently used way; a dirty victim is written
-       back. *)
-    let victim = ref 0 in
-    for i = 1 to t.config.assoc - 1 do
-      if t.ages.(base + i) < t.ages.(base + !victim) then victim := i
-    done;
-    let written_back =
-      if t.dirty.(base + !victim) && t.tags.(base + !victim) >= 0 then begin
-        t.writebacks <- t.writebacks + 1;
-        Some t.tags.(base + !victim)
-      end
-      else None
-    in
-    t.tags.(base + !victim) <- line;
-    t.ages.(base + !victim) <- t.clock;
-    t.dirty.(base + !victim) <- write;
-    ((if cold then `Cold else `Miss), written_back)
+  let writebacks = t.writebacks in
+  let r = lookup t ~clock ~write (addr lsr t.line_shift) in
+  if r >= 0 then (`Hit, None)
+  else
+    ( (if missed_cold r = 1 then `Cold else `Miss),
+      if t.writebacks > writebacks then Some t.written_back else None )
 
 let access_classified t addr = fst (access_full t addr)
 let access t addr = access_classified t addr = `Hit
@@ -161,262 +193,228 @@ type run_metrics = {
 let fresh_run_metrics () =
   { m_groups = 0; m_boundaries = 0; m_bulk_iters = 0; m_fallbacks = 0 }
 
-(* Replay a v2 run chunk. Semantically identical to expanding every
-   group round-robin and running [access_full] per access — the
-   differential tests assert bit-identical statistics — but the group
-   structure lets the simulator reason about whole windows of
-   iterations at once.
+let write_flag = 1
+let mark_flag = 2
 
-   A reference with |stride| < line_bytes stays inside one cache line
-   for several consecutive iterations, and a line can only leave the
-   cache when some lookup misses and evicts it — which replay itself
-   performs. So the group is replayed event-driven: each reference
-   carries the iteration of its next line-boundary crossing, and
-   between the current iteration and the earliest crossing every
-   reference provably re-touches a resident line — those interior
-   iterations bulk-advance hits, clock, LRU ages and region tallies
-   with no set lookups at all. At an event iteration, references are
-   processed in order; one whose line is unchanged and still resident
-   takes a certain-hit fast path (no way search), one that crossed (or
-   lost its line to an eviction) takes the exact [access_full] lookup.
-   When a lookup misses, the refilled entry is checked against the
-   other references' resident entries; a reference whose line was
-   evicted is invalidated and re-looked-up, and bulk advancing is
-   suppressed until the iteration after every reference is resident
-   again. Groups whose references all jump a full line every iteration
-   (|stride| >= line_bytes) replay through a plain per-access loop —
-   every iteration would be an event.
+let grow_scratch t nrefs =
+  if Array.length t.g_base < nrefs then begin
+    let n = max nrefs (2 * Array.length t.g_base) in
+    t.g_base <- Array.make n 0;
+    t.g_stride <- Array.make n 0;
+    t.g_flags <- Array.make n 0;
+    t.g_entry <- Array.make n 0;
+    t.g_next <- Array.make n 0
+  end
 
-   The bulk LRU rule: per-access replay would touch reference j of the
-   final interior iteration at clock (clock_end - nrefs + j + 1), so
-   ages are restored from that formula, in reference order — when
-   several references share one line the last one wins, exactly as in
-   per-access replay. *)
+(* Replay a v2 run chunk, bit-identical to expanding every group
+   round-robin and running [access_full] per access (DESIGN.md,
+   "Event-driven replay").
+
+   A reference with |stride| < line_bytes stays in one line for several
+   iterations, and only a miss of replay's own can evict that line. So
+   each reference carries the iteration of its next line crossing. At an
+   event iteration, references are visited in order: one before its
+   crossing whose entry is still resident is a certain hit (age
+   refreshed, no way search); one that crossed, or lost its line, takes
+   the exact [lookup]. A miss invalidates every other reference resident
+   in the refilled entry, and then no bulk advance follows that
+   iteration. Otherwise the iterations before the earliest crossing are
+   all hits: the clock jumps, and reference j's entry gets the age
+   per-access replay would leave, clock_end - nrefs + j + 1, in
+   reference order, so a line shared by references keeps the last
+   toucher's age. Groups where every reference crosses a line every
+   iteration replay per access.
+
+   Nothing is allocated and no closure is called: the scratch lives in
+   [t], and the counts are kept in locals — the clock counts accesses,
+   hits are accesses minus misses, a group's writes and marked accesses
+   follow from its header — then added to [t], [region] and [metrics]
+   once per call. *)
 let simulate_runs t ?marked ?region ?metrics (rc : Runchunk.t) =
   let data = rc.Runchunk.data in
   let len = rc.Runchunk.len in
-  let nmarked = match marked with Some m -> Array.length m | None -> 0 in
-  let marks = match marked with Some m -> m | None -> [||] in
-  let has_region = match (marked, region) with Some _, Some _ -> true | _ -> false in
-  let reg = match region with Some r -> r | None -> fresh_region () in
+  if len < 0 || len > Array.length data then
+    invalid_arg "Cache.simulate_runs: chunk length out of range";
+  let marks =
+    match (marked, region) with Some m, Some _ -> m | _ -> [||]
+  in
+  let nmarked = Array.length marks in
   let shift = t.line_shift in
-  let smask = t.set_mask in
-  let sets = t.sets in
-  let assoc = t.config.assoc in
   let line_bytes = t.config.line_bytes in
-  let tags = t.tags and ages = t.ages and dirty = t.dirty in
-  let rec find base line i =
-    if i = assoc then -1
-    else if Array.unsafe_get tags (base + i) = line then i
-    else find base line (i + 1)
-  in
-  (* One exact access (same mutations as [access_full]); returns the
-     entry index now holding the line. *)
-  let do_access ~write ~lid addr =
-    let line = addr lsr shift in
-    let set = if smask >= 0 then line land smask else line mod sets in
-    let base = set * assoc in
-    t.accesses <- t.accesses + 1;
-    t.clock <- t.clock + 1;
-    if write then t.writes <- t.writes + 1;
-    let way = find base line 0 in
-    if way >= 0 then begin
-      t.hits <- t.hits + 1;
-      if write then begin
-        t.write_hits <- t.write_hits + 1;
-        dirty.(base + way) <- true
-      end;
-      ages.(base + way) <- t.clock;
-      if has_region && lid < nmarked && Array.unsafe_get marks lid then begin
-        reg.r_accesses <- reg.r_accesses + 1;
-        reg.r_hits <- reg.r_hits + 1
-      end;
-      base + way
-    end
-    else begin
-      let cold = not (seen_mem t line) in
-      if cold then begin
-        seen_add t line;
-        t.cold <- t.cold + 1
-      end;
-      let victim = ref 0 in
-      for i = 1 to assoc - 1 do
-        if ages.(base + i) < ages.(base + !victim) then victim := i
-      done;
-      if dirty.(base + !victim) && tags.(base + !victim) >= 0 then
-        t.writebacks <- t.writebacks + 1;
-      tags.(base + !victim) <- line;
-      ages.(base + !victim) <- t.clock;
-      dirty.(base + !victim) <- write;
-      if has_region && lid < nmarked && Array.unsafe_get marks lid then begin
-        reg.r_accesses <- reg.r_accesses + 1;
-        if cold then reg.r_cold <- reg.r_cold + 1
-      end;
-      base + !victim
-    end
-  in
+  let ages = t.ages and dirty = t.dirty in
+  let clock = ref t.clock in
+  let writes = ref 0 in
+  let r_accesses = ref 0 and r_misses = ref 0 and r_cold = ref 0 in
+  let groups = ref 0 and boundaries = ref 0 in
+  let bulk_iters = ref 0 and fallbacks = ref 0 in
   let i = ref 0 in
   while !i < len do
     let w = Array.unsafe_get data !i in
     if w >= 0 then begin
-      ignore (do_access ~write:(Chunk.write w) ~lid:(Chunk.label w) (Chunk.addr w));
+      let write = Chunk.write w in
+      let lid = Chunk.label w in
+      incr clock;
+      if write then incr writes;
+      let r = lookup t ~clock:!clock ~write (Chunk.addr w lsr shift) in
+      if lid < nmarked && Array.unsafe_get marks lid then begin
+        incr r_accesses;
+        if r < 0 then begin
+          incr r_misses;
+          r_cold := !r_cold + missed_cold r
+        end
+      end;
       incr i
     end
     else begin
       let trip = Runchunk.header_trip w in
       let nrefs = Runchunk.header_nrefs w in
-      (match metrics with Some m -> m.m_groups <- m.m_groups + 1 | None -> ());
-      let addrs = Array.make nrefs 0 in
-      let strides = Array.make nrefs 0 in
-      let lids = Array.make nrefs 0 in
-      let wr = Array.make nrefs false in
-      let mk = Array.make nrefs false in
-      let any_streamer = ref false in
+      let at = !i in
+      i := at + Runchunk.group_words ~nrefs;
+      if !i > len then invalid_arg "Cache.simulate_runs: truncated group";
+      incr groups;
+      grow_scratch t nrefs;
+      let base = t.g_base and stride = t.g_stride and flags = t.g_flags in
+      let entry = t.g_entry and next = t.g_next in
+      let streamer = ref false in
       for j = 0 to nrefs - 1 do
-        let r = data.(!i + 1 + (2 * j)) in
-        addrs.(j) <- Chunk.addr r;
-        wr.(j) <- Chunk.write r;
+        let r = Array.unsafe_get data (at + 1 + (2 * j)) in
+        let s = Array.unsafe_get data (at + 2 + (2 * j)) in
         let lid = Chunk.label r in
-        lids.(j) <- lid;
-        mk.(j) <- has_region && lid < nmarked && marks.(lid);
-        let s = data.(!i + 2 + (2 * j)) in
-        strides.(j) <- s;
-        if abs s < line_bytes then any_streamer := true
+        let f =
+          (if Chunk.write r then write_flag else 0)
+          lor
+          if lid < nmarked && Array.unsafe_get marks lid then mark_flag else 0
+        in
+        if f land write_flag <> 0 then writes := !writes + trip;
+        if f land mark_flag <> 0 then r_accesses := !r_accesses + trip;
+        Array.unsafe_set base j (Chunk.addr r);
+        Array.unsafe_set stride j s;
+        Array.unsafe_set flags j f;
+        Array.unsafe_set entry j (-1);
+        if abs s < line_bytes then streamer := true
       done;
-      i := !i + Runchunk.group_words ~nrefs;
-      if not !any_streamer then begin
+      if not !streamer then begin
         (* Every reference crosses a line every iteration: every
-           iteration would be an event, so replay per access (still
-           without per-record decode). *)
-        (match metrics with
-        | Some m -> m.m_boundaries <- m.m_boundaries + trip
-        | None -> ());
-        for _t = 0 to trip - 1 do
+           iteration would be an event, so replay per access. *)
+        boundaries := !boundaries + trip;
+        for it = 0 to trip - 1 do
           for j = 0 to nrefs - 1 do
-            ignore (do_access ~write:wr.(j) ~lid:lids.(j) addrs.(j));
-            addrs.(j) <- addrs.(j) + strides.(j)
+            let f = Array.unsafe_get flags j in
+            let addr =
+              Array.unsafe_get base j + (it * Array.unsafe_get stride j)
+            in
+            incr clock;
+            let r =
+              lookup t ~clock:!clock ~write:(f land write_flag <> 0)
+                (addr lsr shift)
+            in
+            if r < 0 && f land mark_flag <> 0 then begin
+              incr r_misses;
+              r_cold := !r_cold + missed_cold r
+            end
           done
         done
       end
       else begin
-        let nwrites = ref 0 in
-        for j = 0 to nrefs - 1 do
-          if wr.(j) then incr nwrites
-        done;
-        let nwrites = !nwrites in
-        let entry = Array.make nrefs 0 in
-        let line_of = Array.make nrefs 0 in
-        let valid = Array.make nrefs false in
-        (* Iteration at which each reference next enters a new line,
-           relative to its last lookup; stride-0 references never do. *)
-        let next_cross = Array.make nrefs max_int in
         let tcur = ref 0 in
         while !tcur < trip do
-          (* Event iteration: in reference order, certain hits take the
-             fast path, crossed or evicted references take exact
-             lookups. *)
+          (* Event iteration [tc], in reference order; [te] collects the
+             earliest next crossing. *)
+          let tc = !tcur in
           let invalidated = ref false in
+          let te = ref trip in
           for j = 0 to nrefs - 1 do
-            let addr = addrs.(j) in
-            let line = addr lsr shift in
-            if valid.(j) && line = line_of.(j) then begin
+            let e = Array.unsafe_get entry j in
+            let nx = Array.unsafe_get next j in
+            let f = Array.unsafe_get flags j in
+            incr clock;
+            if e >= 0 && tc < nx then begin
               (* Still inside the resident line: a certain hit. *)
-              let e = entry.(j) in
-              t.accesses <- t.accesses + 1;
-              t.clock <- t.clock + 1;
-              t.hits <- t.hits + 1;
-              if wr.(j) then begin
-                t.writes <- t.writes + 1;
-                t.write_hits <- t.write_hits + 1;
-                dirty.(e) <- true
-              end;
-              ages.(e) <- t.clock;
-              if mk.(j) then begin
-                reg.r_accesses <- reg.r_accesses + 1;
-                reg.r_hits <- reg.r_hits + 1
-              end
+              Array.unsafe_set ages e !clock;
+              if f land write_flag <> 0 then Array.unsafe_set dirty e true;
+              if nx < !te then te := nx
             end
             else begin
-              let hits0 = t.hits in
-              let e = do_access ~write:wr.(j) ~lid:lids.(j) addr in
-              entry.(j) <- e;
-              line_of.(j) <- line;
-              valid.(j) <- true;
-              let s = strides.(j) in
-              next_cross.(j) <-
-                (if s = 0 then max_int
-                 else
-                   let off = addr land (line_bytes - 1) in
-                   let k =
-                     if s > 0 then (line_bytes - off + s - 1) / s
-                     else (off - s) / -s
-                   in
-                   !tcur + k);
-              if t.hits = hits0 then begin
-                (* The miss refilled entry [e]; any other reference
-                   resident there lost its line. *)
+              let s = Array.unsafe_get stride j in
+              let addr = Array.unsafe_get base j + (tc * s) in
+              let r =
+                lookup t ~clock:!clock ~write:(f land write_flag <> 0)
+                  (addr lsr shift)
+              in
+              let nx =
+                if s = 0 then max_int
+                else
+                  let off = addr land (line_bytes - 1) in
+                  tc
+                  + (if s > 0 then (line_bytes - off + s - 1) / s
+                     else (off - s) / -s)
+              in
+              Array.unsafe_set next j nx;
+              if nx < !te then te := nx;
+              if r >= 0 then Array.unsafe_set entry j r
+              else begin
+                let e = missed_entry r in
+                Array.unsafe_set entry j e;
+                if f land mark_flag <> 0 then begin
+                  incr r_misses;
+                  r_cold := !r_cold + missed_cold r
+                end;
+                (* The miss refilled [e]: any other reference resident
+                   there lost its line. *)
                 for k = 0 to nrefs - 1 do
-                  if k <> j && valid.(k) && entry.(k) = e
-                     && tags.(e) <> line_of.(k)
-                  then begin
-                    valid.(k) <- false;
+                  if k <> j && Array.unsafe_get entry k = e then begin
+                    Array.unsafe_set entry k (-1);
                     invalidated := true;
-                    match metrics with
-                    | Some m -> m.m_fallbacks <- m.m_fallbacks + 1
-                    | None -> ()
+                    incr fallbacks
                   end
                 done
               end
-            end;
-            addrs.(j) <- addrs.(j) + strides.(j)
-          done;
-          (match metrics with
-          | Some m -> m.m_boundaries <- m.m_boundaries + 1
-          | None -> ());
-          incr tcur;
-          if not !invalidated && !tcur < trip then begin
-            (* All references resident: iterations before the earliest
-               crossing are all hits. Bulk-advance statistics and
-               restore the LRU state per the rule above. *)
-            let te = ref trip in
-            for j = 0 to nrefs - 1 do
-              if next_cross.(j) < !te then te := next_cross.(j)
-            done;
-            let wlen = !te - !tcur in
-            if wlen > 0 then begin
-              let dn = wlen * nrefs in
-              t.accesses <- t.accesses + dn;
-              t.clock <- t.clock + dn;
-              t.hits <- t.hits + dn;
-              t.writes <- t.writes + (wlen * nwrites);
-              t.write_hits <- t.write_hits + (wlen * nwrites);
-              for j = 0 to nrefs - 1 do
-                ages.(entry.(j)) <- t.clock - nrefs + j + 1;
-                if mk.(j) then begin
-                  reg.r_accesses <- reg.r_accesses + wlen;
-                  reg.r_hits <- reg.r_hits + wlen
-                end;
-                addrs.(j) <- addrs.(j) + (wlen * strides.(j))
-              done;
-              (match metrics with
-              | Some m -> m.m_bulk_iters <- m.m_bulk_iters + wlen
-              | None -> ());
-              tcur := !te
             end
+          done;
+          incr boundaries;
+          let tc = tc + 1 in
+          tcur := tc;
+          let wlen = !te - tc in
+          if (not !invalidated) && wlen > 0 then begin
+            (* All references resident: iterations before the earliest
+               crossing are all hits. Advance the clock and restore the
+               LRU ages per the rule above. *)
+            clock := !clock + (wlen * nrefs);
+            let age0 = !clock - nrefs + 1 in
+            for j = 0 to nrefs - 1 do
+              Array.unsafe_set ages (Array.unsafe_get entry j) (age0 + j)
+            done;
+            bulk_iters := !bulk_iters + wlen;
+            tcur := !te
           end
         done
       end
     end
-  done
+  done;
+  t.clock <- !clock;
+  t.writes <- t.writes + !writes;
+  (match region with
+  | Some reg ->
+    reg.r_accesses <- reg.r_accesses + !r_accesses;
+    reg.r_hits <- reg.r_hits + !r_accesses - !r_misses;
+    reg.r_cold <- reg.r_cold + !r_cold
+  | None -> ());
+  match metrics with
+  | Some m ->
+    m.m_groups <- m.m_groups + !groups;
+    m.m_boundaries <- m.m_boundaries + !boundaries;
+    m.m_bulk_iters <- m.m_bulk_iters + !bulk_iters;
+    m.m_fallbacks <- m.m_fallbacks + !fallbacks
+  | None -> ()
 
 let stats t =
   {
-    accesses = t.accesses;
-    hits = t.hits;
-    misses = t.accesses - t.hits;
+    accesses = t.clock;
+    hits = t.clock - t.misses;
+    misses = t.misses;
     cold_misses = t.cold;
     writes = t.writes;
-    write_hits = t.write_hits;
+    write_hits = t.writes - t.write_misses;
     writebacks = t.writebacks;
   }
 
@@ -425,14 +423,12 @@ let reset t =
   Array.fill t.ages 0 (Array.length t.ages) 0;
   Array.fill t.dirty 0 (Array.length t.dirty) false;
   t.clock <- 0;
-  t.accesses <- 0;
-  t.hits <- 0;
+  t.misses <- 0;
   t.cold <- 0;
   t.writes <- 0;
-  t.write_hits <- 0;
+  t.write_misses <- 0;
   t.writebacks <- 0;
-  Bytes.fill t.seen_bits 0 (Bytes.length t.seen_bits) '\000';
-  t.seen_count <- 0
+  Bytes.fill t.seen_bits 0 (Bytes.length t.seen_bits) '\000'
 
 (* The one hit-rate definition, shared with [Measure.hit_rate]: with no
    accesses at all the rate is vacuously 100%, but a run whose accesses
@@ -450,4 +446,3 @@ let hit_rate ?exclude_cold (s : stats) =
     ~cold:s.cold_misses ()
 
 let num_sets t = t.sets
-let lines_touched t = t.seen_count

@@ -25,8 +25,9 @@ type stats = {
 }
 
 val config_valid : config -> bool
-(** Size, line size and associativity are positive powers of two and
-    consistent. *)
+(** Size and line size are positive powers of two and the size is a
+    multiple of [line_bytes * assoc]; hence associativity and the set
+    count are powers of two as well. *)
 
 val create : config -> t
 (** @raise Invalid_argument on an invalid configuration. *)
@@ -41,7 +42,9 @@ val access_classified : t -> int -> [ `Hit | `Cold | `Miss ]
 val access_full :
   t -> ?write:bool -> int -> [ `Hit | `Cold | `Miss ] * int option
 (** Full result: the classification plus the line address written back
-    when a dirty victim was evicted (write-back, write-allocate). *)
+    when a dirty victim was evicted (write-back, write-allocate). It and
+    {!simulate_runs} share one lookup, which holds the LRU, dirty, cold
+    and write-back rules. *)
 
 type region = {
   mutable r_accesses : int;
@@ -65,16 +68,19 @@ val fresh_run_metrics : unit -> run_metrics
 val simulate_runs :
   t -> ?marked:bool array -> ?region:region -> ?metrics:run_metrics ->
   Runchunk.t -> unit
-(** Replay a v2 run chunk ({!Runchunk}). Statistics — including [region]
-    tallies — are bit-identical to expanding every group round-robin and
-    replaying per access, but for groups whose references all advance by
-    less than a line per iteration the simulator is event-driven: set
-    lookups and evictions happen only on line-boundary-crossing
-    iterations, and the all-hit interior of each window bulk-advances
-    hits, clock, LRU ages and region counts. Windows where two
-    references hold different lines of one set, and groups containing a
-    reference that crosses a line every iteration, use the exact
-    per-access path instead. *)
+(** Replay a v2 run chunk ({!Runchunk}). Statistics, write-backs,
+    [region] tallies (of the labels [marked] flags, by label id) and
+    [metrics] are bit-identical to per-access {!access_full} replay of
+    the expanded stream. Groups with a reference that advances by less
+    than a line per iteration replay event-driven: only references that
+    cross a line, or lost theirs to an eviction, are looked up, and the
+    all-hit interior of each window bulk-advances clock and LRU ages.
+    Allocation-free: the per-group scratch belongs to [t] (empty at
+    {!create}, grown to the largest reference count seen, never sized
+    by the cache), and the counts reach [t], [region] and [metrics] once
+    per call.
+    @raise Invalid_argument when [len] exceeds the chunk's data or a
+    group runs past it. *)
 
 val stats : t -> stats
 val reset : t -> unit
@@ -92,5 +98,3 @@ val hit_rate : ?exclude_cold:bool -> stats -> float
     {!rate_of_counts} for the degenerate cases. *)
 
 val num_sets : t -> int
-val lines_touched : t -> int
-(** Number of distinct cache lines ever referenced. *)

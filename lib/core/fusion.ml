@@ -290,10 +290,10 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
        groups cannot merge across the pair (group-spatial and
        group-temporal reuse both require a common array), so the fused
        nest's best LoopCost is at least the sum of the parts and the
-       weight is <= 0. Skipping the trial fusion for such pairs saves
-       the dependence analysis and cost evaluation of the fused nest;
-       with Obs enabled the weight is still computed so the
-       fusion.candidate notes keep their exact weight values. *)
+       weight is <= 0. [try_pair] rejects such pairs without weighing
+       them, whether Obs is recording or not, which saves the
+       dependence analysis and cost evaluation of the fused nest; their
+       fusion.candidate notes carry weight 0. *)
     let arrays_cache = ref [] in
     let arrays_of nest =
       match List.assq_opt nest !arrays_cache with

@@ -215,6 +215,26 @@ let prop_reuse_matches_fully_assoc_lru =
           Float.abs (predicted -. simulated) < 1e-9)
         [ 1; 2; 4; 8; 16 ])
 
+let prop_valid_sets_pow2 =
+  (* [config_valid] admits only power-of-two set counts, which is what
+     lets the simulator find a line's set with a mask. Sizes are powers
+     of two or arbitrary, associativities any small count. *)
+  let gen =
+    QCheck.Gen.(
+      let* size =
+        oneof [ map (fun k -> 1 lsl k) (int_range 0 20); int_range 1 100_000 ]
+      in
+      let* line = map (fun k -> 1 lsl k) (int_range 0 10) in
+      let* assoc = int_range 1 40 in
+      return { Cache.name = "q"; size_bytes = size; assoc; line_bytes = line })
+  in
+  QCheck.Test.make ~name:"valid configs have power-of-two set counts"
+    ~count:1000 (QCheck.make gen) (fun c ->
+      (not (Cache.config_valid c))
+      ||
+      let sets = Cache.num_sets (Cache.create c) in
+      sets > 0 && sets land (sets - 1) = 0)
+
 let test_reuse_mean_and_growth () =
   (* 1500 lines twice over: the distance tracker grows past its initial
      capacity and the exact profile never adapts its rate. *)
@@ -359,4 +379,5 @@ let suite =
         prop_fully_assoc_small_ws;
         prop_reuse_matches_fully_assoc_lru;
         prop_tilesize_sound;
+        prop_valid_sets_pow2;
       ]

@@ -52,6 +52,9 @@ let direct_mapped =
 let small_assoc =
   { Cache.name = "sa4"; size_bytes = 4096; assoc = 4; line_bytes = 64 }
 
+let eight_way =
+  { Cache.name = "sa8"; size_bytes = 4096; assoc = 8; line_bytes = 32 }
+
 (* Capture a program; a small chunk size forces flushes so chunk
    boundaries land mid-loop. *)
 let capture ?params p =
@@ -461,6 +464,81 @@ let test_walker_stream_shape () =
       ("cholesky 16", Kernels.cholesky 16, 3112, 1472, 120);
     ]
 
+(* The event-driven replay's work, pinned: groups replayed, event
+   iterations, bulk-advanced iterations and same-set fallbacks, as
+   [simulate_runs] counted them before its kernel was made
+   allocation-free. In the kernels as written one reference of each
+   inner loop crosses a line every iteration, so every iteration is an
+   event, and matmul at n=32 on cache2 also falls back; the
+   compound-optimized kernels stream and bulk-advance, and matmul at
+   n=64 on cache2 falls back. Equal statistics reached with more (or
+   fewer) lookups show here. *)
+let test_replay_metrics_pinned () =
+  let opt p = fst (Locality_core.Compound.run_program ~cls:4 p) in
+  List.iter
+    (fun (name, p, config, expected) ->
+      let rb, finish = Trace.run_capturing () in
+      ignore (Walk.run rb p);
+      let _, _, m = replay_capture config ~marked:[||] (finish ()) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s on %s: groups, boundaries, bulk, fallbacks" name
+           config.Cache.name)
+        expected
+        Cache.[ m.m_groups; m.m_boundaries; m.m_bulk_iters; m.m_fallbacks ])
+    [
+      ("matmul 16", Kernels.matmul 16, Machine.cache1, [ 256; 4096; 0; 0 ]);
+      ("matmul 16", Kernels.matmul 16, Machine.cache2, [ 256; 4096; 0; 0 ]);
+      ("cholesky 16", Kernels.cholesky 16, Machine.cache1, [ 120; 680; 0; 0 ]);
+      ("cholesky 16", Kernels.cholesky 16, Machine.cache2, [ 120; 680; 0; 0 ]);
+      ( "matmul 32", Kernels.matmul 32, Machine.cache2,
+        [ 1024; 32768; 0; 1008 ] );
+      ( "optimized matmul 16", opt (Kernels.matmul 16), Machine.cache1,
+        [ 256; 256; 3840; 0 ] );
+      ( "optimized matmul 16", opt (Kernels.matmul 16), Machine.cache2,
+        [ 256; 1024; 3072; 0 ] );
+      ( "optimized cholesky 16", opt (Kernels.cholesky 16), Machine.cache1,
+        [ 135; 135; 665; 0 ] );
+      ( "optimized cholesky 16", opt (Kernels.cholesky 16), Machine.cache2,
+        [ 135; 256; 544; 0 ] );
+      ( "optimized matmul 64", opt (Kernels.matmul 64), Machine.cache2,
+        [ 4096; 67072; 195072; 7648 ] );
+    ]
+
+(* [simulate_runs] allocates nothing per group: its scratch lives in the
+   simulator. 10k groups, half streaming (event-driven path, with a
+   stride-0 reference) and half striding a line or more every iteration
+   (per-access path), must cost less than one minor word per group. *)
+let test_replay_allocation_free () =
+  let groups = 10_000 in
+  let rc = Runchunk.create (groups * Runchunk.group_words ~nrefs:3) in
+  let packed =
+    Array.map
+      (fun (write, label) -> Chunk.pack ~addr:0 ~write ~label)
+      [| (false, 0); (true, 1); (false, 2) |]
+  in
+  for g = 0 to groups - 1 do
+    let strides =
+      if g mod 2 = 0 then [| 8; 0; -24 |] else [| 256; 1024; -512 |]
+    in
+    Runchunk.push_group rc ~trip:16 ~packed
+      ~bases:[| g * 64; (1 lsl 22) + (g * 8); (1 lsl 23) + (g * 520) |]
+      ~strides 3
+  done;
+  List.iter
+    (fun config ->
+      let c = Cache.create config in
+      let region = Cache.fresh_region () in
+      let metrics = Cache.fresh_run_metrics () in
+      let marked = [| true; false; true |] in
+      let w0 = Gc.minor_words () in
+      Cache.simulate_runs c ~marked ~region ~metrics rc;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "groups replayed" groups metrics.Cache.m_groups;
+      if words >= float_of_int groups then
+        Alcotest.failf "%s: %.0f minor words over %d groups" config.Cache.name
+          words groups)
+    [ Machine.cache1; Machine.cache2 ]
+
 (* A right-hand side that divides keeps per-iteration evaluation, yet
    its loop still compresses to groups. *)
 let test_walker_dividing_rhs () =
@@ -591,9 +669,13 @@ let test_error_replies () =
 (* --------------------------------------------------------- fuzzing --- *)
 
 (* A fuzz stream is a list of items: plain records and strided-run
-   groups with up to 4 references, strides spanning zero, sub-line,
-   exactly-line and super-line magnitudes of both signs. Bases keep
-   every expanded address non-negative. *)
+   groups. A reference's stride is zero, sub-line, exactly one line,
+   between the 32- and 128-byte line sizes, or at least a 128-byte line,
+   of either sign, so on every geometry tested a group can hold
+   references that stay in their line beside ones that leave it every
+   iteration. A mixed group draws one reference of each kind, plus up to
+   two more, in random order. Bases keep every expanded address
+   non-negative. *)
 type fuzz_ref = { base : int; stride : int; fwrite : bool; flabel : int }
 type fuzz_item =
   | Single of int * bool * int  (* addr, write, label *)
@@ -602,24 +684,45 @@ type fuzz_item =
 let gen_fuzz =
   let open QCheck.Gen in
   let gen_label = int_range 0 7 in
-  let gen_ref =
-    let* base = int_range 2048 16383 in
-    let* stride = int_range (-72) 72 in
+  let signed g =
+    let* s = g in
+    let* neg = bool in
+    return (if neg then -s else s)
+  in
+  let stride_kinds =
+    [
+      return 0;
+      signed (int_range 1 31);
+      signed (oneofl [ 32; 64; 128 ]);
+      signed (int_range 33 127);
+      signed (int_range 129 600);
+    ]
+  in
+  let gen_ref_with stride =
+    let* base = int_range 16384 32767 in
+    let* stride = stride in
     let* fwrite = bool in
     let* flabel = gen_label in
     return { base; stride; fwrite; flabel }
   in
+  let gen_ref = gen_ref_with (oneof stride_kinds) in
   let gen_item =
     frequency
       [
         ( 1,
-          let* addr = int_range 0 16383 in
+          let* addr = int_range 0 32767 in
           let* w = bool in
           let* l = gen_label in
           return (Single (addr, w, l)) );
         ( 2,
           let* trip = int_range 1 24 in
           let* refs = list_size (int_range 1 4) gen_ref in
+          return (Group (trip, refs)) );
+        ( 1,
+          let* trip = int_range 1 24 in
+          let* kinds = flatten_l (List.map gen_ref_with stride_kinds) in
+          let* extra = list_size (int_range 0 2) gen_ref in
+          let* refs = shuffle_l (kinds @ extra) in
           return (Group (trip, refs)) );
       ]
   in
@@ -679,7 +782,9 @@ let prop_fuzz_all_paths_agree =
       let feed f =
         List.iter (fun (addr, write, label) -> f ~label ~addr ~write) accesses
       in
-      let configs = [ direct_mapped; small_assoc; Machine.cache2 ] in
+      let configs =
+        [ direct_mapped; small_assoc; eight_way; Machine.cache1; Machine.cache2 ]
+      in
       List.for_all2
         (fun config (s0, r0) ->
           let s2, r2 = runs_replay config items in
@@ -791,6 +896,10 @@ let suite =
       test_params_identical;
     Alcotest.test_case "batch: one walk, each query as if alone" `Quick
       test_batch_contract;
+    Alcotest.test_case "replay: work metrics pinned" `Quick
+      test_replay_metrics_pinned;
+    Alcotest.test_case "replay: no allocation per group" `Quick
+      test_replay_allocation_free;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_fuzz_all_paths_agree; prop_runchunk_roundtrip; prop_walker_fuzz ]
