@@ -53,7 +53,8 @@ let legal_band ~deps ~band =
         d.Dep.loops d.Dep.vec)
     deps
 
-let tile ?(check = true) ?(suffix = "_T") ?(sizes = 16) (nest : Loop.t) ~band =
+let tile ?deps ?(check = true) ?(suffix = "_T") ?(sizes = 16) (nest : Loop.t)
+    ~band =
   let control_name i = i ^ suffix in
   if not (Loop.is_perfect nest) then None
   else
@@ -68,7 +69,6 @@ let tile ?(check = true) ?(suffix = "_T") ?(sizes = 16) (nest : Loop.t) ~band =
            spine
     then None
     else
-      let deps = List.filter Dep.is_true_dep (An.deps_in_nest nest) in
       (* The band must be a contiguous run of spine loops, so hoisting
          the control loops to its top crosses no non-band loop. *)
       let contiguous =
@@ -81,8 +81,15 @@ let tile ?(check = true) ?(suffix = "_T") ?(sizes = 16) (nest : Loop.t) ~band =
         in
         spans `Before in_band
       in
-      if (not contiguous) || not ((not check) || legal_band ~deps ~band) then
-        None
+      let legal () =
+        let deps =
+          match deps with
+          | Some d -> d
+          | None -> List.filter Dep.is_true_dep (An.deps_in_nest nest)
+        in
+        legal_band ~deps ~band
+      in
+      if (not contiguous) || (check && not (legal ())) then None
       else begin
         (* Strip-mine each band loop in place, then hoist the control
            loops: the final spine is
@@ -147,8 +154,12 @@ let tile ?(check = true) ?(suffix = "_T") ?(sizes = 16) (nest : Loop.t) ~band =
           | _ -> None
       end
 
-let recommend ?(cls = 4) (nest : Loop.t) =
-  let deps = An.deps_in_nest ~include_input:true nest in
+let recommend ?deps ?(cls = 4) (nest : Loop.t) =
+  let deps =
+    match deps with
+    | Some d -> d
+    | None -> An.deps_in_nest ~include_input:true nest
+  in
   let spine = Loop.loops_on_spine nest in
   match List.rev spine with
   | [] | [ _ ] -> []

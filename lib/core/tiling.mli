@@ -22,6 +22,7 @@ val legal_band : deps:Locality_dep.Depend.t list -> band:string list -> bool
     the band is non-negative — which makes tiling the band legal. *)
 
 val tile :
+  ?deps:Locality_dep.Depend.t list ->
   ?check:bool ->
   ?suffix:string ->
   ?sizes:int ->
@@ -37,10 +38,20 @@ val tile :
     not fully permutable. [check:false] skips the permutability test —
     for second-level tiling, where the already-tiled nest's band is not
     fully permutable in isolation but tiling remains legal because the
-    {e original} band was (establish that first). *)
+    {e original} band was (establish that first).
 
-val recommend : ?cls:int -> Loop.t -> string list
+    [deps], when given, must be the true (flow, anti, output)
+    dependences of [nest] itself — what
+    [List.filter Depend.is_true_dep (Analysis.deps_in_nest nest)]
+    returns — and spares recomputing them; absent, [tile] computes them
+    when [check] needs them. *)
+
+val recommend :
+  ?deps:Locality_dep.Depend.t list -> ?cls:int -> Loop.t -> string list
 (** Loops worth tiling, per the paper's criterion: non-innermost loops
     with respect to which some reference group is loop-invariant (plus
     outer loops carrying unit-stride references). Empty when the nest has
-    no long-term reuse to capture. *)
+    no long-term reuse to capture. [deps], when given, must be the nest's
+    own dependences {e including} input ones
+    ([Analysis.deps_in_nest ~include_input:true nest]), which reference
+    groups need; absent, they are computed. *)

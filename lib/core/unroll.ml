@@ -1,7 +1,7 @@
 module An = Locality_dep.Analysis
 module Dep = Locality_dep.Depend
 
-let unroll_and_jam ?(avoid = []) (nest : Loop.t) ~loop ~factor =
+let unroll_and_jam ?deps ?(avoid = []) (nest : Loop.t) ~loop ~factor =
   if factor < 2 then None
   else if not (Loop.is_perfect nest) then None
   else
@@ -29,7 +29,11 @@ let unroll_and_jam ?(avoid = []) (nest : Loop.t) ~loop ~factor =
           (* Conservative legality: the unrolled iterations interleave at
              the innermost level, so moving [loop] innermost must be
              legal. *)
-          let deps = List.filter Dep.is_true_dep (An.deps_in_nest nest) in
+          let deps =
+            match deps with
+            | Some d -> d
+            | None -> List.filter Dep.is_true_dep (An.deps_in_nest nest)
+          in
           let jammed_order =
             List.filter (fun x -> not (String.equal x loop)) names @ [ loop ]
           in
@@ -248,13 +252,16 @@ let find_main (block : Loop.block) ~loop ~factor =
 let choose_factor ?(max_regs = 16) ?(candidates = [ 2; 4; 8 ]) (nest : Loop.t)
     ~loop =
   let base = balance_of ~factor:1 nest in
+  (* Jamming's legality does not depend on the factor: one analysis
+     serves every candidate. *)
+  let deps = List.filter Dep.is_true_dep (An.deps_in_nest nest) in
   let options =
     base
     :: List.filter_map
          (fun u ->
            if u < 2 then None
            else
-             match unroll_and_jam nest ~loop ~factor:u with
+             match unroll_and_jam ~deps nest ~loop ~factor:u with
              | Some block ->
                Option.map
                  (balance_of ~factor:u)

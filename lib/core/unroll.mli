@@ -9,6 +9,7 @@
     scalar replacement. *)
 
 val unroll_and_jam :
+  ?deps:Locality_dep.Depend.t list ->
   ?avoid:string list -> Loop.t -> loop:string -> factor:int ->
   Loop.block option
 (** Unroll the named outer loop of a perfect nest by [factor] and jam.
@@ -29,7 +30,14 @@ val unroll_and_jam :
     Statement labels of the copies ([label_u<k>]) and the remainder
     ([label_r]) are freshened against every label in the nest plus
     [avoid] (labels used elsewhere in the enclosing program), so running
-    after other label-suffixing transforms can never collide. *)
+    after other label-suffixing transforms can never collide.
+
+    [deps], when given, must be the true (flow, anti, output)
+    dependences of the nest itself, as
+    [List.filter Depend.is_true_dep (Analysis.deps_in_nest nest)]
+    returns them. The legality verdict reads only these and the nest,
+    never [factor], so one list serves every factor and every unrolled
+    loop of a nest. Absent, they are computed. *)
 
 type balance = {
   factor : int;  (** unroll factor ([1] = the nest untouched) *)
@@ -55,7 +63,8 @@ val choose_factor :
     (default 16) scalars, breaking ties toward the smaller factor.
     Returns the winner and every evaluated option (for reporting).
     Candidates whose jamming is illegal are dropped; factor 1 is
-    returned when nothing admissible beats it. *)
+    returned when nothing admissible beats it. The nest's dependences
+    are analysed once and shared by every candidate factor. *)
 
 val find_main : Loop.block -> loop:string -> factor:int -> Loop.t option
 (** The jammed main nest inside a block produced by {!unroll_and_jam} —

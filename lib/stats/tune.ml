@@ -211,25 +211,29 @@ let permute ~deps block perm =
         (C.Interchange.permute_spine l order)
   | Some _, _ -> None
 
-(* [band l] is [Tiling.recommend]'s band for [l]. *)
-let tile ~band block t =
+(* [band l] is [Tiling.recommend]'s band for [l]; [deps l], when given,
+   is [l]'s true dependences. *)
+let tile ?deps ~band block t =
   match (t, block) with
   | None, b -> Some b
   | Some t, [ Loop.Loop l ] -> begin
     match band l with
     | [] -> None
     | band ->
-      Option.map (fun l' -> [ Loop.Loop l' ]) (C.Tiling.tile ~sizes:t l ~band)
+      Option.map
+        (fun l' -> [ Loop.Loop l' ])
+        (C.Tiling.tile ?deps:(Option.map (fun f -> f l) deps) ~sizes:t l ~band)
   end
   | Some _, _ -> None
 
 (* [avoid] is every statement label of the program, which the copies'
-   fresh labels must dodge. *)
-let unroll ~avoid block u =
+   fresh labels must dodge; [deps], when given, is the nest's true
+   dependences. *)
+let unroll ?deps ~avoid block u =
   match (u, block) with
   | None, b -> Some b
   | Some (loop, factor), [ Loop.Loop l ] ->
-    C.Unroll.unroll_and_jam ~avoid l ~loop ~factor
+    C.Unroll.unroll_and_jam ?deps ~avoid l ~loop ~factor
   | Some _, _ -> None
 
 (* Put the final block in place of the nest. A candidate that breaks
@@ -280,33 +284,65 @@ let last_memo eq f =
    domain once per distinct prefix, and a rejected prefix prunes every
    candidate below it unapplied. Unroll, splice, validation and [f] run
    per candidate, in one fan-out over the pool; [f] gets what [apply]
-   would return. *)
+   would return.
+
+   Each distinct nest is analysed once, in the calling domain, and every
+   stage that reads its dependences shares that one analysis. A shaped
+   or permuted nest is analysed with its input dependences, which
+   [Tiling.recommend] needs; filtered to true ones, the list serves the
+   permutation test (on the shaped nest), tiling and, when no tile was
+   applied, unroll-and-jam. A tiled nest's true dependences serve
+   unroll-and-jam. The lists are immutable, so the fan-out reads them
+   from any domain. *)
 let screen_map ?(cls = 4) ?jobs p ~nest_idx cands f =
   let prefixed =
     match nest_at p nest_idx with
-    | None -> List.map (fun c -> (c, None)) cands
+    | None -> List.map (fun c -> (c, None, None)) cands
     | Some nest ->
       (* Every candidate below a prefix gets that prefix's very nest, so
          physical identity keys the analyses of a nest. *)
-      let deps = last_memo ( == ) true_deps in
-      let band = last_memo ( == ) (C.Tiling.recommend ~cls) in
+      let analyse ?include_input l =
+        Obs.counter "tune.dep_analyses" 1;
+        An.deps_in_nest ?include_input l
+      in
+      let all_deps = last_memo ( == ) (analyse ~include_input:true) in
+      let deps =
+        last_memo ( == ) (fun l -> List.filter Dep.is_true_dep (all_deps l))
+      in
+      (* The identity order comes first, so when a reordering asks for
+         the shaped nest's dependences, [deps] still holds them. *)
+      let shaped_deps = last_memo ( == ) deps in
+      let tiled_deps = last_memo ( == ) analyse in
+      let band =
+        last_memo ( == ) (fun l -> C.Tiling.recommend ~deps:(all_deps l) ~cls l)
+      in
       let shaped = last_memo ( = ) (shape ~cls nest) in
       let permuted =
         last_memo ( = ) (fun (s, perm) ->
-            Option.bind (shaped s) (fun b -> permute ~deps b perm))
+            Option.bind (shaped s) (fun b -> permute ~deps:shaped_deps b perm))
       in
       let tiled =
         last_memo ( = ) (fun (s, perm, t) ->
-            Option.bind (permuted (s, perm)) (fun b -> tile ~band b t))
+            Option.bind (permuted (s, perm)) (fun b -> tile ~deps ~band b t))
       in
-      List.map (fun c -> (c, tiled (c.structure, c.perm, c.tile))) cands
+      List.map
+        (fun c ->
+          let b = tiled (c.structure, c.perm, c.tile) in
+          let jam_deps =
+            match (c.unroll, b) with
+            | Some _, Some [ Loop.Loop l ] ->
+              Some (if c.tile = None then deps l else tiled_deps l)
+            | _, _ -> None
+          in
+          (c, b, jam_deps))
+        cands
   in
   let avoid = program_labels p in
   Pool.map ?jobs
-    (fun (c, tiled) ->
+    (fun (c, tiled, deps) ->
       f c
         (Option.bind tiled (fun b ->
-             Option.bind (unroll ~avoid b c.unroll) (splice p ~nest_idx))))
+             Option.bind (unroll ?deps ~avoid b c.unroll) (splice p ~nest_idx))))
     prefixed
 
 let apply_all ?cls ?jobs p ~nest_idx cands =

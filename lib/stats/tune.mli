@@ -11,7 +11,10 @@
     + {e screen} every candidate as a walk of the tree structure →
       permutation → tile → unroll: structure, permutation and tiling
       run once per distinct prefix, in the calling domain, and a prefix
-      a stage rejects prunes every candidate below it unapplied. Then
+      a stage rejects prunes every candidate below it unapplied. Each
+      distinct nest of the tree is analysed for dependences once there,
+      and every stage that checks legality on it — permutation, tiling
+      band and test, unroll-and-jam — reads that one analysis. Then
       one fan-out over {!Locality_par.Pool} (input-order results, so
       any [MEMORIA_JOBS] gives the same answer) unrolls each remaining
       candidate, prunes it if the result fails {!Program.validate}, and
@@ -29,10 +32,10 @@
 
     Obs surface: [tune.generated], [tune.pruned_illegal],
     [tune.screened], [tune.simulated], [tune.truncated],
-    [tune.store_hit], [tune.store_miss] counters; [tune.enumerate] /
-    [tune.screen] / [tune.confirm] spans; [tune.screen.miss_bp] and
-    [tune.confirm.miss_bp] histograms (miss rate in basis points);
-    a [tune.store_hit_rate] gauge. *)
+    [tune.store_hit], [tune.store_miss], [tune.dep_analyses]
+    counters; [tune.enumerate] / [tune.screen] / [tune.confirm] spans;
+    [tune.screen.miss_bp] and [tune.confirm.miss_bp] histograms (miss
+    rate in basis points); a [tune.store_hit_rate] gauge. *)
 
 module D = Locality_driver.Driver
 module Cache = Locality_cachesim.Cache
@@ -105,7 +108,14 @@ val apply_all :
     [List.map (apply p ~nest_idx) cands], but structure, permutation and
     tiling run once per distinct prefix of consecutive candidates, and
     a rejected prefix rejects the candidates below it without applying
-    them. Input-order results at any [jobs]. *)
+    them. Input-order results at any [jobs].
+
+    Which analysis serves which stage: a shaped or permuted nest is
+    analysed with its input dependences (the tiling band needs them),
+    and their true part serves the permutation test, the tiling test
+    and the unroll of an untiled nest; a tiled nest is analysed for the
+    true dependences its unroll-and-jam test reads at every loop and
+    factor. Each analysis adds one to [tune.dep_analyses]. *)
 
 type status = Illegal | Screened | Confirmed
 

@@ -3,13 +3,19 @@
    unroll/distribution, label freshening under collision pressure, the
    request wire format's tune field, a fuzz sweep that tunes generated
    programs without raising, the staged screen held to the
-   one-candidate [apply], the bench kernels' pinned search shape, and
-   the tune spec's range rules on every path. *)
+   one-candidate [apply], the bench kernels' pinned search shape, the
+   dependences the screen shares between stages held to what each stage
+   computes alone, the screen's pinned analysis count, and the tune
+   spec's range rules on every path. *)
 
 open Locality_ir
 open Builder
 module Tune = Locality_stats.Tune
 module Unroll = Locality_core.Unroll
+module Tiling = Locality_core.Tiling
+module An = Locality_dep.Analysis
+module Dep = Locality_dep.Depend
+module Obs = Locality_obs.Obs
 module Distribution = Locality_core.Distribution
 module Store = Locality_store.Store
 module Request = Locality_driver.Request
@@ -364,6 +370,106 @@ let test_bench_search_shape () =
       ("attention", (601, 469, 132)); ("conv2d", (3121, 3119, 2));
     ]
 
+(* ------------------------ shared dependences = each stage's own --- *)
+
+(* Every nest the screen analyses for [p]: each distinct prefix's
+   shaped, permuted and tiled nest, read back through [apply] with the
+   later stages switched off. *)
+let screen_nests ~spec p =
+  match Tune.candidates spec p with
+  | None -> []
+  | Some (nest_idx, cands) ->
+    let prefixes = Hashtbl.create 64 and nests = Hashtbl.create 64 in
+    List.iter
+      (fun (c : Tune.candidate) ->
+        List.iter
+          (fun (c : Tune.candidate) -> Hashtbl.replace prefixes (Tune.encode c) c)
+          [ { c with Tune.perm = None; tile = None; unroll = None };
+            { c with Tune.tile = None; unroll = None };
+            { c with Tune.unroll = None } ])
+      cands;
+    Hashtbl.iter
+      (fun _ c ->
+        match Tune.apply p ~nest_idx c with
+        | Some (p', _) -> (
+          match List.nth_opt p'.Program.body nest_idx with
+          | Some (Loop.Loop l) -> Hashtbl.replace nests l ()
+          | Some (Loop.Stmt _) | None -> ())
+        | None -> ())
+      prefixes;
+    Hashtbl.fold (fun l () acc -> l :: acc) nests []
+
+(* The screen analyses a nest once, with input dependences, and hands
+   the list (or its true part) to [recommend], [tile] and
+   [unroll_and_jam]: each must answer as it does computing its own. *)
+let check_shared_deps ~spec name (l : Loop.t) =
+  let all = An.deps_in_nest ~include_input:true l in
+  let true_ = An.deps_in_nest l in
+  if List.filter Dep.is_true_dep all <> true_ then
+    Alcotest.failf "%s: filtered input-inclusive dependences differ" name;
+  let band = Tiling.recommend ~cls:4 l in
+  if Tiling.recommend ~deps:all ~cls:4 l <> band then
+    Alcotest.failf "%s: recommend ~deps differs" name;
+  let names =
+    List.map (fun (h : Loop.header) -> h.Loop.index) (Loop.loops_on_spine l)
+  in
+  List.iter
+    (fun band ->
+      List.iter
+        (fun sizes ->
+          if Tiling.tile ~deps:true_ ~sizes l ~band <> Tiling.tile ~sizes l ~band
+          then Alcotest.failf "%s: tile ~deps differs (T=%d)" name sizes)
+        spec.Tune.tiles)
+    (List.sort_uniq compare [ band; names ]);
+  List.iter
+    (fun loop ->
+      List.iter
+        (fun factor ->
+          if
+            Unroll.unroll_and_jam ~deps:true_ l ~loop ~factor
+            <> Unroll.unroll_and_jam l ~loop ~factor
+          then
+            Alcotest.failf "%s: unroll_and_jam ~deps differs (%s*%d)" name loop
+              factor)
+        spec.Tune.unrolls)
+    names
+
+let test_shared_deps () =
+  List.iter
+    (fun (name, mk) ->
+      List.iter
+        (check_shared_deps ~spec:Tune.default_spec name)
+        (screen_nests ~spec:Tune.default_spec (with_n 16 (mk 16))))
+    S.Kernels.all;
+  for index = 0 to 199 do
+    let name = Printf.sprintf "fuzz-%d" index in
+    List.iter
+      (check_shared_deps ~spec:fuzz_spec name)
+      (screen_nests ~spec:fuzz_spec
+         (with_n 6 (Fuzz.Gen.generate ~seed:11 ~index ~size:16)))
+  done
+
+(* One analysis per distinct nest the screen builds: the two shaped
+   nests (as-is and fused), each further legal permuted one, and each
+   tiled one. A memo that is bypassed or keyed wrongly moves the count. *)
+let test_dep_analyses_pinned () =
+  List.iter
+    (fun (name, expected) ->
+      let r, events =
+        Obs.collect (fun () ->
+            Tune.run ~n:24 ~store:None ~name
+              ((List.assoc name S.Kernels.all) 24))
+      in
+      ignore (or_fail r);
+      checki
+        (name ^ ": tune.dep_analyses")
+        expected
+        (Option.value ~default:0
+           (List.assoc_opt "tune.dep_analyses"
+              (Locality_obs.Summary.of_events events).Locality_obs.Summary
+                .counters)))
+    [ ("matmul", 60); ("matmul_chain", 60); ("conv2d", 2); ("attention", 60) ]
+
 (* ------------------------------------- tune spec ranges, every path --- *)
 
 let bad_specs =
@@ -456,4 +562,8 @@ let suite =
       `Quick test_request_tune_ranges;
     Alcotest.test_case "tune: out-of-range spec is an error, not a raise"
       `Quick test_tune_run_spec_ranges;
+    Alcotest.test_case "tune: shared deps = each stage's own (kernels, fuzz)"
+      `Slow test_shared_deps;
+    Alcotest.test_case "tune: one dependence analysis per nest (n=24)" `Slow
+      test_dep_analyses_pinned;
   ]
