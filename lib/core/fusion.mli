@@ -30,7 +30,10 @@ val fuse_all_inner : ?cls:int -> Loop.t -> Loop.t option
     adjacent loops, recursively, to produce a perfect nest that enables
     permutation (Section 4.3.2) — profitability is not required. [None]
     when headers are incompatible, fusion is illegal, or the body mixes
-    statements and loops. *)
+    statements and loops. A nest that is already perfect comes back as
+    [Some] of a structurally equal copy ([=] to the input, though not
+    [==]), so a caller asking whether fusion changed anything compares
+    with [=]. *)
 
 type block_result = {
   block : Loop.block;

@@ -160,8 +160,16 @@ let enumerate ~spec ~cls (nest : Loop.t) =
             tiles)
         perms
   in
+  (* Fusion only enables permutation here (Section 4.3.2): a nest it
+     hands back unchanged, as it does every perfect nest, would repeat
+     the as-is subtree candidate for candidate, so it lists none. *)
+  let fused =
+    match C.Fusion.fuse_all_inner ~cls nest with
+    | Some l when l = nest -> []
+    | fused -> cross Fused fused
+  in
   cross Asis (Some nest)
-  @ cross Fused (C.Fusion.fuse_all_inner ~cls nest)
+  @ fused
   @ [ { structure = Distributed; perm = None; tile = None; unroll = None } ]
 
 let nest_at (p : Program.t) nest_idx =

@@ -7,7 +7,10 @@
     + {e enumerate} the candidate space for the program's deepest
       top-level nest, in a fixed order (identity permutation first, the
       rest lexicographic in spine order; tile and unroll options in spec
-      order), so the candidate list is identical on every run;
+      order), so the candidate list is identical on every run. The
+      [Fused] structure is listed only when fusion changes the nest: a
+      perfect nest comes back from fusion unchanged, and its fused
+      subtree would build every [Asis] program a second time;
     + {e screen} every candidate as a walk of the tree structure →
       permutation → tile → unroll: structure, permutation and tiling
       run once per distinct prefix, in the calling domain, and a prefix

@@ -5,8 +5,9 @@
    programs without raising, the staged screen held to the
    one-candidate [apply], the bench kernels' pinned search shape, the
    dependences the screen shares between stages held to what each stage
-   computes alone, the screen's pinned analysis count, and the tune
-   spec's range rules on every path. *)
+   computes alone, the screen's pinned analysis count, the tune spec's
+   range rules on every path, and one legal candidate per distinct
+   program. *)
 
 open Locality_ir
 open Builder
@@ -37,9 +38,10 @@ let test_spec =
 
 (* ------------------------------------------- determinism at any jobs --- *)
 
-(* matmul under the test band; conv2d (whose space has a [Fused]
-   structure) and attention under one tile and one factor, uncapped, so
-   every structure is screened. *)
+(* matmul under the test band; conv2d, attention and adi (the one
+   kernel whose imperfect nest fusion changes, so its space has a
+   [Fused] structure) under one tile and one factor, uncapped, so every
+   structure is screened. *)
 let test_jobs_determinism () =
   let wide =
     { test_spec with Tune.tiles = [ 8 ]; unrolls = [ 2 ]; max_candidates = 4096 }
@@ -57,7 +59,10 @@ let test_jobs_determinism () =
       checks (name ^ ": json byte-identical at jobs=1 vs 4")
         (Tune.to_json r1) (Tune.to_json r4);
       checkb (name ^ ": a winner was confirmed") true (r1.Tune.t_winner <> None))
-    [ ("matmul", test_spec); ("conv2d", wide); ("attention", wide) ]
+    [
+      ("matmul", test_spec); ("conv2d", wide); ("attention", wide);
+      ("adi", wide);
+    ]
 
 (* ------------------------------------------------ store cold vs warm --- *)
 
@@ -366,8 +371,8 @@ let test_bench_search_shape () =
         (counter "tune.pruned_illegal");
       checki (name ^ ": tune.screened") screened (counter "tune.screened"))
     [
-      ("matmul", (601, 469, 132)); ("matmul_chain", (601, 469, 132));
-      ("attention", (601, 469, 132)); ("conv2d", (3121, 3119, 2));
+      ("matmul", (301, 235, 66)); ("matmul_chain", (301, 235, 66));
+      ("attention", (301, 235, 66)); ("conv2d", (1561, 1560, 1));
     ]
 
 (* ------------------------ shared dependences = each stage's own --- *)
@@ -449,9 +454,10 @@ let test_shared_deps () =
          (with_n 6 (Fuzz.Gen.generate ~seed:11 ~index ~size:16)))
   done
 
-(* One analysis per distinct nest the screen builds: the two shaped
-   nests (as-is and fused), each further legal permuted one, and each
-   tiled one. A memo that is bypassed or keyed wrongly moves the count. *)
+(* One analysis per distinct nest the screen builds: the shaped nest
+   (as-is only, since these target nests are perfect), each further
+   legal permuted one, and each tiled one. A memo that is bypassed or
+   keyed wrongly moves the count. *)
 let test_dep_analyses_pinned () =
   List.iter
     (fun (name, expected) ->
@@ -468,7 +474,50 @@ let test_dep_analyses_pinned () =
            (List.assoc_opt "tune.dep_analyses"
               (Locality_obs.Summary.of_events events).Locality_obs.Summary
                 .counters)))
-    [ ("matmul", 60); ("matmul_chain", 60); ("conv2d", 2); ("attention", 60) ]
+    [ ("matmul", 30); ("matmul_chain", 30); ("conv2d", 1); ("attention", 30) ]
+
+(* ------------------------------- each legal candidate is distinct --- *)
+
+(* No two legal candidates of one search build the same program, and a
+   perfect target nest, which fusion hands back unchanged, lists no
+   fused candidate: the screen costs each distinct program once. *)
+let check_distinct ~spec name p =
+  match Tune.candidates spec p with
+  | None -> ()
+  | Some (nest_idx, cands) ->
+    (match List.nth_opt p.Program.body nest_idx with
+    | Some (Loop.Loop l) when Loop.is_perfect l ->
+      List.iter
+        (fun (c : Tune.candidate) ->
+          if c.Tune.structure = Tune.Fused then
+            Alcotest.failf "%s: perfect nest lists %s" name (Tune.encode c))
+        cands
+    | _ -> ());
+    let seen = Hashtbl.create 256 in
+    List.iter2
+      (fun c applied ->
+        match applied with
+        | None -> ()
+        | Some (p', _) -> (
+          let text = Pretty.program_to_string p' in
+          match Hashtbl.find_opt seen text with
+          | Some first ->
+            Alcotest.failf "%s: %s builds the same program as %s" name
+              (Tune.encode c) first
+          | None -> Hashtbl.add seen text (Tune.encode c)))
+      cands
+      (Tune.apply_all p ~nest_idx cands)
+
+let test_distinct_candidates () =
+  List.iter
+    (fun (name, mk) ->
+      check_distinct ~spec:Tune.default_spec name (with_n 24 (mk 24)))
+    S.Kernels.all;
+  for index = 0 to 199 do
+    check_distinct ~spec:fuzz_spec
+      (Printf.sprintf "fuzz-%d" index)
+      (with_n 6 (Fuzz.Gen.generate ~seed:11 ~index ~size:16))
+  done
 
 (* ------------------------------------- tune spec ranges, every path --- *)
 
@@ -566,4 +615,6 @@ let suite =
       `Slow test_shared_deps;
     Alcotest.test_case "tune: one dependence analysis per nest (n=24)" `Slow
       test_dep_analyses_pinned;
+    Alcotest.test_case "tune: each legal candidate distinct (kernels, fuzz)"
+      `Slow test_distinct_candidates;
   ]
