@@ -418,18 +418,6 @@ let stats t =
     writebacks = t.writebacks;
   }
 
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.ages 0 (Array.length t.ages) 0;
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  t.clock <- 0;
-  t.misses <- 0;
-  t.cold <- 0;
-  t.writes <- 0;
-  t.write_misses <- 0;
-  t.writebacks <- 0;
-  Bytes.fill t.seen_bits 0 (Bytes.length t.seen_bits) '\000'
-
 (* The one hit-rate definition, shared with [Measure.hit_rate]: with no
    accesses at all the rate is vacuously 100%, but a run whose accesses
    were *all* cold misses (denominator 0 with accesses > 0) hit nothing
@@ -444,5 +432,3 @@ let rate_of_counts ?(exclude_cold = true) ~accesses ~hits ~cold () =
 let hit_rate ?exclude_cold (s : stats) =
   rate_of_counts ?exclude_cold ~accesses:s.accesses ~hits:s.hits
     ~cold:s.cold_misses ()
-
-let num_sets t = t.sets

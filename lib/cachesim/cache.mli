@@ -36,7 +36,10 @@ val access : t -> int -> bool
 (** [access t addr] touches the byte address and reports a hit. *)
 
 val access_classified : t -> int -> [ `Hit | `Cold | `Miss ]
-(** Like {!access}, distinguishing cold (first-touch) misses from
+(** Test oracle: the per-access classification that the bulk replay paths
+    only count; tests replay a trace through it and compare the totals.
+
+    Like {!access}, distinguishing cold (first-touch) misses from
     capacity/conflict misses. *)
 
 val access_full :
@@ -83,8 +86,6 @@ val simulate_runs :
     group runs past it. *)
 
 val stats : t -> stats
-val reset : t -> unit
-(** Clear contents and statistics, including cold-miss tracking. *)
 
 val rate_of_counts :
   ?exclude_cold:bool -> accesses:int -> hits:int -> cold:int -> unit -> float
@@ -96,5 +97,3 @@ val hit_rate : ?exclude_cold:bool -> stats -> float
 (** Hits over accesses, in percent; with [exclude_cold] (default true,
     as in Table 4) cold misses are removed from the denominator. See
     {!rate_of_counts} for the degenerate cases. *)
-
-val num_sets : t -> int

@@ -12,7 +12,10 @@ val create : l1:Cache.config -> l2:Cache.config -> t
     size is smaller than L1's. *)
 
 val access : t -> ?write:bool -> int -> [ `L1_hit | `L2_hit | `Memory ]
-(** Where the access was satisfied. *)
+(** Test oracle: one access at a time through both levels, the reference
+    that {!simulate_runs} must match.
+
+    Where the access was satisfied. *)
 
 val simulate_runs : t -> Runchunk.t -> unit
 (** Replay a v2 run chunk by expanding groups to their access sequence

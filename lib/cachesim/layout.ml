@@ -79,5 +79,3 @@ let size_elements t name =
   Array.fold_left ( * ) 1 (info t name).extents
 
 let elem_size t name = (info t name).elem_size
-let total_bytes t = t.total
-let arrays t = Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl []

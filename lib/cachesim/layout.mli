@@ -24,5 +24,3 @@ val flat_offset : t -> string -> int array -> int
 
 val size_elements : t -> string -> int
 val elem_size : t -> string -> int
-val total_bytes : t -> int
-val arrays : t -> string list

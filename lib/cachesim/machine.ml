@@ -4,8 +4,6 @@ let cache1 =
 let cache2 =
   { Cache.name = "cache2 (i860)"; size_bytes = 8 * 1024; assoc = 2; line_bytes = 32 }
 
-let cls_elements (c : Cache.config) ~elem_size = c.Cache.line_bytes / elem_size
-
 type timing = {
   cycles_per_op : float;
   cycles_per_hit : float;

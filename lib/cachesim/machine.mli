@@ -7,9 +7,6 @@ val cache1 : Cache.config
 val cache2 : Cache.config
 (** Intel i860: 8 KB, 2-way set associative, 32-byte lines. *)
 
-val cls_elements : Cache.config -> elem_size:int -> int
-(** Cache line size in array elements — the cost model's [cls]. *)
-
 type timing = {
   cycles_per_op : float;  (** arithmetic / loop overhead per operation *)
   cycles_per_hit : float;

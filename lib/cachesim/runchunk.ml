@@ -34,9 +34,7 @@ let create capacity =
   if capacity < 8 then invalid_arg "Runchunk.create: capacity too small";
   { data = Array.make capacity 0; len = 0; logical = 0 }
 
-let capacity c = Array.length c.data
 let room c = Array.length c.data - c.len
-let words c = c.len
 let logical_records c = c.logical
 
 let header ~trip ~nrefs =
@@ -111,16 +109,3 @@ let iter c f =
       i := !i + group_words ~nrefs
     end
   done
-
-let runs c =
-  let n = ref 0 in
-  let i = ref 0 in
-  while !i < c.len do
-    let w = c.data.(!i) in
-    if is_header w then begin
-      incr n;
-      i := !i + group_words ~nrefs:(header_nrefs w)
-    end
-    else incr i
-  done;
-  !n

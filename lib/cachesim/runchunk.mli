@@ -16,22 +16,17 @@ type t = {
 }
 
 val max_trip : int
-val max_nrefs : int
 
 val create : int -> t
 (** [create capacity] allocates a chunk of [capacity] words.
     @raise Invalid_argument when smaller than the largest single item. *)
 
-val capacity : t -> int
 val room : t -> int
 (** Words still free. *)
 
-val words : t -> int
 val logical_records : t -> int
-
-val header : trip:int -> nrefs:int -> int
-(** Group header word; the tag bit is the sign bit, so headers are the
-    negative words of the stream. *)
+(** Test oracle: the number of accesses the chunk expands to, which tests
+    check against the trace that filled it. *)
 
 val is_header : int -> bool
 val header_trip : int -> int
@@ -56,6 +51,3 @@ val copy : t -> t
 
 val iter : t -> (label:int -> addr:int -> write:bool -> unit) -> unit
 (** Expand to individual accesses in replay order (groups round-robin). *)
-
-val runs : t -> int
-(** Number of group descriptors in the chunk. *)

@@ -23,7 +23,9 @@ type verdict = {
 }
 
 val candidates : cache_elems:int -> stride:int -> int list
-(** The Euclidean remainder sequence of [cache_elems] and
+(** Test oracle: the [LRW91] sequence {!choose} draws its sizes from.
+
+    The Euclidean remainder sequence of [cache_elems] and
     [stride mod cache_elems], descending, values ≥ 2 only — [LRW91]'s
     candidate tile heights. Degenerates to few (or no) useful
     candidates when the stride shares large factors with the cache
@@ -36,7 +38,10 @@ val self_conflicts :
   stride:int ->
   tile:int ->
   int
-(** Number of excess line→set mappings of a [tile] × [tile] tile of a
+(** Test oracle: the exact interference count {!choose} accepts a tile by;
+    tests check chosen tiles against it.
+
+    Number of excess line→set mappings of a [tile] × [tile] tile of a
     column-major array with the given column [stride] (in elements):
     the sum over cache sets of [max 0 (distinct lines - ways)], with
     [ways] defaulting to the cache's associativity. Zero means the
@@ -50,7 +55,9 @@ val footprint :
   stride:int ->
   tile:int ->
   int
-(** Distinct cache lines touched by the [tile] × [tile] tile. *)
+(** Test oracle: the line count {!choose} reports as [footprint_lines].
+
+    Distinct cache lines touched by the [tile] × [tile] tile. *)
 
 val choose :
   ?max_fill:float ->

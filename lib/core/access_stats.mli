@@ -21,10 +21,7 @@ type t = {
 
 val empty : t
 val add : t -> t -> t
-val total_groups : t -> int
-val total_refs : t -> int
 
-val of_nest : ?which:[ `Actual | `Ideal ] -> cls:int -> Loop.t -> t
 val of_program : ?which:[ `Actual | `Ideal ] -> cls:int -> Program.t -> t
 (** Sums over every nest (all top-level loops, any depth). *)
 

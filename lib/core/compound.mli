@@ -32,17 +32,6 @@ type stats = {
   distribution_results : int;
 }
 
-val empty_stats : stats
-val merge_stats : stats -> stats -> stats
-
-val run_block :
-  ?cls:int ->
-  ?try_reversal:bool ->
-  ?interference_limit:int ->
-  outer:Loop.header list ->
-  Loop.block ->
-  Loop.block * stats
-
 val run_program :
   ?cls:int ->
   ?try_reversal:bool ->

@@ -7,7 +7,10 @@
     to the first's in the fused body. *)
 
 val compatible_level : Loop.t -> Loop.t -> int
-(** Deepest level [d] such that the two nests' spine headers agree
+(** Test oracle: the header check that fusion makes before any dependence
+    test.
+
+    Deepest level [d] such that the two nests' spine headers agree
     pairwise (same bounds and step) on levels [1..d]; 0 when even the
     outermost headers differ. *)
 
@@ -57,6 +60,3 @@ val fuse_block :
     associativity) — the interference analysis the paper's Section 5.5
     names as the fix for fusion-induced conflict misses. Off by default,
     as in the paper. *)
-
-val distinct_arrays : Loop.t -> int
-(** Arrays referenced anywhere in the nest. *)

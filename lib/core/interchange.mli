@@ -7,16 +7,6 @@
     the interval prover, and unresolvable bounds make the permutation
     fail — the paper's "loop bounds too complex" category. *)
 
-val swap_adjacent :
-  context:Loop.header list ->
-  Loop.header ->
-  Loop.header ->
-  (Loop.header * Loop.header) option
-(** [swap_adjacent ~context outer inner] yields [(inner', outer')] — the
-    headers after interchanging the adjacent pair — or [None] when the
-    bounds are too complex. [context] lists the loops enclosing the pair,
-    outermost first. *)
-
 val permute_spine : Loop.t -> string list -> Loop.t option
 (** Rebuild a perfect nest with its spine loops in the given order via
     adjacent interchanges. [None] when the nest is imperfect, the order

@@ -18,7 +18,11 @@ val permutation_violation :
 
 val reversal_legal :
   deps:Locality_dep.Depend.t list -> loop:string -> bool
-(** Negating every dependence entry for [loop] leaves all vectors
+(** Test oracle: a legality test for reversing one loop, independent of
+    the one {!Permute} applies; the semantics tests reverse a loop only
+    when it holds.
+
+    Negating every dependence entry for [loop] leaves all vectors
     lexicographically non-negative (the dependences remain carried on
     outer loops). *)
 

@@ -13,11 +13,6 @@ val classify :
 (** Which of the three RefCost cases applies to a reference when
     [candidate] is the innermost loop. *)
 
-val ref_cost :
-  env:Trip.env -> cls:int -> candidate:Loop.header -> Reference.t -> Poly.t
-(** Cache lines accessed by the reference across iterations of
-    [candidate] alone. *)
-
 val loop_cost :
   ?deps:Locality_dep.Depend.t list -> nest:Loop.t -> cls:int -> string -> Poly.t
 (** Total cache-line cost of the nest with the named loop innermost.

@@ -7,13 +7,6 @@
     parallelism for cache lines, with unroll-and-jam as the recovery.
     This module measures that interaction. *)
 
-val is_doall : Loop.t -> loop:string -> bool
-(** No flow/anti/output dependence is carried at the named loop's level
-    (conservative: an undetermined entry counts as carried). *)
-
-val parallel_loops : Loop.t -> string list
-(** The nest's DOALL loops, outermost first. *)
-
 type report = {
   loops : int;  (** loops in the nest *)
   doall : int;  (** DOALL loops *)
@@ -21,8 +14,6 @@ type report = {
   inner_sequential : bool;
       (** the innermost loop carries a recurrence (the "Simple" trade) *)
 }
-
-val report : Loop.t -> report
 
 val program_summary : Program.t -> report list
 (** One report per top-level nest. *)

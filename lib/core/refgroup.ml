@@ -179,8 +179,3 @@ let groups pre ~loop =
     !order
 
 let compute ~nest ~deps ~loop ~cls = groups (prepare ~nest ~deps ~cls) ~loop
-
-let pp_group ppf g =
-  Format.fprintf ppf "{%s}"
-    (String.concat ", "
-       (List.map (fun m -> Reference.to_string m.ref_) g.members))

@@ -33,5 +33,3 @@ val prepare :
 val groups : pre -> loop:string -> group list
 (** [groups (prepare ~nest ~deps ~cls) ~loop] = [compute ~nest ~deps
     ~loop ~cls], without repeating the loop-independent work. *)
-
-val pp_group : Format.formatter -> group -> unit

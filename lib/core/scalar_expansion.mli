@@ -7,13 +7,6 @@
     detects when expansion would enable distribution (Section 5.1); here
     the transformation itself is provided, plus the detection helper. *)
 
-val candidates : Loop.t -> string list
-(** Scalars that are written and read inside the loop and whose every
-    use is preceded by a definition in the same iteration (making
-    expansion safe without live-out concerns... conservatively: scalars
-    defined before any use textually in the body, with no use above the
-    first definition). *)
-
 val expand :
   Program.t -> loop:string -> scalar:string -> (Program.t, string) result
 (** Expand [scalar] along [loop] inside the program: a fresh rank-1

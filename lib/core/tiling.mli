@@ -11,15 +11,14 @@
     Compound driver — apply it to nests already in memory order. *)
 
 val strip_mine : ?suffix:string -> Loop.t -> loop:string -> tile:int -> Loop.t
-(** Replace [DO i = lb, ub] by a tile-control loop [DO i_T = lb, ub, T]
+(** Test oracle: the single-loop step {!tile} is built from; tests check
+    it alone, also on the imperfect nests {!tile} refuses.
+
+    Replace [DO i = lb, ub] by a tile-control loop [DO i_T = lb, ub, T]
     enclosing [DO i = i_T, MIN(i_T + T - 1, ub)]. Semantics-preserving
     for any positive tile size.
     @raise Invalid_argument if the loop is missing, has non-unit step, or
     [tile <= 0]. *)
-
-val legal_band : deps:Locality_dep.Depend.t list -> band:string list -> bool
-(** The band of loops is fully permutable — every dependence entry within
-    the band is non-negative — which makes tiling the band legal. *)
 
 val tile :
   ?deps:Locality_dep.Depend.t list ->

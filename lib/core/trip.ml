@@ -40,9 +40,6 @@ let rec closed_poly env ~maximize fuel p =
         let p' = Poly.subst p x (Expr.to_poly bound) in
         closed_poly env ~maximize (fuel - 1) p')
 
-let closed_expr env ~maximize e =
-  closed_poly env ~maximize 32 (Expr.to_poly e)
-
 let closed_trip env (h : Loop.header) =
   let open Poly in
   let diff = sub (Expr.to_poly h.Loop.ub) (Expr.to_poly h.Loop.lb) in

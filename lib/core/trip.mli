@@ -11,15 +11,6 @@ type env = string -> Loop.header option
 (** Lookup of the header binding an index variable, for indices in scope. *)
 
 val env_of_nest : Loop.t -> env
-val env_of_headers : Loop.header list -> env
-
-val closed_expr : env -> maximize:bool -> Expr.t -> Poly.t
-(** Eliminate index variables from a bound expression, maximising or
-    minimising its value over the enclosing iteration space. *)
-
-val closed_poly : env -> maximize:bool -> int -> Poly.t -> Poly.t
-(** Same elimination on a polynomial already in hand; the [int] is a
-    substitution fuel bound (32 suffices for any real nest). *)
 
 val closed_trip : env -> Loop.header -> Poly.t
 (** Maximised symbolic trip count [(ub - lb + step) / step] with index

@@ -49,7 +49,10 @@ type balance = {
 }
 
 val balance_of : factor:int -> Loop.t -> balance
-(** Static balance of a (possibly already jammed) nest: scalar-replace
+(** Test oracle: the balance {!choose_factor} ranks factors by, checked at
+    factor 1 where no candidate reports it.
+
+    Static balance of a (possibly already jammed) nest: scalar-replace
     it, then count the innermost body's memory references and flops,
     scaled by [factor] to per-original-iteration units. *)
 
@@ -65,11 +68,6 @@ val choose_factor :
     Candidates whose jamming is illegal are dropped; factor 1 is
     returned when nothing admissible beats it. The nest's dependences
     are analysed once and shared by every candidate factor. *)
-
-val find_main : Loop.block -> loop:string -> factor:int -> Loop.t option
-(** The jammed main nest inside a block produced by {!unroll_and_jam} —
-    the loop named [loop] whose step is [factor] — wherever the
-    surrounding outer loops put it. *)
 
 val map_main :
   Loop.block -> loop:string -> factor:int -> f:(Loop.t -> Loop.t) ->

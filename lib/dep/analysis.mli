@@ -14,10 +14,6 @@ type access = {
   pos : int * int;  (** (textual statement position, 0 for reads / 1 for writes) *)
 }
 
-val accesses : ?outer:Loop.header list -> Loop.block -> access list
-(** Every array and scalar access in the block, textual order. [outer]
-    supplies enclosing headers shared by the whole block. *)
-
 val deps :
   ?include_input:bool -> ?outer:Loop.header list -> Loop.block -> Depend.t list
 (** All dependences between accesses of the block. Input (read-read)
@@ -27,6 +23,3 @@ val deps :
 val deps_in_nest : ?include_input:bool -> Loop.t -> Depend.t list
 (** Dependences within a single nest, vectors over the nest's own loops
     (plus inner ones on the common path). *)
-
-val common_prefix :
-  (int * Loop.header) list -> (int * Loop.header) list -> Loop.header list

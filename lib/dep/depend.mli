@@ -29,8 +29,6 @@ type t = {
 val is_true_dep : t -> bool
 (** Flow, anti or output — the dependences that constrain reordering. *)
 
-val kind_of : [ `Read | `Write ] -> [ `Read | `Write ] -> kind
-
 val analyze_pair :
   src_path:Loop.header list ->
   snk_path:Loop.header list ->
@@ -38,7 +36,10 @@ val analyze_pair :
   Reference.t ->
   Reference.t ->
   (Direction.t * bool * bool * int) option
-(** Constraint vector over the first [ncommon] loops of the paths (the
+(** Test oracle: the pairwise test behind {!test_pair}, for reference
+    pairs that no valid program produces.
+
+    Constraint vector over the first [ncommon] loops of the paths (the
     common prefix), with sink iteration variables implicitly primed, plus
     the zero-compatibility flag (can the references touch the same
     location on the same iteration of every common loop?) and the

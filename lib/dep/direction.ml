@@ -1,8 +1,6 @@
 type elt = Dist of int | Pos | Neg | NonNeg | NonPos | Ne | Any | Star
 type t = elt list
 
-let zero n = List.init n (fun _ -> Dist 0)
-
 let may_pos = function
   | Dist d -> d > 0
   | Pos | NonNeg | Ne | Any | Star -> true
@@ -76,7 +74,6 @@ let meet a b =
     | _, _ -> Some Star
 
 let negate v = List.map negate_elt v
-let is_loop_independent v = List.for_all must_zero v
 
 let rec may_lex_neg = function
   | [] -> false
@@ -85,13 +82,6 @@ let rec may_lex_neg = function
     else if may_neg e then true
     else (* zero or positive; the all-prefix-zero path continues *)
       may_zero e && may_lex_neg rest
-
-let rec may_lex_nonneg = function
-  | [] -> true
-  | e :: rest ->
-    if may_pos e then true
-    else if must_neg e then false
-    else may_zero e && may_lex_nonneg rest
 
 let rec may_lex_pos = function
   | [] -> false
@@ -137,24 +127,6 @@ let restrict_lex_pos v =
   | None -> None
   | Some v' -> if List.for_all must_zero v' then None else Some v'
 
-let carried_level v =
-  let rec go i = function
-    | [] -> None
-    | e :: rest -> if must_zero e then go (i + 1) rest else Some i
-  in
-  go 1 v
-
-let carried_exactly_at v level =
-  List.length v >= level
-  && List.for_all2
-       (fun i e -> if i = level then not (must_zero e) else must_zero e)
-       (List.init (List.length v) (fun i -> i + 1))
-       v
-
-let permute v perm =
-  let arr = Array.of_list v in
-  Array.to_list (Array.map (fun old_pos -> arr.(old_pos)) perm)
-
 let small_constant_at v level =
   List.length v >= level
   && List.for_all2
@@ -164,8 +136,6 @@ let small_constant_at v level =
          else must_zero e)
        (List.init (List.length v) (fun i -> i + 1))
        v
-
-let equal (a : t) (b : t) = a = b
 
 let pp_elt ppf = function
   | Dist d -> Format.fprintf ppf "%d" d

@@ -22,14 +22,10 @@ type elt =
 
 type t = elt list
 
-val zero : int -> t
-(** All-[Dist 0] vector of the given length. *)
-
 val may_pos : elt -> bool
 val may_neg : elt -> bool
 val may_zero : elt -> bool
 val must_pos : elt -> bool
-val must_neg : elt -> bool
 val must_zero : elt -> bool
 val negate_elt : elt -> elt
 
@@ -38,13 +34,9 @@ val meet : elt -> elt -> elt option
     contradictory (which disproves the dependence). *)
 
 val negate : t -> t
-val is_loop_independent : t -> bool
-(** All entries are definitely zero. *)
 
 val may_lex_neg : t -> bool
 (** Some realisable vector is lexicographically negative. *)
-
-val may_lex_nonneg : t -> bool
 
 val may_lex_pos : t -> bool
 (** Some realisable vector is lexicographically positive (strictly). *)
@@ -60,23 +52,10 @@ val restrict_lex_nonneg : t -> t option
 val restrict_lex_pos : t -> t option
 (** Over-approximation of the lexicographically positive vectors. *)
 
-val carried_level : t -> int option
-(** 1-based position of the outermost entry that may be non-zero; [None]
-    for a definitely loop-independent vector. *)
-
-val carried_exactly_at : t -> int -> bool
-(** True when the vector is definitely zero everywhere except position
-    [level] (1-based), where it may be non-zero. *)
-
-val permute : t -> int array -> t
-(** [permute v perm] reorders entries; [perm.(new_pos) = old_pos]. *)
-
 val small_constant_at : t -> int -> bool
 (** RefGroup condition 1(b): entry at the (1-based) position is a small
     constant distance ([|d| <= 2], or [Any], which realises distance 1)
     and every other entry is definitely zero. *)
 
-val equal : t -> t -> bool
-val pp_elt : Format.formatter -> elt -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

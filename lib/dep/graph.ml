@@ -23,11 +23,6 @@ let build ~nodes ~deps =
   in
   { order = nodes; out_edges }
 
-let restrict g ~f =
-  { g with out_edges = M.map (List.filter f) g.out_edges }
-
-let nodes g = g.order
-
 let edges g =
   M.fold
     (fun src deps acc ->
@@ -39,25 +34,6 @@ let succs g n =
   | None -> []
   | Some deps ->
     List.sort_uniq String.compare (List.map (fun d -> d.Depend.snk_label) deps)
-
-let has_edge g a b = List.mem b (succs g a)
-
-let has_path g a b =
-  let visited = Hashtbl.create 16 in
-  let rec go n =
-    if String.equal n b then true
-    else if Hashtbl.mem visited n then false
-    else begin
-      Hashtbl.add visited n ();
-      List.exists go (succs g n)
-    end
-  in
-  List.exists go (succs g a)
-
-let deps_between g a b =
-  match M.find_opt a g.out_edges with
-  | None -> []
-  | Some deps -> List.filter (fun d -> String.equal d.Depend.snk_label b) deps
 
 let to_dot ?(name = "deps") g =
   let buf = Buffer.create 1024 in

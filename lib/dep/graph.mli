@@ -11,18 +11,9 @@ val build : nodes:string list -> deps:Depend.t list -> t
 (** Edges whose endpoints are not in [nodes] are dropped; input
     dependences are dropped (they never constrain ordering). *)
 
-val restrict : t -> f:(Depend.t -> bool) -> t
-val nodes : t -> string list
-val edges : t -> (string * string * Depend.t) list
-val succs : t -> string -> string list
-val has_edge : t -> string -> string -> bool
-val has_path : t -> string -> string -> bool
-
 val sccs : t -> string list list
 (** Strongly connected components in topological order of the condensed
     graph; statements within a component keep textual order. *)
-
-val deps_between : t -> string -> string -> Depend.t list
 
 val to_dot : ?name:string -> t -> string
 (** Graphviz rendering: one node per statement, one edge per dependence,

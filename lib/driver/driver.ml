@@ -245,4 +245,3 @@ let run cfg =
     with e -> Error (named_error name (Printexc.to_string e)))
 
 let run_exn cfg = match run cfg with Ok r -> r | Error msg -> failwith msg
-let run_many ?jobs cfgs = Locality_par.Pool.map ?jobs run cfgs

@@ -131,7 +131,3 @@ val run : config -> (result, string) Stdlib.result
 val run_exn : config -> result
 (** {!run}, raising [Failure] on error — for generators whose inputs
     are known-good (the table builders). *)
-
-val run_many : ?jobs:int -> config list -> (result, string) Stdlib.result list
-(** {!run} over the domain pool ({!Locality_par.Pool.map}): results in
-    input order, independent of pool size. *)

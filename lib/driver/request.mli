@@ -38,8 +38,7 @@ type transform =
 
 type machine =
   | Named of string
-      (** A preset geometry: ["cache1"] (RS/6000) or ["cache2"] (i860),
-          see {!named_machines}. *)
+      (** A preset geometry: ["cache1"] (RS/6000) or ["cache2"] (i860). *)
   | Custom of Cache.config  (** An explicit geometry. *)
 
 type store_choice =
@@ -123,10 +122,6 @@ val make :
     [scale = 1], [cls = 4], {!Compound} with neither knob set, no
     machines, no params, no replay mode, {!Ambient} store, no rate, no labels,
     no jobs hint, no timeout, no program echo. *)
-
-val named_machines : (string * Cache.config) list
-(** The preset geometries reachable by name: [("cache1",
-    Machine.cache1); ("cache2", Machine.cache2)]. *)
 
 val machine_of_config : Cache.config -> machine
 (** [Named] when the config structurally equals a preset, [Custom]

@@ -20,12 +20,6 @@ let of_tune ~id = function
   | Ok json -> Tuned { id; tune = String.trim json }
   | Error message -> Failed { id; message }
 
-let status = function
-  | Result _ | Tuned _ -> "ok"
-  | Failed _ -> "error"
-  | Timeout _ -> "timeout"
-  | Overloaded _ -> "overloaded"
-
 (* Fixed-point float rendering keeps the bytes deterministic across
    callers; six decimals is the telemetry layer's precision and enough
    for modelled seconds and speedups. *)

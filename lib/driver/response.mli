@@ -34,9 +34,5 @@ val of_tune : id:string -> (string, string) Stdlib.result -> t
 (** [Tuned] (trailing whitespace trimmed off the payload) or [Failed],
     echoing the request id. *)
 
-val status : t -> string
-(** ["ok"], ["error"], ["timeout"] or ["overloaded"] — the wire
-    [status] field. *)
-
 val to_json : t -> string
 (** One line, no trailing newline, [schema_version]'d. *)

@@ -41,15 +41,12 @@ val of_env :
     - [MEMORIA_SAMPLE_RATE]: a float in (0, 1]; anything else means
       0.01;
     - [MEMORIA_STORE]: a store root, opened with [open_store] (default
-      {!open_store}); unset or empty means no store;
+      {!Store.open_root}, or no store with a one-line warning on stderr
+      when the root cannot be created); unset or empty means no store;
     - [MEMORIA_TELEMETRY]: ["1"] turns telemetry on, but only when a
       store was opened.
 
     [open_store] is the only effect. *)
-
-val open_store : string -> Store.t option
-(** {!Store.open_root}, or [None] with a one-line warning on stderr when
-    the root cannot be created. *)
 
 val environment : string array -> (string * string) list
 (** Split [Unix.environment ()]-style ["NAME=value"] entries. *)

@@ -8,13 +8,6 @@
     headers as comments, so a corpus file parses as an ordinary
     program. *)
 
-val entry :
-  seed:int -> index:int -> finding:Oracle.finding -> Program.t -> string
-(** File contents for one reproducer. *)
-
-val file_name : seed:int -> index:int -> kind:Oracle.kind -> string
-(** ["fuzz_s<seed>_i<index>_<oracle>.f"]. *)
-
 val save :
   dir:string ->
   seed:int ->
@@ -26,6 +19,9 @@ val save :
     its path. *)
 
 val load_dir : string -> (string * Program.t) list
-(** Parse every [.f] file in a directory, sorted by name; [[]] when
+(** Test oracle: reads back the reproducers {!save} writes; the corpus
+    replay test runs every one.
+
+    Parse every [.f] file in a directory, sorted by name; [[]] when
     the directory does not exist. Raises on unparsable entries — a
     broken corpus file is itself a regression. *)

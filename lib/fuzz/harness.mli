@@ -24,10 +24,6 @@ type outcome = {
   corpus_files : string list;  (** reproducers written, if a dir was given *)
 }
 
-val check_one : oracles:Oracle.kind list -> Program.t -> Oracle.finding list
-(** Exception-safe {!Oracle.check}: an escaping exception (a crash in
-    any pipeline stage) is itself reported as an [`Exec] finding. *)
-
 val run :
   ?jobs:int ->
   ?oracles:Oracle.kind list ->

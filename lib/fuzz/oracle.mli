@@ -52,11 +52,6 @@ type finding = {
 val cgen_available : unit -> bool
 (** Whether a C compiler ([cc]/[gcc]/[clang]) is on [PATH]; memoised. *)
 
-val transform : Program.t -> (Program.t, string) result
-(** The program under the default {!Locality_driver.Driver} compound
-    transform, store disabled. Errors are pipeline failures (themselves
-    findings, reported by {!check} as [`Exec]). *)
-
 val check : ?oracles:kind list -> Program.t -> finding list
 (** Run the requested oracles (default {!all}, with [`Cgen] skipped
     when no compiler is present) against one generated program. The

@@ -9,7 +9,9 @@
     its own exceptions. *)
 
 val size : Program.t -> int
-(** Structural size: every expression node, statement, loop header and
+(** Test oracle: the measure every {!shrink} edit decreases.
+
+    Structural size: every expression node, statement, loop header and
     declaration weighted so that each shrink edit strictly decreases
     it (in particular [Int] literals weigh less than [Var]s). *)
 

@@ -11,8 +11,6 @@ type observer = {
   on_stmt : label:string -> unit;
 }
 
-val null_observer : observer
-
 type result = {
   arrays : (string * float array) list;  (** final contents, decl order *)
   ops : int;  (** arithmetic operations executed *)
@@ -21,7 +19,10 @@ type result = {
 }
 
 val default_init : string -> int -> float
-(** Deterministic pseudo-random initial value for element [i] of a named
+(** Test oracle: the initial array contents of {!run}, for reference
+    results computed outside the interpreter.
+
+    Deterministic pseudo-random initial value for element [i] of a named
     array, in [1, 2) so that divisions and square roots stay tame. *)
 
 val run :

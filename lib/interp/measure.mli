@@ -131,11 +131,6 @@ val replay_prepared :
   run
 (** [runs] on the one {!query} these arguments make. *)
 
-val replay_hierarchy_prepared :
-  ?l1:Cache.config -> ?l2:Cache.config -> backend -> hier_run
-(** [hierarchy] with defaults: L1 = cache2's 8 KB geometry, L2 = cache1's
-    64 KB geometry. *)
-
 val measure :
   ?config:Cache.config ->
   ?timing:Machine.timing ->

@@ -16,9 +16,6 @@ module Runchunk = Locality_cachesim.Runchunk
 
 type runbuf
 
-val default_chunk_words : int
-(** Words per chunk when not overridden (65536). *)
-
 val run_create :
   ?chunk_words:int -> sink:(Runchunk.t -> unit) -> unit -> runbuf
 (** The sink borrows the chunk only for the duration of the call; the

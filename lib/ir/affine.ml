@@ -75,17 +75,12 @@ let vars a = M.bindings a.coeffs |> List.map fst
 let equal a b = a.const = b.const && M.equal Int.equal a.coeffs b.coeffs
 let is_const a = if M.is_empty a.coeffs then Some a.const else None
 
-let eval a env =
-  M.fold (fun x c acc -> acc + (c * env x)) a.coeffs a.const
-
 let subst a x r =
   match M.find_opt x a.coeffs with
   | None -> a
   | Some c ->
     let without = { a with coeffs = M.remove x a.coeffs } in
     add_t without (scale c r)
-
-let pp ppf a = Expr.pp ppf (to_expr a)
 
 (* Non-affine subtrees (MIN/MAX/DIV, products of variables) are replaced
    by opaque placeholder variables so the affine collector can cancel

@@ -27,9 +27,7 @@ val sub : t -> t -> t
 
 val is_const : t -> int option
 val of_const : int -> t
-val eval : t -> (string -> int) -> int
 val subst : t -> string -> t -> t
-val pp : Format.formatter -> t -> unit
 
 val normalize : Expr.t -> Expr.t
 (** Rewrite every maximal affine subexpression into canonical form

@@ -7,20 +7,14 @@ let r name subs = Reference.make name subs
 let ld name subs = Stmt.Load (Reference.make name subs)
 let sc x = Stmt.Scalar x
 let f c = Stmt.Const c
-let idx e = Stmt.Iexpr e
 let ( +! ) a b = Stmt.Binop (Fadd, a, b)
 let ( -! ) a b = Stmt.Binop (Fsub, a, b)
 let ( *! ) a b = Stmt.Binop (Fmul, a, b)
 let ( /! ) a b = Stmt.Binop (Fdiv, a, b)
 let sqrt_ a = Stmt.Unop (Sqrt, a)
-let neg_ a = Stmt.Unop (Fneg, a)
 let asn ?label ref e = Loop.Stmt (Stmt.assign ?label ref e)
 let sasn ?label x e = Loop.Stmt (Stmt.scalar_assign ?label x e)
 let do_ ?step index lb ub body = Loop.Loop (Loop.loop ?step index lb ub body)
-
-let loop_of = function
-  | Loop.Loop l -> l
-  | Loop.Stmt _ -> invalid_arg "Builder.loop_of: statement node"
 
 let program name ?(params = []) ~arrays body =
   let decls = List.map (fun (name, extents) -> Decl.make name extents) arrays in

@@ -27,19 +27,15 @@ val r : string -> Expr.t list -> Reference.t
 val ld : string -> Expr.t list -> Stmt.rexpr
 val sc : string -> Stmt.rexpr
 val f : float -> Stmt.rexpr
-val idx : Expr.t -> Stmt.rexpr
 val ( +! ) : Stmt.rexpr -> Stmt.rexpr -> Stmt.rexpr
 val ( -! ) : Stmt.rexpr -> Stmt.rexpr -> Stmt.rexpr
 val ( *! ) : Stmt.rexpr -> Stmt.rexpr -> Stmt.rexpr
 val ( /! ) : Stmt.rexpr -> Stmt.rexpr -> Stmt.rexpr
 val sqrt_ : Stmt.rexpr -> Stmt.rexpr
-val neg_ : Stmt.rexpr -> Stmt.rexpr
 
 val asn : ?label:string -> Reference.t -> Stmt.rexpr -> Loop.node
 val sasn : ?label:string -> string -> Stmt.rexpr -> Loop.node
 val do_ : ?step:int -> string -> Expr.t -> Expr.t -> Loop.block -> Loop.node
-val loop_of : Loop.node -> Loop.t
-(** @raise Invalid_argument if the node is a statement. *)
 
 val program :
   string ->

@@ -9,12 +9,9 @@ type t =
   | Max of t * t
   | Div of t * t
 
-let int n = Int n
-let var x = Var x
 let ( + ) a b = Add (a, b)
 let ( - ) a b = Sub (a, b)
 let ( * ) a b = Mul (a, b)
-let neg a = Neg a
 
 let rec equal a b =
   match (a, b) with

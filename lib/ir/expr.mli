@@ -14,12 +14,9 @@ type t =
   | Max of t * t
   | Div of t * t  (** truncating integer division (unroll remainders) *)
 
-val int : int -> t
-val var : string -> t
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 val ( * ) : t -> t -> t
-val neg : t -> t
 
 val equal : t -> t -> bool
 val vars : t -> string list

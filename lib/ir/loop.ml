@@ -7,15 +7,6 @@ let loop ?(step = 1) index lb ub body =
   if step = 0 then invalid_arg "Loop.loop: zero step";
   { header = { index; lb; ub; step }; body }
 
-let header_equal a b =
-  String.equal a.index b.index
-  && Expr.equal a.lb b.lb && Expr.equal a.ub b.ub && a.step = b.step
-
-let trip_poly h =
-  let open Poly in
-  let diff = sub (Expr.to_poly h.ub) (Expr.to_poly h.lb) in
-  div_rat (add diff (int h.step)) (Rat.of_int h.step)
-
 let rec depth l =
   1
   + List.fold_left
@@ -75,22 +66,3 @@ let rec indices l =
   :: List.concat_map
        (function Loop inner -> indices inner | Stmt _ -> [])
        l.body
-
-let free_vars l =
-  let module S = Set.Make (String) in
-  let bound = S.of_list (indices l) in
-  let add_expr acc e = List.fold_left (fun a v -> S.add v a) acc (Expr.vars e) in
-  let rec go acc l =
-    let acc = add_expr (add_expr acc l.header.lb) l.header.ub in
-    List.fold_left
-      (fun acc node ->
-        match node with
-        | Loop inner -> go acc inner
-        | Stmt s ->
-          List.fold_left
-            (fun acc (r, _) ->
-              List.fold_left add_expr acc r.Reference.subs)
-            acc (Stmt.refs s))
-      acc l.body
-  in
-  S.elements (S.diff (go S.empty l) bound)

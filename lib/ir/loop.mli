@@ -19,11 +19,6 @@ and block = node list
 val loop : ?step:int -> string -> Expr.t -> Expr.t -> block -> t
 (** [loop i lb ub body] is [DO i = lb, ub, step]. *)
 
-val header_equal : header -> header -> bool
-
-val trip_poly : header -> Poly.t
-(** Symbolic trip count [(ub - lb + step) / step]. *)
-
 val depth : t -> int
 (** Maximum loop-nesting depth, counting this loop. *)
 
@@ -54,7 +49,3 @@ val map_statements : (Stmt.t -> Stmt.t) -> t -> t
 
 val indices : t -> string list
 (** Index variables of all loops in the nest, preorder. *)
-
-val free_vars : t -> string list
-(** Variables read by bounds and subscripts that are not loop indices of
-    this nest: the symbolic parameters. *)

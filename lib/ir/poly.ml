@@ -87,7 +87,6 @@ let div_rat a r =
   MonoMap.map (fun c -> Rat.div c r) a
 
 let equal a b = MonoMap.equal Rat.equal a b
-let is_zero a = MonoMap.is_empty a
 
 let is_const a =
   if MonoMap.is_empty a then Some Rat.zero

@@ -10,7 +10,6 @@ type t
 
 val zero : t
 val one : t
-val const : Rat.t -> t
 val int : int -> t
 val var : string -> t
 
@@ -26,7 +25,8 @@ val div_rat : t -> Rat.t -> t
 (** @raise Division_by_zero on a zero divisor. *)
 
 val equal : t -> t -> bool
-val is_zero : t -> bool
+(** Test oracle: equality of canonical polynomials, for comparing costs in
+    tests. *)
 
 val is_const : t -> Rat.t option
 (** [Some c] when the polynomial has no variables. *)

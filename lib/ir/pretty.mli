@@ -1,9 +1,5 @@
 (** Fortran-77-style pretty-printing of programs — the output side of the
     source-to-source translator. *)
 
-val pp_header : Format.formatter -> Loop.header -> unit
-val pp_node : Format.formatter -> Loop.node -> unit
-val pp_block : Format.formatter -> Loop.block -> unit
-val pp_program : Format.formatter -> Program.t -> unit
 val program_to_string : Program.t -> string
 val block_to_string : Loop.block -> string

@@ -9,8 +9,5 @@
     the interpreter and prints a checksum — letting native runs be
     validated against {!Locality_interp.Exec}. *)
 
-val expr : Format.formatter -> Expr.t -> unit
-(** Integer expression (bounds, subscripts) as C. *)
-
 val program_to_c : ?driver:bool -> Program.t -> string
 (** The full translation unit; [driver] (default true) includes [main]. *)

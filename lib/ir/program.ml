@@ -71,5 +71,3 @@ let validate t =
       (Ok ()) b
   in
   check_block [] t.body
-
-let param_env t name = List.assoc name t.params

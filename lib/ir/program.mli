@@ -32,7 +32,3 @@ val validate : t -> (unit, string) result
     index names are unique along each nest path, steps are non-zero, and
     statement labels are unique across the whole program (dependence
     analysis keys statements by label). *)
-
-val param_env : t -> string -> int
-(** Evaluation environment for the default parameter values.
-    @raise Not_found for unknown names. *)

@@ -13,7 +13,6 @@ let zero = { num = 0; den = 1 }
 let one = { num = 1; den = 1 }
 let of_int n = { num = n; den = 1 }
 let add a b = make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
-let sub a b = make ((a.num * b.den) - (b.num * a.den)) (a.den * b.den)
 let mul a b = make (a.num * b.num) (a.den * b.den)
 
 let div a b =
@@ -32,5 +31,3 @@ let to_int a = a.num / a.den
 let pp ppf a =
   if a.den = 1 then Format.fprintf ppf "%d" a.num
   else Format.fprintf ppf "%d/%d" a.num a.den
-
-let to_string a = Format.asprintf "%a" pp a

@@ -16,7 +16,6 @@ val make : int -> int -> t
 val of_int : int -> t
 
 val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
 (** @raise Division_by_zero if the divisor is zero. *)
@@ -33,4 +32,3 @@ val to_int : t -> int
 (** Truncating conversion; exact when [is_integer]. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -8,26 +8,6 @@ let equal a b =
   && List.length a.subs = List.length b.subs
   && List.for_all2 Expr.equal a.subs b.subs
 
-let affine_subs r = List.map Affine.of_expr r.subs
-
-let coeff r ~dim x =
-  match List.nth_opt r.subs dim with
-  | None -> Some 0
-  | Some e -> (
-    match Affine.of_expr e with
-    | None -> None
-    | Some a -> Some (Affine.coeff a x))
-
-let subst r x e = { r with subs = List.map (fun s -> Expr.subst s x e) r.subs }
-let rename_index r x y = subst r x (Expr.Var y)
-
-let vars r =
-  let module S = Set.Make (String) in
-  List.fold_left
-    (fun acc s -> List.fold_left (fun acc v -> S.add v acc) acc (Expr.vars s))
-    S.empty r.subs
-  |> S.elements
-
 let pp ppf r =
   Format.fprintf ppf "%s(%s)" r.array
     (String.concat "," (List.map Expr.to_string r.subs))

@@ -6,15 +6,5 @@ val make : string -> Expr.t list -> t
 val rank : t -> int
 val equal : t -> t -> bool
 
-val affine_subs : t -> Affine.t option list
-(** Per-dimension affine forms; [None] marks a non-affine subscript. *)
-
-val coeff : t -> dim:int -> string -> int option
-(** Coefficient of a variable in the [dim]-th (0-based) subscript; [None]
-    when that subscript is not affine. *)
-
-val subst : t -> string -> Expr.t -> t
-val rename_index : t -> string -> string -> t
-val vars : t -> string list
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

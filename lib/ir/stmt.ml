@@ -50,16 +50,6 @@ let rec scalars_of = function
 let scalars_read s = scalars_of s.rhs
 let scalars_written s = match s.lhs with Scalar_set x -> [ x ] | Store _ -> []
 
-let rec map_rexpr f = function
-  | (Const _ | Scalar _ | Iexpr _) as e -> e
-  | Load r -> Load (f r)
-  | Unop (op, a) -> Unop (op, map_rexpr f a)
-  | Binop (op, a, b) -> Binop (op, map_rexpr f a, map_rexpr f b)
-
-let map_refs f s =
-  let lhs = match s.lhs with Store r -> Store (f r) | l -> l in
-  { s with lhs; rhs = map_rexpr f s.rhs }
-
 let rec map_iexpr f = function
   | (Const _ | Scalar _) as e -> e
   | Iexpr e -> Iexpr (f e)
@@ -77,25 +67,6 @@ let subst_index s x e =
   { s with lhs; rhs = map_iexpr f s.rhs }
 
 let rename_index s x y = subst_index s x (Expr.Var y)
-
-let rec rexpr_equal a b =
-  match (a, b) with
-  | Const x, Const y -> Float.equal x y
-  | Scalar x, Scalar y -> String.equal x y
-  | Iexpr x, Iexpr y -> Expr.equal x y
-  | Load x, Load y -> Reference.equal x y
-  | Unop (o1, x), Unop (o2, y) -> o1 = o2 && rexpr_equal x y
-  | Binop (o1, x1, x2), Binop (o2, y1, y2) ->
-    o1 = o2 && rexpr_equal x1 y1 && rexpr_equal x2 y2
-  | (Const _ | Scalar _ | Iexpr _ | Load _ | Unop _ | Binop _), _ -> false
-
-let equal a b =
-  rexpr_equal a.rhs b.rhs
-  &&
-  match (a.lhs, b.lhs) with
-  | Store x, Store y -> Reference.equal x y
-  | Scalar_set x, Scalar_set y -> String.equal x y
-  | (Store _ | Scalar_set _), _ -> false
 
 let unop_name = function
   | Fneg -> "-"

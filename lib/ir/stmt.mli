@@ -36,11 +36,8 @@ val refs : t -> (Reference.t * [ `Read | `Write ]) list
 val scalars_read : t -> string list
 val scalars_written : t -> string list
 
-val map_refs : (Reference.t -> Reference.t) -> t -> t
 val subst_index : t -> string -> Expr.t -> t
 (** Substitute an index variable in every subscript of the statement. *)
 
 val rename_index : t -> string -> string -> t
-val equal : t -> t -> bool
-val pp_rexpr : Format.formatter -> rexpr -> unit
 val pp : Format.formatter -> t -> unit

@@ -7,14 +7,6 @@
 
 exception Error of string
 
-val expr_to_ir : Ast.expr -> Expr.t
-(** Integer expression (subscripts, bounds); [MIN]/[MAX] calls and [/]
-    map to the IR's bound operators. @raise Error on floats or other
-    calls. *)
-
-val program : Ast.program -> Program.t
-(** @raise Error on name or arity problems; the result is validated. *)
-
 val parse_program : string -> Program.t
 (** Parse and lower in one step.
     @raise Parser.Error / Lexer.Error / Error. *)

@@ -39,5 +39,3 @@ let to_string = function
   | SLASH -> "/"
   | NEWLINE -> "newline"
   | EOF -> "end of input"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -21,5 +21,4 @@ type t =
   | NEWLINE
   | EOF
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -4,7 +4,6 @@
    Timestamps are microseconds relative to the earliest event. All JSON
    is rendered through the shared {!Json} emitter. *)
 
-let escape = Json.escape
 let str = Json.str
 let obj = Json.obj
 

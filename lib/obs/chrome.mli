@@ -6,14 +6,10 @@
     instants, counters as running-total counter ("C") tracks.
     Timestamps are microseconds relative to the earliest event. *)
 
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslashes, control chars). *)
-
-val str : string -> string
-(** A quoted JSON string literal. *)
-
 val to_string : Event.t list -> string
-(** The complete JSON document
+(** Test oracle: the document {!write} writes.
+
+    The complete JSON document
     ([{"schema_version": 1, "traceEvents": [...], ...}]); the extra
     [schema_version] field is ignored by trace viewers and versions the
     export for other consumers (see [doc/SCHEMA.md]). *)

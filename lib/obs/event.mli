@@ -60,5 +60,7 @@ type t = {
 }
 
 val fingerprint : t -> string
-(** Deterministic rendering without timestamps, durations or domain ids
+(** Test oracle: what tests compare event streams by across job counts.
+
+    Deterministic rendering without timestamps, durations or domain ids
     — what must be identical across [MEMORIA_JOBS] settings. *)

@@ -3,4 +3,6 @@
     self time in nanoseconds, lines sorted lexicographically. *)
 
 val to_string : Event.t list -> string
+(** Test oracle: the document {!write} writes. *)
+
 val write : path:string -> Event.t list -> unit

@@ -1,9 +1,8 @@
 (* Log2-bucketed histogram accumulator: bucket 0 holds values <= 0 and
    bucket i (1 <= i <= 62) holds 2^(i-1) <= v <= 2^i - 1, so any OCaml
-   int lands in a fixed 63-bucket array and two histograms merge by
-   element-wise addition. Aggregation is pure integer arithmetic over
-   the (deterministic) event stream, so bucket counts are identical at
-   any MEMORIA_JOBS value. *)
+   int lands in a fixed 63-bucket array. Aggregation is pure integer
+   arithmetic over the (deterministic) event stream, so bucket counts
+   are identical at any MEMORIA_JOBS value. *)
 
 let buckets = 63
 
@@ -39,19 +38,6 @@ let observe t v =
   t.sum <- t.sum + v;
   if v < t.min then t.min <- v;
   if v > t.max then t.max <- v
-
-let merge a b =
-  let t = create () in
-  Array.iteri (fun i n -> t.counts.(i) <- n + b.counts.(i)) a.counts;
-  t.count <- a.count + b.count;
-  t.sum <- a.sum + b.sum;
-  t.min <- min a.min b.min;
-  t.max <- max a.max b.max;
-  t
-
-let equal a b =
-  a.count = b.count && a.sum = b.sum && a.min = b.min && a.max = b.max
-  && a.counts = b.counts
 
 let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 

@@ -2,11 +2,8 @@
 
     Bucket 0 holds values [<= 0]; bucket [i] (1..62) holds
     [2^(i-1) <= v <= 2^i - 1], so every OCaml int maps to a fixed
-    63-bucket array. Merging is element-wise addition, so the result of
-    folding a deterministic event stream is itself deterministic. *)
-
-val buckets : int
-(** Number of buckets (63). *)
+    63-bucket array, so the result of folding a deterministic event
+    stream is itself deterministic. *)
 
 type t = {
   counts : int array;  (** per-bucket observation counts *)
@@ -20,15 +17,15 @@ val create : unit -> t
 val observe : t -> int -> unit
 
 val bucket_of : int -> int
-(** Index of the bucket holding the value. *)
+(** Test oracle: the bucket layout {!observe} and {!cumulative} use.
+
+    Index of the bucket holding the value. *)
 
 val bucket_le : int -> int
-(** Inclusive upper bound of bucket [i] ([max_int] for the last). *)
+(** Test oracle: the bucket bounds {!cumulative} and {!quantile} report.
 
-val merge : t -> t -> t
-(** A fresh histogram with element-wise summed counts. *)
+    Inclusive upper bound of bucket [i] ([max_int] for the last). *)
 
-val equal : t -> t -> bool
 val mean : t -> float
 
 val quantile : t -> float -> int

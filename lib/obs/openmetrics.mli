@@ -5,15 +5,16 @@
     name) or, when the path ends in [.json], as a single JSON document.
     Metric naming is a stable contract documented in [doc/SCHEMA.md]. *)
 
-val sanitize : string -> string
-(** Event name to metric name: ["memoria_"] prefix, non-alphanumerics
-    replaced by ['_']. *)
-
 val to_text : Summary.t -> string
-(** OpenMetrics text exposition, terminated by [# EOF]. *)
+(** Test oracle: the document {!write} writes for a path not ending in
+    [.json].
+
+    OpenMetrics text exposition, terminated by [# EOF]. *)
 
 val to_json : Summary.t -> string
-(** The same data as one schema-versioned JSON object. *)
+(** Test oracle: the document {!write} writes for a [.json] path.
+
+    The same data as one schema-versioned JSON object. *)
 
 val write : path:string -> Summary.t -> unit
 (** Write to [path]; format chosen by extension ([.json] → JSON,

@@ -18,13 +18,15 @@ let in_worker = Domain.DLS.new_key (fun () -> false)
 
 module Obs = Locality_obs.Obs
 
-let map_array ?jobs f items =
+let map ?jobs f items =
+  let items = Array.of_list items in
   let n = Array.length items in
   let jobs =
     match jobs with Some j -> max 1 j | None -> default_jobs ()
   in
   let jobs = min jobs n in
-  if jobs <= 1 || n <= 1 || Domain.DLS.get in_worker then Array.map f items
+  if jobs <= 1 || n <= 1 || Domain.DLS.get in_worker then
+    Array.to_list (Array.map f items)
   else begin
     let results = Array.make n None in
     (* When tracing is on, each item's events are captured on the worker
@@ -67,16 +69,8 @@ let map_array ?jobs f items =
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());
     if tracing then Array.iter Obs.inject item_events;
-    Array.map (function Some v -> v | None -> assert false) results
+    Array.to_list (Array.map (function Some v -> v | None -> assert false) results)
   end
-
-let map ?jobs f items =
-  Array.to_list (map_array ?jobs f (Array.of_list items))
-
-let map_reduce ?jobs ~map:f ~combine ~init items =
-  (* The fold is sequential and in input order, so the result is
-     independent of the pool size. *)
-  List.fold_left combine init (map ?jobs f items)
 
 (* ------------------------------------------------ persistent pool --- *)
 

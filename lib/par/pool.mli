@@ -29,18 +29,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     domains. An exception raised by [f] aborts the map and is re-raised
     in the caller. *)
 
-val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-
-val map_reduce :
-  ?jobs:int ->
-  map:('a -> 'b) ->
-  combine:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc
-(** Parallel map followed by a sequential in-order fold, so the result
-    does not depend on the pool size. *)
-
 (** {1 Persistent pool}
 
     A long-lived worker-domain pool for services ([memoria serve]):

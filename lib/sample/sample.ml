@@ -170,9 +170,6 @@ let skey t line = if t.set_mask = 0 then line else line land t.set_mask
 let hash t line = mix (skey t line lxor t.seed_mix) land (modulus - 1)
 let weight t = t.unit_weight
 
-let accesses t = t.accesses
-let sampled t = t.sampled
-let adaptations t = t.adaptations
 (* The realised sampling fraction: threshold over hash space for line
    sampling, sampled sets over total sets for set sampling (where the
    threshold is an order statistic, not rate * modulus). *)

@@ -35,9 +35,6 @@
 
 type t
 
-val modulus : int
-(** Size of the hash space (2^24); the threshold lives in [1, modulus]. *)
-
 val default_rate : float
 (** 0.01, the SHARDS rate used when none is given. *)
 
@@ -66,20 +63,6 @@ val consume_runchunk : t -> Locality_cachesim.Runchunk.t -> unit
 (** Feed a v2 trace block, group descriptors consumed with the bulk-skip
     fast path. Equivalent to feeding every expanded access through
     {!access} in replay order. *)
-
-val accesses : t -> int
-(** Exact accesses seen (groups expanded). *)
-
-val sampled : t -> int
-(** Sampled-line accesses actually processed. *)
-
-val adaptations : t -> int
-(** Times the threshold halved. *)
-
-val effective_rate : t -> float
-(** The realised sampling fraction after any adaptation: threshold over
-    hash space for line sampling ([sets = 1]), sampled sets over total
-    sets for set sampling. *)
 
 (** An immutable, marshalable summary of a finished profiling run;
     [pf_labels.(id)] names the statement label with interned id [id],
@@ -118,7 +101,10 @@ val hits_under : profile -> int -> ways:int -> float
     the fully-associative estimate. *)
 
 val merged_histogram : profile -> (int * float) list
-(** All labels merged: (scaled distance, total weight), sorted. *)
+(** Test oracle: the scaled reuse-distance histogram the other profile
+    figures are read from.
+
+    All labels merged: (scaled distance, total weight), sorted. *)
 
 val mean_distance : profile -> float
 (** Weighted mean of the {!merged_histogram} distances; 0 when no line

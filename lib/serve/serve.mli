@@ -90,7 +90,10 @@ val run : t -> unit
     socket cannot be bound. *)
 
 val stop : t -> unit
-(** Ask a running server to drain and return; safe from any thread or
+(** Test oracle: the shutdown {!install_signal_handlers} triggers; tests
+    call it to end a server they run on a thread.
+
+    Ask a running server to drain and return; safe from any thread or
     signal handler, idempotent. *)
 
 val install_signal_handlers : t -> unit

@@ -5,19 +5,14 @@ val float4 : float -> string
 (** Fixed four-place formatting, shared by every ratio / hit-rate column
     and the profile table. *)
 
-val float6 : float -> string
-(** Fixed six-place formatting for simulated seconds. *)
-
 val escape : string -> string
-(** RFC-4180-style quoting when a field contains a comma, quote or
+(** Test oracle: the quoting every table writer applies.
+
+    RFC-4180-style quoting when a field contains a comma, quote or
     newline. *)
 
-val of_rows : string list -> string list list -> string
-(** Header plus rows. *)
-
 val table2 : Table2.row list -> string
-val table3 : Perf.perf_row list -> string
-val table4 : Perf.hit_row list -> string
+(** Test oracle: the table2.csv document {!write_all} writes. *)
 
 val write_all :
   ?settings:Locality_driver.Settings.t -> dir:string -> Table2.row list -> unit

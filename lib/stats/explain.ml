@@ -19,7 +19,6 @@ type t = {
 
 let entries t = t.entries
 let stats t = t.stats
-let transformed t = t.transformed
 let events t = t.events
 
 let is_instant (e : Event.t) =

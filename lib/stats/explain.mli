@@ -19,14 +19,19 @@ type entry = {
 type t
 
 val entries : t -> entry list
-(** Decision entries in recording order (inner nests of an imperfect
+(** Test oracle: the decisions {!render} and {!to_json} print, as values.
+
+    Decision entries in recording order (inner nests of an imperfect
     nest precede their parent; [Compound.stats.nests] lists the same
     nests parent-first, so only the counts coincide). *)
 
 val stats : t -> Locality_core.Compound.stats
-val transformed : t -> Program.t
+(** Test oracle: the compound statistics of the explained run. *)
+
 val events : t -> Locality_obs.Event.t list
-(** The raw stream, for feeding {!Locality_obs.Chrome} or {!Profile}. *)
+(** Test oracle: the recorded stream behind the decisions.
+
+    The raw stream, for feeding {!Locality_obs.Chrome} or {!Profile}. *)
 
 val run :
   ?cls:int ->

@@ -100,5 +100,3 @@ let render (s : Summary.t) =
       @ if s.Summary.gauges = [] then [] else [ gauge_table s.Summary.gauges ]
     in
     String.concat "\n" parts
-
-let of_events events = render (Summary.of_events events)

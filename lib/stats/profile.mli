@@ -8,6 +8,3 @@ val render : Locality_obs.Summary.t -> string
     sum to 100), counter sums, histogram digests (count, mean, bucket
     p50/p95, max) and gauge levels. Empty sections are omitted; an
     empty summary renders a one-line note. *)
-
-val of_events : Locality_obs.Event.t list -> string
-(** [render] composed with {!Locality_obs.Summary.of_events}. *)

@@ -36,9 +36,7 @@ let render ~title ?note aligns header rows =
   List.iter (fun row -> Buffer.add_string buf (render_row row ^ "\n")) rows;
   Buffer.contents buf
 
-let fmt_float ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f
 let fmt_pct f = Printf.sprintf "%.2f" f
-let fmt_speedup f = Printf.sprintf "%.2f" f
 
 let histogram ~title ~buckets ~total =
   let buf = Buffer.create 512 in

@@ -8,9 +8,7 @@ val render :
     columns; [aligns] applies per column (missing entries default to
     Right). *)
 
-val fmt_float : ?decimals:int -> float -> string
 val fmt_pct : float -> string
-val fmt_speedup : float -> string
 
 val histogram :
   title:string -> buckets:(string * int) list -> total:int -> string

@@ -27,10 +27,15 @@ type row = {
 }
 
 val count_loops : Program.t -> int
+(** Test oracle: the loop count of a row, for checking the suite
+    generator. *)
 
 val compute_row :
   ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> ?tune:bool ->
   Locality_suite.Programs.entry -> row
+(** Test oracle: one row of {!compute}, for tests that check a row or a
+    subset of the suite. *)
+
 val compute :
   ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> ?tune:bool ->
   unit -> row list

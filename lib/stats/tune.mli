@@ -77,12 +77,17 @@ type candidate = {
 }
 
 val encode : candidate -> string
-(** Canonical encoding, e.g. ["S=asis;P=J,K,I;T=16;U=K*4"] — the store
+(** Test oracle: the candidate names rows carry, for picking candidates in
+    tests.
+
+    Canonical encoding, e.g. ["S=asis;P=J,K,I;T=16;U=K*4"] — the store
     key component and the deterministic tie-break. *)
 
 val candidates :
   ?cls:int -> spec -> Program.t -> (int * candidate list) option
-(** The tuned nest's index in the program body (the deepest top-level
+(** Test oracle: the whole enumeration the search screens.
+
+    The tuned nest's index in the program body (the deepest top-level
     nest, the first on ties) and its whole candidate list in enumeration
     order, before [max_candidates] truncation. [None] when the program
     has no top-level nest. *)
@@ -93,12 +98,14 @@ val apply :
   nest_idx:int ->
   candidate ->
   (Program.t * string list) option
-(** Apply one candidate to the top-level nest at [nest_idx]: structure
+(** Test oracle: the one-candidate reference that {!apply_all} must equal.
+
+    Apply one candidate to the top-level nest at [nest_idx]: structure
     first, then permutation (legality-checked), tiling (over
     {!Locality_core.Tiling.recommend}'s band), then unroll-and-jam with
     program-wide label freshening. [None] when any stage rejects or the
     result fails validation — a malformed candidate is pruned, never
-    propagated. The reference for {!apply_all}; exposed for tests. *)
+    propagated. *)
 
 val apply_all :
   ?cls:int ->
@@ -107,7 +114,10 @@ val apply_all :
   nest_idx:int ->
   candidate list ->
   (Program.t * string list) option list
-(** The screen's application: equal, element by element, to
+(** Test oracle: the screen's batched application, checked element by
+    element against {!apply}.
+
+    The screen's application: equal, element by element, to
     [List.map (apply p ~nest_idx) cands], but structure, permutation and
     tiling run once per distinct prefix of consecutive candidates, and
     a rejected prefix rejects the candidates below it without applying

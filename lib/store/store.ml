@@ -67,7 +67,6 @@ let key ~kind parts =
   Digest.string (Buffer.contents buf)
 
 let hex = Digest.to_hex
-let equal_key = String.equal
 
 (* ---------------------------------------------------------- paths --- *)
 

@@ -35,7 +35,9 @@ type t
     {!open_root}; safe to share across domains. *)
 
 val format_version : int
-(** Mixed into every key: bumping it invalidates the whole store (old
+(** Test oracle: pinned by the key-stability test.
+
+    Mixed into every key: bumping it invalidates the whole store (old
     entries become unreachable garbage for {!gc}), which is how
     incompatible changes to the marshalled payloads are rolled out. *)
 
@@ -56,19 +58,25 @@ val key : kind:string -> string list -> key
     part, length-prefixed so part boundaries cannot alias. *)
 
 val hex : key -> string
-(** The digest as lowercase hex (the on-disk basename). *)
+(** Test oracle: what tests compare keys by.
 
-val equal_key : key -> key -> bool
+    The digest as lowercase hex (the on-disk basename). *)
 
 (** {1 Reading and writing} *)
 
 val put : t -> key -> string -> unit
-(** Atomically publish the payload under the key (checksummed footer
+(** Test oracle: the raw payload layer under {!put_value}, for tests that
+    write bytes.
+
+    Atomically publish the payload under the key (checksummed footer
     appended). I/O errors are swallowed — the store is a cache, and a
     failed write only costs a future recomputation. *)
 
 val get : t -> key -> string option
-(** The validated payload, or [None] on miss. A present-but-invalid
+(** Test oracle: the raw payload layer under {!get_value}, for tests that
+    read or corrupt bytes.
+
+    The validated payload, or [None] on miss. A present-but-invalid
     entry (bad magic, length, or checksum) is quarantined and reported
     as a miss. *)
 
@@ -82,16 +90,12 @@ val get_value : t -> key -> 'a option
     only read a key with the type it was written with. *)
 
 val object_path : t -> key -> string
-(** Where the entry lives (exposed for the store tooling and tests). *)
+(** Test oracle: where an entry lives, for tests that corrupt or age it. *)
 
 (** {1 Filesystem helpers}
 
     Shared with the telemetry sink, which lives in its own namespace
     under the store root and wants the same durability discipline. *)
-
-val mkdir_p : string -> unit
-(** Create the directory and any missing parents (0755); racing
-    creators are fine. *)
 
 val atomic_write : path:string -> string -> bool
 (** Write the content to a unique temp file in the target directory,

@@ -63,18 +63,5 @@ val shallow_water : int -> Program.t
 val transpose : int -> Program.t
 (** [B(I,J) = A(J,I)] — one array is always accessed across columns. *)
 
-val matmul_chain : int -> Program.t
-(** Chained GEMMs [T = A*B; E = T*C]: two triple nests with a
-    producer/consumer array between them, so permutation, fusion and
-    distribution all have real choices to make. *)
-
-val conv2d : int -> Program.t
-(** Direct 2-D convolution, 3x3 window, PQIJ loop order. The input
-    subscripts are two-variable affine ([I+P], [J+Q]). *)
-
-val attention : int -> Program.t
-(** Attention-shaped pair of nests, softmax-free: [S = Q*K^T] (the
-    [K] matrix read transposed) followed by [O = S*V]. *)
-
 val all : (string * (int -> Program.t)) list
 (** Every kernel by name, for tests and the CLI. *)

@@ -35,10 +35,6 @@ let zero name =
     singles = 0;
   }
 
-let nests_of s =
-  s.good2 + s.perm2 + s.fail2 + s.good3 + s.perm3 + s.fail3 + s.inner3
-  + s.fail_inner3 + (2 * s.fuse_pairs) + s.dist + s.reductions + s.complex
-
 let loops_of s =
   (2 * (s.good2 + s.perm2 + s.fail2))
   + (3 * (s.good3 + s.perm3 + s.fail3 + s.inner3 + s.fail_inner3))

@@ -32,9 +32,6 @@ type spec = {
 val zero : string -> spec
 (** A spec with every count 0. *)
 
-val nests_of : spec -> int
-(** Nests of depth >= 2 the spec will generate (fuse pairs count 2). *)
-
 val loops_of : spec -> int
 (** Total DO statements generated. *)
 

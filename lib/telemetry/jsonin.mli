@@ -13,9 +13,6 @@ type t =
 
 exception Parse_error of string
 
-val parse : string -> t
-(** @raise Parse_error on malformed input or trailing garbage. *)
-
 val parse_opt : string -> t option
 
 val parse_keyed : string -> t * (string * int) list

@@ -3,10 +3,6 @@
     [memoria health] compares against history. Pure data; persistence
     lives in {!Telemetry}. *)
 
-val schema_version : int
-(** Bumped on incompatible layout changes; the loader skips records of
-    any other version. *)
-
 type t = {
   ts_ns : int64;  (** wall-clock epoch, nanoseconds *)
   cmd : string;  (** memoria subcommand ("sim", "suite", ...) *)
@@ -29,9 +25,6 @@ val to_json : t -> string
 val of_string : string -> t option
 (** Parse a serialized record; [None] (never an exception) on malformed
     JSON, wrong schema version, or missing fields. *)
-
-val counter : t -> string -> int
-(** Counter total, 0 when absent. *)
 
 val gauge : t -> string -> float option
 val phase_ms : t -> string -> float option

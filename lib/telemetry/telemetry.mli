@@ -8,7 +8,10 @@
     the executables resolve it). *)
 
 val dir : Locality_store.Store.t -> string
-(** The telemetry namespace under the store root. *)
+(** Test oracle: where records are written, for tests that inspect the
+    files.
+
+    The telemetry namespace under the store root. *)
 
 val git_describe : unit -> string
 (** Best-effort [git describe --always --dirty], ["unknown"] when

@@ -12,7 +12,6 @@ let () =
       ("suite", Test_suite.suite);
       ("stats", Test_stats.suite);
       ("extensions", Test_extensions.suite);
-      ("normalize", Test_normalize.suite);
       ("coverage", Test_coverage.suite);
       ("cgen", Test_cgen.suite);
       ("units", Test_units.suite);

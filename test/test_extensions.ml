@@ -30,7 +30,7 @@ let test_strip_mine_iterations () =
   let open Builder in
   let p =
     program "sm" ~arrays:[ ("A", [ i 37 ]) ]
-      [ do_ "I" (i 1) (i 37) [ asn (r "A" [ v "I" ]) (idx (v "I")) ] ]
+      [ do_ "I" (i 1) (i 37) [ asn (r "A" [ v "I" ]) (Stmt.Iexpr (v "I")) ] ]
   in
   let nest = List.hd (Program.top_loops p) in
   let tiled = C.Tiling.strip_mine nest ~loop:"I" ~tile:8 in
@@ -300,7 +300,7 @@ let test_choose_factor_matmul () =
 
 let test_choose_factor_middle_loop () =
   (* IJK matmul, jamming the middle J loop: the main nest sits inside
-     the outer I loop; find_main must locate it, the balance model must
+     the outer I loop; map_main must locate it, the balance model must
      see the C accumulators turn into registers, and the whole rebuilt
      program must compute the same product. *)
   let n = 10 in
@@ -313,10 +313,12 @@ let test_choose_factor_middle_loop () =
   match C.Unroll.unroll_and_jam nest ~loop:"J" ~factor:4 with
   | None -> Alcotest.fail "middle-loop jam should succeed"
   | Some block ->
-    checkb "find_main locates the jammed nest" true
-      (match C.Unroll.find_main block ~loop:"J" ~factor:4 with
-      | Some main -> main.Loop.header.Loop.step = 4
-      | None -> false);
+    checkb "map_main locates the jammed nest" true
+      (C.Unroll.map_main block ~loop:"J" ~factor:4 ~f:(fun main ->
+           if main.Loop.header.Loop.step <> 4 then
+             Alcotest.fail "main nest has the wrong step";
+           main)
+      <> None);
     (match C.Unroll.map_main block ~loop:"J" ~factor:4 ~f:(fun main ->
          (C.Scalar_replacement.apply main).C.Scalar_replacement.nest)
      with
@@ -472,14 +474,15 @@ let test_scalar_replacement_skips_may_alias () =
 (* ----------------------------------------------------- parallelism --- *)
 
 let test_parallel_matmul () =
-  let nest = List.hd (Program.top_loops (S.Kernels.matmul ~order:"JKI" 12)) in
-  checkb "J doall" true (C.Parallel.is_doall nest ~loop:"J");
-  checkb "I doall" true (C.Parallel.is_doall nest ~loop:"I");
-  checkb "K sequential (reduction)" false (C.Parallel.is_doall nest ~loop:"K");
-  let r = C.Parallel.report nest in
-  checki "2 of 3 doall" 2 r.C.Parallel.doall;
-  checkb "outer parallel" true r.C.Parallel.outer_parallel;
-  checkb "inner parallel" false r.C.Parallel.inner_sequential
+  (* J and I (outermost and innermost) are DOALL, the K reduction is
+     not. *)
+  match C.Parallel.program_summary (S.Kernels.matmul ~order:"JKI" 12) with
+  | [ r ] ->
+    checki "3 loops" 3 r.C.Parallel.loops;
+    checki "2 of 3 doall" 2 r.C.Parallel.doall;
+    checkb "outer parallel" true r.C.Parallel.outer_parallel;
+    checkb "inner parallel" false r.C.Parallel.inner_sequential
+  | _ -> Alcotest.fail "expected one nest"
 
 let test_parallel_simple_tradeoff () =
   (* The paper's Simple: vectorizable inner loop before, recurrence
@@ -494,8 +497,11 @@ let test_parallel_simple_tradeoff () =
     (List.exists (fun (r : C.Parallel.report) -> r.C.Parallel.inner_sequential) after)
 
 let test_parallel_jacobi_all_doall () =
-  let nest = List.hd (Program.top_loops (S.Kernels.jacobi2d 12)) in
-  checki "both loops doall" 2 (List.length (C.Parallel.parallel_loops nest))
+  match C.Parallel.program_summary (S.Kernels.jacobi2d 12) with
+  | [ r ] ->
+    checki "2 loops" 2 r.C.Parallel.loops;
+    checki "both loops doall" 2 r.C.Parallel.doall
+  | _ -> Alcotest.fail "expected one nest"
 
 (* ----------------------------------------------- scalar expansion ---- *)
 
@@ -515,9 +521,11 @@ let temp_loop_program () =
 
 let test_expansion_candidates () =
   let p = temp_loop_program () in
-  let nest = List.hd (Program.top_loops p) in
-  Alcotest.check (Alcotest.list Alcotest.string) "t is a candidate" [ "t" ]
-    (C.Scalar_expansion.candidates nest)
+  match C.Scalar_expansion.expand p ~loop:"I" ~scalar:"t" with
+  | Error msg -> Alcotest.fail msg
+  | Ok p' ->
+    checkb "t is expanded into t_X" true
+      (Program.decl p' "t_X" <> None)
 
 let test_expansion_enables_distribution () =
   let p = temp_loop_program () in

@@ -39,16 +39,16 @@ let with_store f = f (Store.open_root (fresh_dir ()))
 
 let test_jsonin_values () =
   let open Jsonin in
-  checkb "null" true (parse "null" = Null);
-  checkb "bool" true (parse " true " = Bool true);
-  checkb "int" true (parse "42" = Num 42.0);
-  checkb "float" true (parse "-2.5e2" = Num (-250.0));
+  checkb "null" true (parse_opt "null" = Some Null);
+  checkb "bool" true (parse_opt " true " = Some (Bool true));
+  checkb "int" true (parse_opt "42" = Some (Num 42.0));
+  checkb "float" true (parse_opt "-2.5e2" = Some (Num (-250.0)));
   checkb "string escapes" true
-    (parse {|"a\n\"b\"A"|} = Str "a\n\"b\"A");
-  checkb "array" true (parse "[1,2]" = List [ Num 1.0; Num 2.0 ]);
+    (parse_opt {|"a\n\"b\"A"|} = Some (Str "a\n\"b\"A"));
+  checkb "array" true (parse_opt "[1,2]" = Some (List [ Num 1.0; Num 2.0 ]));
   checkb "object" true
-    (parse {|{"k":1,"l":[]}|} = Obj [ ("k", Num 1.0); ("l", List []) ]);
-  checkb "empties" true (parse {|{"a":{},"b":[]}|} <> Null)
+    (parse_opt {|{"k":1,"l":[]}|} = Some (Obj [ ("k", Num 1.0); ("l", List []) ]));
+  checkb "empties" true (parse_opt {|{"a":{},"b":[]}|} <> Some Null)
 
 let test_jsonin_rejects_malformed () =
   let bad s = Jsonin.parse_opt s = None in

@@ -72,7 +72,7 @@ let test_negative_step () =
     program "rev" ~arrays:[ ("A", [ i 10 ]) ]
       [
         do_ ~step:(-1) "I" (i 10) (i 1)
-          [ asn (r "A" [ v "I" ]) (idx (v "I")) ];
+          [ asn (r "A" [ v "I" ]) (Stmt.Iexpr (v "I")) ];
       ]
   in
   let res = Exec.run p in
@@ -179,7 +179,7 @@ let min_max_div =
       do_ "I" (i 1) nn
         [
           asn (r "A" [ Expr.Min (Expr.Add (Expr.Var "I", Expr.Int 2), nn) ])
-            (idx (Expr.Max (Expr.Var "I", Expr.Int 3)));
+            (Stmt.Iexpr (Expr.Max (Expr.Var "I", Expr.Int 3)));
           asn (r "A" [ Expr.Div (Expr.Var "I", Expr.Int 2) +$ i 1 ]) (f 0.5);
         ];
     ]

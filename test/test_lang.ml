@@ -139,7 +139,7 @@ let test_driver_error_locations () =
 let test_lower_matmul () =
   let p = L.Lower.parse_program matmul_src in
   checks "program name" "matmul" p.Program.name;
-  checki "N default" 16 (Program.param_env p "N");
+  checki "N default" 16 (List.assoc "N" p.Program.params);
   let l = List.hd (Program.top_loops p) in
   checki "depth 3" 3 (Loop.depth l);
   checkb "perfect" true (Loop.is_perfect l)

@@ -426,7 +426,7 @@ let test_walker_kernels () =
       [
         sasn "s" (f 3.0);
         do_ ~step:(-1) "I" (i 10) (i 1)
-          [ asn (r "A" [ v "I" ]) (sc "s" *! idx (v "I")) ];
+          [ asn (r "A" [ v "I" ]) (sc "s" *! Stmt.Iexpr (v "I")) ];
       ]
   in
   List.iter

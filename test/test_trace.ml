@@ -171,17 +171,6 @@ let test_pool_exception () =
       ignore (Pool.map ~jobs:4 (fun x -> if x = 7 then failwith "boom" else x)
                 (List.init 32 Fun.id)))
 
-let test_pool_map_reduce () =
-  let items = List.init 50 (fun i -> i + 1) in
-  let expect = List.fold_left ( + ) 0 items in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check int)
-        (Printf.sprintf "sum j=%d" jobs)
-        expect
-        (Pool.map_reduce ~jobs ~map:Fun.id ~combine:( + ) ~init:0 items))
-    [ 1; 4 ]
-
 let test_table2_rows_pool_invariant () =
   (* Table 2 rows computed sequentially and on a 4-domain pool must
      render identically (the ISSUE's determinism criterion). A subset of
@@ -207,7 +196,6 @@ let suite =
     Alcotest.test_case "trace labels intern correctly" `Quick test_trace_labels;
     Alcotest.test_case "pool map preserves order" `Quick test_pool_map_order;
     Alcotest.test_case "pool propagates exceptions" `Quick test_pool_exception;
-    Alcotest.test_case "pool map_reduce" `Quick test_pool_map_reduce;
     Alcotest.test_case "table2 rows identical at j=1 and j=4" `Slow
       test_table2_rows_pool_invariant;
   ]

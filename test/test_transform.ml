@@ -85,8 +85,8 @@ let test_fusion_compatible_level () =
 let test_fusion_incompatible () =
   let open Builder in
   let nn = v "N" in
-  let l1 = loop_of (do_ "K" (i 1) nn [ asn (r "X" [ v "K" ]) (f 0.0) ]) in
-  let l2 = loop_of (do_ "K" (i 2) nn [ asn (r "Y" [ v "K" ]) (f 0.0) ]) in
+  let l1 = Loop.loop "K" (i 1) nn [ asn (r "X" [ v "K" ]) (f 0.0) ] in
+  let l2 = Loop.loop "K" (i 2) nn [ asn (r "Y" [ v "K" ]) (f 0.0) ] in
   ignore
     (program "c" ~params:[ ("N", 4) ]
        ~arrays:[ ("X", [ nn ]); ("Y", [ nn ]) ]
