@@ -22,9 +22,6 @@ module Settings = Locality_driver.Settings
 module Response = Locality_driver.Response
 module Serve = Locality_serve.Serve
 module Store = Locality_store.Store
-module Telemetry = Locality_telemetry.Telemetry
-module Record = Locality_telemetry.Record
-module Health = Locality_telemetry.Health
 open Locality_ir
 
 (* All loading and measuring goes through the Driver pipeline; the
@@ -169,24 +166,17 @@ let jobs_arg =
 (* Tracing harness for the commands that take
    [--trace]/[--profile]/[--metrics]/[--flame]: enable recording around
    [f], then export. Everything lands in files or on stderr so stdout
-   is unchanged by any of the flags. When telemetry is on
-   (MEMORIA_TELEMETRY=1 with a store), recording is enabled too and the
-   run's digest is published into the store's telemetry/ namespace,
-   keyed by [workload] so `memoria health` can compare like runs. *)
-let with_obs ~cmd ~workload ~geometry ~jobs ~trace ~profile ~metrics ~flame f =
-  let telemetry = settings.Settings.telemetry in
-  if trace = None && (not profile) && metrics = None && flame = None
-     && not telemetry
-  then f ()
+   is unchanged by any of the flags. *)
+let with_obs ~trace ~profile ~metrics ~flame f =
+  if trace = None && (not profile) && metrics = None && flame = None then f ()
   else begin
-    let t0 = Unix.gettimeofday () in
     Obs.set_enabled true;
     Obs.reset ();
     let finish () =
       (* Derived gauges are emitted here, while recording is still on,
-         so every exporter and the telemetry record see them. The store
-         counters come from the process-global atomics: bench's stderr
-         summary runs after this drain, too late to observe. *)
+         so every exporter sees them. The store counters come from the
+         process-global atomics: bench's stderr summary runs after this
+         drain, too late to observe. *)
       (let c = Store.counters () in
        let lookups = c.Store.hits + c.Store.misses in
        if lookups > 0 then
@@ -200,32 +190,7 @@ let with_obs ~cmd ~workload ~geometry ~jobs ~trace ~profile ~metrics ~flame f =
         (fun path -> Openmetrics.write ~path (Lazy.force summary))
         metrics;
       Option.iter (fun path -> Flame.write ~path events) flame;
-      if profile then prerr_string (Stats.Profile.render (Lazy.force summary));
-      if telemetry then
-        Option.iter
-          (fun store ->
-            let s = Lazy.force summary in
-            let record =
-              {
-                Record.ts_ns = Telemetry.now_epoch_ns ();
-                cmd;
-                workload;
-                replay = Interp.Measure.mode_to_string settings.Settings.replay;
-                geometry;
-                jobs;
-                git = Telemetry.git_describe ();
-                wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-                phases =
-                  List.map
-                    (fun (r : Summary.span_row) ->
-                      (r.Summary.name, Summary.ms r.Summary.total_ns))
-                    s.Summary.spans;
-                counters = s.Summary.counters;
-                gauges = s.Summary.gauges;
-              }
-            in
-            ignore (Telemetry.publish store record))
-          settings.Settings.store
+      if profile then prerr_string (Stats.Profile.render (Lazy.force summary))
     in
     Fun.protect ~finally:finish f
   end
@@ -482,26 +447,10 @@ let sim_cmd =
       flame =
     match request with
     | Some path ->
-      with_obs ~cmd:"sim"
-        ~workload:("sim:request:" ^ Filename.basename path) ~geometry:"-"
-        ~jobs:1 ~trace ~profile ~metrics ~flame (fun () ->
+      with_obs ~trace ~profile ~metrics ~flame (fun () ->
           run_request_file path)
     | None ->
-      let target =
-        match kernel with
-        | Some k -> k
-        | None -> (
-          match file with Some f -> Filename.basename f | None -> "-")
-      in
-      let workload =
-        Printf.sprintf "sim:%s:cls=%d:n=%s:cache=%s%s" target cls
-          (match n with Some v -> string_of_int v | None -> "-")
-          cache.Locality_cachesim.Cache.name
-          (if scale = 1 then "" else Printf.sprintf ":scale=%d" scale)
-      in
-      with_obs ~cmd:"sim" ~workload
-        ~geometry:cache.Locality_cachesim.Cache.name ~jobs:1 ~trace ~profile
-        ~metrics ~flame (fun () ->
+      with_obs ~trace ~profile ~metrics ~flame (fun () ->
           let source =
             match (kernel, file) with
             | Some name, _ -> Request.Kernel name
@@ -551,20 +500,7 @@ let sim_cmd =
 let tune_cmd =
   let run file kernel cls n scale cache jobs json quick top_k tiles unrolls
       max_candidates trace profile metrics flame =
-    let target =
-      match kernel with
-      | Some k -> k
-      | None -> (
-        match file with Some f -> Filename.basename f | None -> "-")
-    in
-    let workload =
-      Printf.sprintf "tune:%s:cls=%d:n=%s:cache=%s" target cls
-        (match n with Some v -> string_of_int v | None -> "-")
-        cache.Locality_cachesim.Cache.name
-    in
-    with_obs ~cmd:"tune" ~workload
-      ~geometry:cache.Locality_cachesim.Cache.name
-      ~jobs ~trace ~profile ~metrics ~flame (fun () ->
+    with_obs ~trace ~profile ~metrics ~flame (fun () ->
         let source =
           match (kernel, file) with
           | Some name, _ -> Request.Kernel name
@@ -662,25 +598,7 @@ let tune_cmd =
 
 let explain_cmd =
   let run file kernel cls n json interference_limit compare tune cache metrics =
-    let target =
-      match kernel with
-      | Some k -> k
-      | None -> (
-        match file with Some f -> Filename.basename f | None -> "-")
-    in
-    let workload =
-      Printf.sprintf "explain:%s:cls=%d:n=%s:%s" target cls
-        (match n with Some v -> string_of_int v | None -> "-")
-        (if compare then "compare:" ^ cache.Locality_cachesim.Cache.name
-         else "decisions")
-    in
-    (* The cache geometry only matters under --compare; the plain
-       decision log never simulates, so its telemetry says so. *)
-    let geometry =
-      if compare then cache.Locality_cachesim.Cache.name else "-"
-    in
-    with_obs ~cmd:"explain" ~workload ~geometry ~jobs:1 ~trace:None
-      ~profile:false ~metrics ~flame:None (fun () ->
+    with_obs ~trace:None ~profile:false ~metrics ~flame:None (fun () ->
         let src = or_die (source_of ~kernel ~file) in
         let name, p = or_die (Driver.load ?n src) in
         if compare then begin
@@ -689,8 +607,8 @@ let explain_cmd =
               ~store:settings.Settings.store ~name p
           in
           (* Mean absolute error of the analytic model vs the simulator
-             (percentage points, per-unit mean) — the accuracy signal
-             `memoria health` watches for drift. *)
+             (percentage points, per-unit mean), exported with the
+             other gauges under --metrics. *)
           (if Obs.enabled () then
              match c.Stats.Compare.c_verdict with
              | `Compared (rows, whole) ->
@@ -862,13 +780,8 @@ let suite_cmd =
   let run cls n scale rate jobs trace profile metrics flame =
     let n = Option.value n ~default:64 in
     let module Pool = Locality_par.Pool in
-    let workload =
-      Printf.sprintf "suite:n=%d:cls=%d:jobs=%d%s" n cls jobs
-        (if scale = 1 then "" else Printf.sprintf ":scale=%d" scale)
-    in
     let rows =
-      with_obs ~cmd:"suite" ~workload ~geometry:"cache1+cache2" ~jobs ~trace
-        ~profile ~metrics ~flame (fun () ->
+      with_obs ~trace ~profile ~metrics ~flame (fun () ->
           Pool.map ~jobs
             (fun (name, _) ->
               Obs.span ("kernel:" ^ name) (fun () ->
@@ -941,13 +854,12 @@ let store_cmd =
     else if n >= 1024 then Printf.sprintf "%.1f KiB" (float_of_int n /. 1024.0)
     else Printf.sprintf "%d B" n
   in
-  let with_store_obs ~sub ~metrics f =
-    with_obs ~cmd:"store" ~workload:("store:" ^ sub) ~geometry:"-" ~jobs:1
-      ~trace:None ~profile:false ~metrics ~flame:None f
+  let with_store_obs ~metrics f =
+    with_obs ~trace:None ~profile:false ~metrics ~flame:None f
   in
   let stats_cmd =
     let run dir metrics =
-      with_store_obs ~sub:"stats" ~metrics (fun () ->
+      with_store_obs ~metrics (fun () ->
           let s = get_store dir in
           let d = Store.disk_stats s in
           Printf.printf "root: %s\n" (Store.root s);
@@ -962,7 +874,7 @@ let store_cmd =
   in
   let verify_cmd =
     let run dir metrics =
-      with_store_obs ~sub:"verify" ~metrics (fun () ->
+      with_store_obs ~metrics (fun () ->
           let s = get_store dir in
           let ok, bad = Store.verify s in
           Printf.printf "ok: %d\nquarantined: %d\n" ok bad;
@@ -993,7 +905,7 @@ let store_cmd =
                concurrent run (e.g. a serve worker) just published.")
     in
     let run dir max_bytes min_age metrics =
-      with_store_obs ~sub:"gc" ~metrics (fun () ->
+      with_store_obs ~metrics (fun () ->
           let s = get_store dir in
           let deleted, remaining = Store.gc ~min_age_s:min_age s ~max_bytes in
           Printf.printf "deleted: %d\nbytes: %d (%s)\n" deleted remaining
@@ -1041,13 +953,7 @@ let serve_cmd =
         write_timeout_s = write_timeout;
       }
     in
-    let workload =
-      match listen with
-      | Serve.Socket _ -> "serve:socket"
-      | Serve.Stdio -> "serve:stdio"
-    in
-    with_obs ~cmd:"serve" ~workload ~geometry:"-" ~jobs ~trace ~profile
-      ~metrics ~flame (fun () ->
+    with_obs ~trace ~profile ~metrics ~flame (fun () ->
         let t = Serve.create ~options ~settings listen in
         Serve.install_signal_handlers t;
         Serve.run t)
@@ -1160,14 +1066,8 @@ let fuzz_cmd =
       | [] -> Fuzz.Oracle.all
       | names -> List.map (fun s -> or_die (Fuzz.Oracle.kind_of_string s)) names
     in
-    let workload =
-      Printf.sprintf "fuzz:seed=%d:count=%d:max-size=%d" seed count max_size
-    in
-    (* The replay/analytic/sample oracles simulate on both reference
-       geometries, so `memoria health` groups fuzz runs with like ones. *)
     let outcome =
-      with_obs ~cmd:"fuzz" ~workload ~geometry:"cache1+cache2" ~jobs ~trace
-        ~profile ~metrics ~flame (fun () ->
+      with_obs ~trace ~profile ~metrics ~flame (fun () ->
           Obs.span "fuzz" (fun () ->
               Fuzz.Harness.run ~jobs ?corpus_dir:corpus ~seed ~count ~max_size
                 ~oracles ()))
@@ -1296,14 +1196,8 @@ let bench_cmd =
           c.Store.hits c.Store.misses c.Store.writes rate
       end
     in
-    let workload =
-      Printf.sprintf "bench:%s:jobs=%d"
-        (match names with [] -> "all" | l -> String.concat "+" l)
-        jobs
-    in
     Fun.protect ~finally:summary (fun () ->
-        with_obs ~cmd:"bench" ~workload ~geometry:"cache1+cache2" ~jobs ~trace
-          ~profile ~metrics ~flame go)
+        with_obs ~trace ~profile ~metrics ~flame go)
   in
   let names_arg =
     Arg.(
@@ -1334,105 +1228,6 @@ let bench_cmd =
     Term.(
       const run $ names_arg $ jobs_arg $ scale_arg 4 $ rate_arg $ tune_arg
       $ trace_arg $ profile_arg $ metrics_arg $ flame_arg)
-
-let health_cmd =
-  let run dir json window drift_pct noise_ms hit_drop fallback_rise abs_err =
-    let records =
-      match dir with
-      | Some d -> Telemetry.load_dir d
-      | None -> (
-        match settings.Settings.store with
-        | Some s -> Telemetry.load s
-        | None ->
-          prerr_endline
-            "memoria: no telemetry history (set MEMORIA_STORE or give --dir)";
-          exit 1)
-    in
-    let thresholds =
-      {
-        Health.window;
-        phase_drift_pct = drift_pct;
-        phase_noise_ms = noise_ms;
-        hit_rate_drop = hit_drop;
-        fallback_rise;
-        abs_err_rise = abs_err;
-      }
-    in
-    let report = Health.run ~thresholds records in
-    if json then print_string (Health.to_json report)
-    else print_string (Health.render report);
-    if report.Health.flagged <> [] then exit 1
-  in
-  let dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:
-            "Telemetry directory (default: the telemetry/ namespace under \
-             $(b,MEMORIA_STORE)).")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
-  in
-  let window_arg =
-    Arg.(
-      value
-      & opt int Health.default_thresholds.Health.window
-      & info [ "window" ] ~docv:"N"
-          ~doc:"Prior runs per workload feeding the baseline median.")
-  in
-  let drift_arg =
-    Arg.(
-      value
-      & opt float Health.default_thresholds.Health.phase_drift_pct
-      & info [ "drift-pct" ] ~docv:"PCT"
-          ~doc:"Allowed wall/phase slowdown over baseline, in percent.")
-  in
-  let noise_arg =
-    Arg.(
-      value
-      & opt float Health.default_thresholds.Health.phase_noise_ms
-      & info [ "noise-ms" ] ~docv:"MS"
-          ~doc:"Absolute noise floor: smaller time drifts never flag.")
-  in
-  let hit_drop_arg =
-    Arg.(
-      value
-      & opt float Health.default_thresholds.Health.hit_rate_drop
-      & info [ "hit-rate-drop" ] ~docv:"RATE"
-          ~doc:"Allowed warm store hit-rate drop (absolute, 0-1).")
-  in
-  let fallback_arg =
-    Arg.(
-      value
-      & opt float Health.default_thresholds.Health.fallback_rise
-      & info [ "fallback-rise" ] ~docv:"RATE"
-          ~doc:"Allowed analytic fallback-rate rise (absolute, 0-1).")
-  in
-  let abs_err_arg =
-    Arg.(
-      value
-      & opt float Health.default_thresholds.Health.abs_err_rise
-      & info [ "abs-err-rise" ] ~docv:"PTS"
-          ~doc:
-            "Allowed rise of the analytic model's mean absolute error \
-             (percentage points, from $(b,explain --compare)).")
-  in
-  Cmd.v
-    (Cmd.info "health"
-       ~doc:
-         "Read the persisted run telemetry (see $(b,MEMORIA_TELEMETRY)) and \
-          compare each workload's newest run against its rolling baseline \
-          (median of the previous runs with the same workload key). Flags \
-          wall/phase slowdowns, warm store hit-rate drops, analytic \
-          fallback-rate rises and analytic accuracy drift; exits non-zero \
-          when anything is flagged.")
-    Term.(
-      const run $ dir_arg $ json_arg $ window_arg $ drift_arg $ noise_arg
-      $ hit_drop_arg $ fallback_arg $ abs_err_arg)
 
 let main =
   Cmd.group
@@ -1469,18 +1264,11 @@ let main =
                 set, simulation results and optimizer output are reused \
                 across runs (byte-identical output); unset disables \
                 caching. See $(b,memoria store).";
-           Cmd.Env.info "MEMORIA_TELEMETRY"
-             ~doc:
-               "Set to $(b,1) (with $(b,MEMORIA_STORE) configured) to record \
-                one telemetry JSON record per invocation under the store's \
-                telemetry/ namespace: phase times, store and analytic \
-                counters, replay mode and geometry. $(b,memoria health) \
-                compares the history. Any other value disables recording.";
          ])
     [
       opt_cmd; cost_cmd; deps_cmd; sim_cmd; tune_cmd; explain_cmd; tile_cmd;
       unroll_cmd; cgen_cmd; kernels_cmd; suite_cmd; serve_cmd; fuzz_cmd;
-      store_cmd; health_cmd; bench_cmd;
+      store_cmd; bench_cmd;
     ]
 
 let () = exit (Cmd.eval main)

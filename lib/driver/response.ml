@@ -21,8 +21,7 @@ let of_tune ~id = function
   | Error message -> Failed { id; message }
 
 (* Fixed-point float rendering keeps the bytes deterministic across
-   callers; six decimals is the telemetry layer's precision and enough
-   for modelled seconds and speedups. *)
+   callers; six decimals is enough for modelled seconds and speedups. *)
 let jfloat v = Printf.sprintf "%.6f" v
 
 let region_fields (r : Measure.region) =

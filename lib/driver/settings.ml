@@ -10,7 +10,6 @@ type t = {
   replay : Measure.replay_mode;
   sample_rate : float;
   store : Store.t option;
-  telemetry : bool;
 }
 
 let default () =
@@ -19,7 +18,6 @@ let default () =
     replay = Measure.Runs;
     sample_rate = Sample.default_rate;
     store = None;
-    telemetry = false;
   }
 
 let open_store root =
@@ -41,11 +39,6 @@ let of_env ?(cores = Domain.recommended_domain_count ())
     | Some j when j >= 1 -> min j cores
     | _ -> min 8 cores
   in
-  let store =
-    match var "MEMORIA_STORE" with
-    | None | Some "" -> None
-    | Some root -> open_store root
-  in
   {
     jobs;
     replay =
@@ -55,8 +48,10 @@ let of_env ?(cores = Domain.recommended_domain_count ())
       (match Option.bind (var "MEMORIA_SAMPLE_RATE") float_of_string_opt with
       | Some r when r > 0.0 && r <= 1.0 -> r
       | _ -> Sample.default_rate);
-    store;
-    telemetry = var "MEMORIA_TELEMETRY" = Some "1" && store <> None;
+    store =
+      (match var "MEMORIA_STORE" with
+      | None | Some "" -> None
+      | Some root -> open_store root);
   }
 
 let environment entries =

@@ -1,9 +1,9 @@
 (** Process-wide settings, resolved once where an executable starts and
     passed down as a value.
 
-    The [memoria] executable reads five environment
-    variables — [MEMORIA_JOBS], [MEMORIA_REPLAY], [MEMORIA_SAMPLE_RATE],
-    [MEMORIA_STORE] and [MEMORIA_TELEMETRY] — exactly once, through
+    The [memoria] executable reads four environment
+    variables — [MEMORIA_JOBS], [MEMORIA_REPLAY], [MEMORIA_SAMPLE_RATE]
+    and [MEMORIA_STORE] — exactly once, through
     {!of_env}; no library module reads the environment. Resolution is
     lenient on purpose (a bad value falls back to its default instead of
     failing every command); the wire API ({!Request}) and the CLI flags
@@ -17,15 +17,11 @@ type t = {
   replay : Measure.replay_mode;
   sample_rate : float;  (** SHARDS rate of the [Sampled] mode, in (0, 1] *)
   store : Store.t option;
-  telemetry : bool;
-      (** publish a telemetry record per invocation (never without a
-          store) *)
 }
 
 val default : unit -> t
 (** The settings of an empty environment: {!Locality_par.Pool.default_jobs},
-    [Runs], {!Locality_sample.Sample.default_rate}, no store, no
-    telemetry. *)
+    [Runs], {!Locality_sample.Sample.default_rate} and no store. *)
 
 val of_env :
   ?cores:int ->
@@ -42,9 +38,7 @@ val of_env :
       0.01;
     - [MEMORIA_STORE]: a store root, opened with [open_store] (default
       {!Store.open_root}, or no store with a one-line warning on stderr
-      when the root cannot be created); unset or empty means no store;
-    - [MEMORIA_TELEMETRY]: ["1"] turns telemetry on, but only when a
-      store was opened.
+      when the root cannot be created); unset or empty means no store.
 
     [open_store] is the only effect. *)
 

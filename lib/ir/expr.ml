@@ -9,10 +9,6 @@ type t =
   | Max of t * t
   | Div of t * t
 
-let ( + ) a b = Add (a, b)
-let ( - ) a b = Sub (a, b)
-let ( * ) a b = Mul (a, b)
-
 let rec equal a b =
   match (a, b) with
   | Int x, Int y -> Stdlib.( = ) x y

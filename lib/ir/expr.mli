@@ -14,10 +14,6 @@ type t =
   | Max of t * t
   | Div of t * t  (** truncating integer division (unroll remainders) *)
 
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-
 val equal : t -> t -> bool
 val vars : t -> string list
 (** Variables occurring in the expression, sorted, without duplicates. *)

@@ -10,11 +10,6 @@
     the merged stream is identical for any [MEMORIA_JOBS] value (modulo
     timestamps and domain ids — see {!Event.fingerprint}). *)
 
-external now_ns : unit -> (int64[@unboxed])
-  = "obs_monotonic_ns" "obs_monotonic_ns_unboxed"
-[@@noalloc]
-(** Monotonic clock, nanoseconds from an arbitrary origin. *)
-
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 (** Flip tracing on or off. Do this from the main domain before

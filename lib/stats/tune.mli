@@ -55,8 +55,11 @@ type spec = {
 }
 
 val default_spec : spec
-(** [{tiles = [8;16;32;64]; unrolls = [2;4;8]; top_k = 5;
-     max_candidates = 4096}] — the issue's full band. *)
+(** Test oracle: the search space of a request without a [tune] field,
+    for tests that pin it.
+
+    [{tiles = [8;16;32;64]; unrolls = [2;4;8]; top_k = 5;
+     max_candidates = 4096}] — the full band. *)
 
 val quick_spec : spec
 (** A cheap profile for table columns and smoke tests:

@@ -147,23 +147,6 @@ let put t k payload =
    with _ -> ());
   bump c_writes "store.write"
 
-let atomic_write ~path content =
-  try
-    let dir = Filename.dirname path in
-    mkdir_p dir;
-    let tmp = Filename.concat dir (tmp_name (Filename.basename path)) in
-    let oc = open_out_bin tmp in
-    (try
-       output_string oc content;
-       close_out oc;
-       Sys.rename tmp path;
-       true
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with _ -> ());
-       raise e)
-  with _ -> false
-
 let validate payload_and_footer =
   let n = String.length payload_and_footer in
   if n < footer_len then `Invalid

@@ -92,17 +92,6 @@ val get_value : t -> key -> 'a option
 val object_path : t -> key -> string
 (** Test oracle: where an entry lives, for tests that corrupt or age it. *)
 
-(** {1 Filesystem helpers}
-
-    Shared with the telemetry sink, which lives in its own namespace
-    under the store root and wants the same durability discipline. *)
-
-val atomic_write : path:string -> string -> bool
-(** Write the content to a unique temp file in the target directory,
-    then [Sys.rename] into place — readers see either nothing or the
-    whole file. Returns [false] (leaving no partial file behind) on any
-    I/O error instead of raising. *)
-
 (** {1 Counters} *)
 
 type counters = {

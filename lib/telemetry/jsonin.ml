@@ -1,9 +1,8 @@
-(* Minimal JSON reader for the telemetry history: the dual of the
-   emitter in Locality_obs.Json. A hand-rolled recursive descent keeps
-   the library dependency-free; it accepts standard RFC 8259 documents
-   (which is all our own emitter produces) and raises [Parse_error] on
-   anything malformed — callers treat that as a corrupt record and skip
-   the file. *)
+(* Minimal JSON reader for wire requests: the dual of the emitter in
+   Locality_obs.Json. A hand-rolled recursive descent keeps the library
+   dependency-free; it accepts standard RFC 8259 documents (which is all
+   our own emitter produces) and raises [Parse_error] on anything
+   malformed — the request reader turns that into a typed error. *)
 
 type t =
   | Null

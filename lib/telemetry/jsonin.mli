@@ -1,5 +1,5 @@
 (** Minimal RFC 8259 JSON reader — the dual of the emitter in
-    {!Locality_obs.Json}, used to load persisted telemetry records.
+    {!Locality_obs.Json}, used to read wire requests.
     Numbers parse as floats; [\u] escapes outside one byte degrade to
     ['?'] (our own emitter never produces them). *)
 

@@ -18,7 +18,7 @@ let () =
       ("trace", Test_trace.suite);
       ("runs", Test_runs.suite);
       ("obs", Test_obs.suite);
-      ("health", Test_health.suite);
+      ("jsonin", Test_jsonin.suite);
       ("store", Test_store.suite);
       ("fuzz", Test_fuzz.suite);
       ("analytic", Test_analytic.suite);

@@ -1,6 +1,6 @@
 (* The environment resolver behind the memoria executable,
    on fake environment lists: lenient fallbacks for every variable, the
-   core-count cap on jobs, and telemetry only with a store. *)
+   core-count cap on jobs, and a store only for a non-empty root. *)
 
 module Settings = Locality_driver.Settings
 module Measure = Locality_interp.Measure
@@ -39,7 +39,7 @@ let test_sample_rate () =
   check_float "0.25 taken" 0.25 (rate "0.25");
   check_float "1 taken" 1.0 (rate "1")
 
-let test_store_and_telemetry () =
+let test_store () =
   let opened = ref [] in
   let open_store root =
     opened := root :: !opened;
@@ -49,24 +49,9 @@ let test_store_and_telemetry () =
   let s = Settings.of_env ~open_store [ ("MEMORIA_STORE", "") ] in
   check_bool "empty store path: no store" true (s.Settings.store = None);
   check_bool "empty store path: nothing opened" true (!opened = []);
-  let s = Settings.of_env ~open_store [ ("MEMORIA_TELEMETRY", "1") ] in
-  check_bool "telemetry without a store stays off" false s.Settings.telemetry;
   let root = Printf.sprintf "memoria-settings-test-%d" (Unix.getpid ()) in
-  let s =
-    Settings.of_env ~open_store
-      [ ("MEMORIA_STORE", root); ("MEMORIA_TELEMETRY", "1") ]
-  in
-  check_bool "store opened" true (s.Settings.store <> None);
-  check_bool "telemetry with a store" true s.Settings.telemetry;
-  let s =
-    resolve [ ("MEMORIA_STORE", "/unusable"); ("MEMORIA_TELEMETRY", "1") ]
-  in
-  check_bool "unopenable store: telemetry off" false s.Settings.telemetry;
-  let s =
-    Settings.of_env ~open_store
-      [ ("MEMORIA_STORE", root); ("MEMORIA_TELEMETRY", "yes") ]
-  in
-  check_bool "telemetry needs exactly 1" false s.Settings.telemetry
+  let s = Settings.of_env ~open_store [ ("MEMORIA_STORE", root) ] in
+  check_bool "store opened" true (s.Settings.store <> None)
 
 let test_environment () =
   check_bool "split at the first =" true
@@ -78,6 +63,6 @@ let suite =
     ("MEMORIA_JOBS: lenient, capped", `Quick, test_jobs);
     ("MEMORIA_REPLAY: unknown selects runs", `Quick, test_replay);
     ("MEMORIA_SAMPLE_RATE: unusable falls back", `Quick, test_sample_rate);
-    ("MEMORIA_STORE / MEMORIA_TELEMETRY", `Quick, test_store_and_telemetry);
+    ("MEMORIA_STORE: empty means none", `Quick, test_store);
     ("environment splitting", `Quick, test_environment);
   ]
