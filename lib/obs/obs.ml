@@ -4,9 +4,8 @@ external now_ns : unit -> (int64[@unboxed])
 
 (* The whole library is behind this one flag: with tracing disabled every
    instrumentation point is a single load-and-branch, so the pipeline
-   pays nothing (the bench asserts <2% end to end). The flag is only
-   flipped from the main domain before work starts; domain spawn
-   publishes it to workers. *)
+   pays nothing (the bench asserts <2% end to end). The flag is an
+   atomic, so pool workers that outlive a flip see the new value. *)
 let enabled_flag = Atomic.make false
 
 let enabled () = Atomic.get enabled_flag

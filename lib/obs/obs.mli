@@ -12,8 +12,8 @@
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-(** Flip tracing on or off. Do this from the main domain before
-    spawning workers; the flag is published by domain spawn. *)
+(** Flip tracing on or off, before work starts. The flag is an atomic
+    read by every domain, pool workers included. *)
 
 val span : ?args:Event.args -> string -> (unit -> 'a) -> 'a
 (** [span name f] times [f] and records a {!Event.Span} when it

@@ -1,11 +1,11 @@
-(* A small fixed-size domain pool for embarrassingly parallel work.
+(* A small domain pool for embarrassingly parallel work.
 
    Work items are claimed by index from an atomic counter, and results
    land in a slot array, so output order always matches input order no
    matter which domain ran which item. With [jobs = 1] (or inside a
-   worker of another pool) no domain is spawned and the map degenerates
-   to the plain sequential loop, which is also the determinism baseline
-   the test suite compares against. *)
+   worker) no helper is involved and the map degenerates to the plain
+   sequential loop, which is also the determinism baseline the test
+   suite compares against. *)
 
 (* Extra domains on an oversubscribed machine only add minor-GC
    synchronisation stalls, so the default stays within the core count. *)
@@ -18,69 +18,14 @@ let in_worker = Domain.DLS.new_key (fun () -> false)
 
 module Obs = Locality_obs.Obs
 
-let map ?jobs f items =
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> default_jobs ()
-  in
-  let jobs = min jobs n in
-  if jobs <= 1 || n <= 1 || Domain.DLS.get in_worker then
-    Array.to_list (Array.map f items)
-  else begin
-    let results = Array.make n None in
-    (* When tracing is on, each item's events are captured on the worker
-       and re-injected into the caller's buffer in input order at the
-       barrier, so the merged stream is independent of the pool size
-       (the sequential path above records directly in the same order). *)
-    let tracing = Obs.enabled () in
-    let item_events = if tracing then Array.make n [] else [||] in
-    let next = Atomic.make 0 in
-    let failure = Atomic.make None in
-    let work () =
-      Domain.DLS.set in_worker true;
-      Fun.protect
-        ~finally:(fun () -> Domain.DLS.set in_worker false)
-        (fun () ->
-          let continue = ref true in
-          while !continue do
-            let i = Atomic.fetch_and_add next 1 in
-            if i >= n || Atomic.get failure <> None then continue := false
-            else
-              let run () =
-                if tracing then begin
-                  let v, evs = Obs.scoped (fun () -> f items.(i)) in
-                  item_events.(i) <- evs;
-                  v
-                end
-                else f items.(i)
-              in
-              match run () with
-              | v -> results.(i) <- Some v
-              | exception e ->
-                let bt = Printexc.get_raw_backtrace () in
-                ignore (Atomic.compare_and_set failure None (Some (e, bt)))
-          done)
-    in
-    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn work) in
-    work ();
-    Array.iter Domain.join domains;
-    (match Atomic.get failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    if tracing then Array.iter Obs.inject item_events;
-    Array.to_list (Array.map (function Some v -> v | None -> assert false) results)
-  end
+(* ---------------------------------------------------- worker loop --- *)
 
-(* ------------------------------------------------ persistent pool --- *)
-
-(* A long-lived variant for services: worker domains block on a
-   condition variable and drain a FIFO of thunks, so submission costs a
-   lock round-trip instead of a domain spawn. Used by [memoria serve],
-   whose requests arrive one at a time rather than as a batch. *)
+(* Worker domains block on a condition variable and drain a FIFO of
+   thunks, so a submission costs a lock round-trip instead of a domain
+   spawn. [memoria serve] creates its own pool; [map] shares one
+   process-wide pool of helpers (below). *)
 
 type pool = {
-  p_jobs : int;
   p_lock : Mutex.t;
   p_nonempty : Condition.t;
   p_queue : (unit -> unit) Queue.t;
@@ -108,22 +53,30 @@ let worker p () =
   in
   loop ()
 
+let empty () =
+  {
+    p_lock = Mutex.create ();
+    p_nonempty = Condition.create ();
+    p_queue = Queue.create ();
+    p_stop = false;
+    p_domains = [];
+  }
+
+(* Spawn workers until [p] has [k] of them. *)
+let grow p k =
+  Mutex.lock p.p_lock;
+  for _ = List.length p.p_domains + 1 to k do
+    Obs.counter "par.domains_spawned" 1;
+    p.p_domains <- Domain.spawn (worker p) :: p.p_domains
+  done;
+  Mutex.unlock p.p_lock
+
 let create ?jobs () =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let p =
-    {
-      p_jobs = jobs;
-      p_lock = Mutex.create ();
-      p_nonempty = Condition.create ();
-      p_queue = Queue.create ();
-      p_stop = false;
-      p_domains = [];
-    }
-  in
-  p.p_domains <- List.init jobs (fun _ -> Domain.spawn (worker p));
+  let p = empty () in
+  grow p (match jobs with Some j -> max 1 j | None -> default_jobs ());
   p
 
-let pool_jobs p = p.p_jobs
+let pool_jobs p = List.length p.p_domains
 
 let submit p job =
   Mutex.lock p.p_lock;
@@ -142,3 +95,84 @@ let shutdown p =
   Mutex.unlock p.p_lock;
   List.iter Domain.join p.p_domains;
   p.p_domains <- []
+
+(* ------------------------------------------------------------ map --- *)
+
+(* [map]'s helpers live for the whole process: spawned on the first
+   fan-out that needs them, never more than [default_jobs () - 1], and
+   never shut down. On OCaml 5.1 a joined domain leaves resident memory
+   behind, so a spawn per fan-out would grow RSS with every fan-out. *)
+let helpers = empty ()
+
+let map ?jobs f items =
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let jobs = min (Option.value jobs ~default:n) (min n (default_jobs ())) in
+  if jobs <= 1 || Domain.DLS.get in_worker then
+    Array.to_list (Array.map f items)
+  else begin
+    let results = Array.make n None in
+    (* When tracing is on, each item's events are captured where it runs
+       and re-injected into the caller's buffer in input order once all
+       have finished, so the merged stream is independent of the pool
+       size (the sequential path above records directly in the same
+       order). *)
+    let tracing = Obs.enabled () in
+    let item_events = if tracing then Array.make n [] else [||] in
+    let run i =
+      if tracing then begin
+        let v, evs = Obs.scoped (fun () -> f items.(i)) in
+        item_events.(i) <- evs;
+        v
+      end
+      else f items.(i)
+    in
+    let next = Atomic.make 0 and finished = Atomic.make 0 in
+    let failure = Atomic.make None in
+    let lock = Mutex.create () and all_finished = Condition.create () in
+    (* Every claimed index counts as finished, also one skipped after
+       another item failed; otherwise the caller would wait forever. A
+       helper that picks this closure up after the map returned claims
+       an index past [n] and does nothing. *)
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (if Option.is_none (Atomic.get failure) then
+           match run i with
+           | v -> results.(i) <- Some v
+           | exception e ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+        if Atomic.fetch_and_add finished 1 = n - 1 then begin
+          Mutex.lock lock;
+          Condition.broadcast all_finished;
+          Mutex.unlock lock
+        end;
+        claim ()
+      end
+    in
+    grow helpers (jobs - 1);
+    for _ = 2 to jobs do
+      submit helpers claim
+    done;
+    Domain.DLS.set in_worker true;
+    claim ();
+    Domain.DLS.set in_worker false;
+    (* The counter is drained, but helpers may still be running items
+       they claimed. *)
+    Mutex.lock lock;
+    while Atomic.get finished < n do
+      Condition.wait all_finished lock
+    done;
+    Mutex.unlock lock;
+    (match Atomic.get failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ());
+    if tracing then Array.iter Obs.inject item_events;
+    Array.to_list
+      (Array.mapi
+         (fun i -> function
+           | Some v -> v
+           | None -> invalid_arg (Printf.sprintf "Pool.map: item %d lost" i))
+         results)
+  end

@@ -1,4 +1,4 @@
-(** A fixed-size domain pool for independent work items.
+(** A domain pool for independent work items.
 
     Built on OCaml 5 domains; used to run the per-program rows of the
     evaluation tables and the experiment list of the benchmark harness
@@ -6,14 +6,19 @@
     [jobs = 1] the functions are plain sequential maps, so pool size
     never changes the answer — only the wall clock.
 
-    The pool size defaults to {!default_jobs}; an explicit [?jobs]
-    argument is taken literally. Nested calls from inside a pool worker
-    run sequentially rather than spawning further domains.
+    {!map} runs on helper domains that live for the whole process: they
+    are spawned on the first fan-out that needs them, never number more
+    than [default_jobs () - 1], and wait on a condition variable between
+    fan-outs. The pool size defaults to {!default_jobs}, and an explicit
+    [?jobs] above it is clamped to it. Nested calls from inside a worker
+    run sequentially rather than fanning out again.
 
     When {!Locality_obs.Obs} tracing is enabled, each item's events are
-    captured on the worker domain and merged back into the caller's
-    buffer in input order at the barrier, so the recorded stream has the
-    same {!Locality_obs.Event.fingerprint} sequence at any pool size.
+    captured on the domain that runs it and merged back into the
+    caller's buffer in input order once every item has finished, so the
+    recorded stream has the same {!Locality_obs.Event.fingerprint}
+    sequence at any pool size — apart from the [par.domains_spawned]
+    counter, recorded by the fan-out that spawns a helper.
 
     Workers may freely read and write a {!Locality_store.Store.t}: the
     handle is immutable, its counters are atomics, writes publish via
@@ -25,24 +30,22 @@ val default_jobs : unit -> int
 (** The machine's recommended domain count, capped at 8. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f items] is [List.map f items], computed by up to [jobs]
-    domains. An exception raised by [f] aborts the map and is re-raised
-    in the caller. *)
+(** [map ~jobs f items] is [List.map f items], computed by the caller
+    and up to [jobs - 1] helpers. An exception raised by [f] aborts the
+    map and is re-raised in the caller once every item already started
+    has finished. *)
 
 (** {1 Persistent pool}
 
-    A long-lived worker-domain pool for services ([memoria serve]):
-    requests arrive one at a time, so spawning domains per batch (as
-    {!map} does) would dominate the warm-path latency. Workers set the
-    same nested-pool guard as {!map}'s, so jobs that call {!map}
-    internally run it sequentially. *)
+    A long-lived worker-domain pool for services ([memoria serve]),
+    whose requests arrive one at a time. Its workers run the same loop
+    as {!map}'s helpers and set the same nested-pool guard, so jobs that
+    call {!map} internally run it sequentially. *)
 
 type pool
 
 val create : ?jobs:int -> unit -> pool
-(** Spawn the worker domains ([?jobs] defaults like {!map}'s). Create
-    the pool {e after} {!Locality_obs.Obs.set_enabled} so workers see
-    the tracing flag. *)
+(** Spawn the worker domains ([?jobs] defaults to {!default_jobs}). *)
 
 val pool_jobs : pool -> int
 

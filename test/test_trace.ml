@@ -183,6 +183,78 @@ let test_table2_rows_pool_invariant () =
   let par = Pool.map ~jobs:4 (Table2.compute_row ~n:16) entries in
   Alcotest.(check string) "rendered rows identical" (render seq) (render par)
 
+(* An item that raises on a helper aborts its map, and the next map in
+   the same process still returns every result in order: a helper that
+   claims an item after the failure must count it as finished, or the
+   caller waits forever. The raising item first runs a nested map,
+   which must stay on the helper. Items on the caller wait (boundedly)
+   for the helper's failure, so the raise does happen on a helper
+   whenever the machine has room for one, and items are still left to
+   claim after it. *)
+let test_pool_helper_failure () =
+  let caller = Domain.self () in
+  let has_helper = Pool.default_jobs () >= 2 in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let failed = Atomic.make false in
+  let nested_inline = Atomic.make true in
+  let item x =
+    let here = Domain.self () in
+    if here <> caller then begin
+      let doms = Pool.map ~jobs:4 (fun _ -> Domain.self ()) [ 1; 2; 3 ] in
+      if List.exists (fun d -> d <> here) doms then
+        Atomic.set nested_inline false;
+      Atomic.set failed true;
+      failwith "helper"
+    end
+    else begin
+      if has_helper then begin
+        while (not (Atomic.get failed)) && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        (* Give the helper time to record its failure and claim more. *)
+        Unix.sleepf 0.05
+      end;
+      x
+    end
+  in
+  let items = List.init 16 Fun.id in
+  if has_helper then begin
+    Alcotest.check_raises "helper's exception re-raised" (Failure "helper")
+      (fun () -> ignore (Pool.map ~jobs:4 item items));
+    Alcotest.(check bool) "nested map ran inline on the helper" true
+      (Atomic.get nested_inline)
+  end
+  else
+    Alcotest.(check (list int)) "no helper: runs on the caller" items
+      (Pool.map ~jobs:4 item items);
+  let sq = List.map (fun x -> x * x) (List.init 200 Fun.id) in
+  Alcotest.(check (list int)) "next map completes in order" sq
+    (Pool.map ~jobs:4 (fun x -> x * x) (List.init 200 Fun.id))
+
+(* Helpers are made once per process, not once per fan-out: 200 maps
+   spawn at most [default_jobs () - 1] domains between them. *)
+let test_pool_spawns_bounded () =
+  let module Obs = Locality_obs.Obs in
+  let module Event = Locality_obs.Event in
+  let _, events =
+    Obs.collect (fun () ->
+        for r = 1 to 200 do
+          ignore (Pool.map ~jobs:4 (fun x -> x + r) (List.init 8 Fun.id))
+        done)
+  in
+  let spawned =
+    List.fold_left
+      (fun acc (e : Event.t) ->
+        match e.payload with
+        | Event.Counter { name = "par.domains_spawned"; delta } -> acc + delta
+        | _ -> acc)
+      0 events
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d spawned <= %d" spawned (Pool.default_jobs () - 1))
+    true
+    (spawned <= Pool.default_jobs () - 1)
+
 let suite =
   [
     Alcotest.test_case "replay identical to observer" `Quick
@@ -198,4 +270,8 @@ let suite =
     Alcotest.test_case "pool propagates exceptions" `Quick test_pool_exception;
     Alcotest.test_case "table2 rows identical at j=1 and j=4" `Slow
       test_table2_rows_pool_invariant;
+    Alcotest.test_case "pool survives a helper's failure" `Quick
+      test_pool_helper_failure;
+    Alcotest.test_case "pool spawns helpers once per process" `Quick
+      test_pool_spawns_bounded;
   ]
