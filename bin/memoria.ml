@@ -273,10 +273,9 @@ let deps_cmd =
       (fun i nest ->
         let deps = Locality_dep.Analysis.deps_in_nest nest in
         if dot then begin
-          let labels =
-            List.map (fun s -> s.Stmt.label) (Loop.statements nest)
+          let g =
+            Locality_dep.Graph.build ~nodes:(Loop.labels nest.Loop.body) ~deps
           in
-          let g = Locality_dep.Graph.build ~nodes:labels ~deps in
           print_string
             (Locality_dep.Graph.to_dot ~name:(Printf.sprintf "nest%d" (i + 1)) g)
         end

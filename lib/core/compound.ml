@@ -76,7 +76,7 @@ let nest_ctx ~pos (l : Loop.t) =
   let own =
     Printf.sprintf "nest%d:%s[%s]" pos
       (String.concat "," (spine_order l))
-      (String.concat "," (List.map (fun s -> s.Stmt.label) (Loop.statements l)))
+      (String.concat "," (Loop.labels l.Loop.body))
   in
   match Obs.current_ctx () with "" -> own | parent -> parent ^ "/" ^ own
 
@@ -126,7 +126,7 @@ and do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer
             (fun acc n m -> Poly.add acc (Memorder.cost_of m (inner_name n)))
             Poly.zero nests mos;
         cost_ideal;
-        labels = List.map (fun s -> s.Stmt.label) (Loop.statements l);
+        labels = Loop.labels l.Loop.body;
       }
     in
     (* One decision record per nest_stat: what the compound algorithm

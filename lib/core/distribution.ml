@@ -55,12 +55,9 @@ let partition_body ~deps ~level (l : Loop.t) =
     let owner = Hashtbl.create 16 in
     Array.iteri
       (fun i node ->
-        let stmts =
-          match node with
-          | Loop.Stmt s -> [ s ]
-          | Loop.Loop inner -> Loop.statements inner
-        in
-        List.iter (fun s -> Hashtbl.replace owner s.Stmt.label i) stmts)
+        List.iter
+          (fun l -> Hashtbl.replace owner l i)
+          (Loop.labels [ node ]))
       body;
     let relevant = restricted_at ~level deps in
     let node_name i = string_of_int i in

@@ -22,10 +22,6 @@ let compatible_level l1 l2 =
   in
   go l1 l2
 
-(* Atomic: fusion may run concurrently from several domains when table
-   rows are computed in parallel. *)
-let fresh_counter = Atomic.make 0
-
 (* Substitute an index variable in every statement and loop bound of a
    subtree, renaming any loop that binds it. *)
 let rec subst_index_everywhere (l : Loop.t) ~from ~into : Loop.t =
@@ -49,11 +45,12 @@ let rec subst_index_everywhere (l : Loop.t) ~from ~into : Loop.t =
         l.Loop.body;
   }
 
+let take n l = List.filteri (fun i _ -> i < n) l
+
 (* Rename l2's spine indices on levels 1..depth to l1's, without
    capturing: spine indices go through fresh temporaries, and any other
    loop of l2 whose index collides with a target is freshened first. *)
 let align_indices (l1 : Loop.t) (l2 : Loop.t) ~depth =
-  let take n l = List.filteri (fun i _ -> i < n) l in
   let spine_names l =
     List.map (fun (h : Loop.header) -> h.Loop.index) (Loop.loops_on_spine l)
   in
@@ -61,9 +58,21 @@ let align_indices (l1 : Loop.t) (l2 : Loop.t) ~depth =
   let targets = take depth (spine_names l1) in
   if froms = targets then l2
   else begin
-    let fresh base =
-      Printf.sprintf "%s_f%d" base (Atomic.fetch_and_add fresh_counter 1 + 1)
+    (* Fresh names dodge every variable either nest binds or mentions. *)
+    let used = Hashtbl.create 16 in
+    let mark x = Hashtbl.replace used x () in
+    let rec mention (l : Loop.t) =
+      let h = l.Loop.header in
+      List.iter mark ((h.Loop.index :: Expr.vars h.Loop.lb) @ Expr.vars h.Loop.ub);
+      List.iter
+        (function
+          | Loop.Loop inner -> mention inner
+          | Loop.Stmt s -> List.iter mark (Stmt.vars s))
+        l.Loop.body
     in
+    mention l1;
+    mention l2;
+    let fresh base = Loop.fresh_name used (Printf.sprintf "%s_f%d" base) in
     (* Step 1: spine indices to temporaries. *)
     let temps = List.map fresh froms in
     let l2 =
@@ -100,24 +109,17 @@ let fuse_to_depth l1 l2 ~depth =
   in
   merge l1 l2 depth
 
-let labels_of l =
-  List.map (fun s -> s.Stmt.label) (Loop.statements l)
-  |> List.fold_left (fun set x -> x :: set) []
-
 let legal ~outer l1 l2 ~depth =
   let fused = fuse_to_depth l1 l2 ~depth in
-  let from2 = labels_of (align_indices l1 l2 ~depth) in
-  let in1 = labels_of l1 in
+  (* Renaming indices keeps labels: the second nest's are its own. *)
+  let from2 = Loop.labels l2.Loop.body in
+  let in1 = Loop.labels l1.Loop.body in
   let deps = An.deps ~outer [ Loop.Loop fused ] in
   let nouter = List.length outer in
   (* A dependence from the second nest's statements back to the first's
      reverses the original order — unless it is definitely carried by a
      shared outer loop, in which case the outer iterations keep it
      satisfied. *)
-  let rec take n = function
-    | [] -> []
-    | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-  in
   not
     (List.exists
        (fun (d : Dep.t) ->
@@ -179,16 +181,6 @@ let rec fuse_all_inner ?(cls = 4) (l : Loop.t) =
         match fuse_all_inner ~cls fused with
         | Some fused' -> Some { l with Loop.body = [ Loop.Loop fused' ] }
         | None -> None))
-
-let distinct_arrays (l : Loop.t) =
-  let module SS = Set.Make (String) in
-  List.fold_left
-    (fun acc s ->
-      List.fold_left
-        (fun acc (r, _) -> SS.add r.Reference.array acc)
-        acc (Stmt.refs s))
-    SS.empty (Loop.statements l)
-  |> SS.cardinal
 
 type block_result = {
   block : Loop.block;
@@ -299,16 +291,12 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
       match List.assq_opt nest !arrays_cache with
       | Some s -> s
       | None ->
-        let module SS = Set.Make (String) in
         let s =
-          List.fold_left
-            (fun acc s ->
-              List.fold_left
-                (fun acc (r, _) -> SS.add r.Reference.array acc)
-                acc (Stmt.refs s))
-            SS.empty (Loop.statements nest)
+          List.sort_uniq String.compare
+            (List.concat_map
+               (fun s -> List.map (fun (r, _) -> r.Reference.array) (Stmt.refs s))
+               (Loop.statements nest))
         in
-        let s = SS.elements s in
         arrays_cache := (nest, s) :: !arrays_cache;
         s
     in
@@ -363,7 +351,10 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
           | None -> true
           | Some limit ->
             (not profitable_raw)
-            || distinct_arrays (fuse_to_depth a.nest b.nest ~depth) <= limit
+            || List.length
+                 (List.sort_uniq String.compare
+                    (arrays_of a.nest @ arrays_of b.nest))
+               <= limit
         in
         let profitable = profitable_raw && within_limit in
         (* Fusing pulls b's statements up to a's position, so any

@@ -57,25 +57,13 @@ let unroll_and_jam ?deps ?(avoid = []) (nest : Loop.t) ~loop ~factor =
                transforms (a prior unroll, distribution copies): probe
                each candidate against every label in scope. *)
             let used = Hashtbl.create 64 in
-            List.iter (fun l -> Hashtbl.replace used l ()) avoid;
             List.iter
-              (fun (s : Stmt.t) -> Hashtbl.replace used s.Stmt.label ())
-              (Loop.statements nest);
+              (fun l -> Hashtbl.replace used l ())
+              (avoid @ Loop.labels nest.Loop.body);
             let fresh base =
-              if not (Hashtbl.mem used base) then begin
-                Hashtbl.replace used base ();
-                base
-              end
-              else
-                let rec go i =
-                  let cand = Printf.sprintf "%s_%d" base i in
-                  if Hashtbl.mem used cand then go (i + 1)
-                  else begin
-                    Hashtbl.replace used cand ();
-                    cand
-                  end
-                in
-                go 2
+              Loop.fresh_name used (function
+                | 1 -> base
+                | i -> Printf.sprintf "%s_%d" base i)
             in
             let copy k =
               List.map
@@ -184,12 +172,7 @@ let rec count_flops (e : Stmt.rexpr) =
    is the transformation's benefit. *)
 let count_inner_body (nest : Loop.t) =
   let rec inner (l : Loop.t) =
-    let subloops =
-      List.filter_map
-        (function Loop.Loop x -> Some x | Loop.Stmt _ -> None)
-        l.Loop.body
-    in
-    match subloops with
+    match Loop.inner_loops l with
     | [ l' ] -> inner l'
     | _ ->
       List.filter_map

@@ -144,10 +144,11 @@ let changed (s : Compound.nest_stat) =
    output is cacheable like a trace: keyed on the canonical program
    text plus every knob, holding the transformed program and the
    statistics. (The store's format version retires entries if the
-   marshalled shape of either ever changes.) Statement labels are
-   process-wide tickets, so the entry also holds the original program as
-   it was labelled when stored: a hit continues with that original, and
-   the pair keeps naming the optimized region consistently. *)
+   marshalled shape of either ever changes.) Builds of one text can
+   label it differently (lu's L1/L2, its printed text's S1/S2), so the
+   entry also holds the original program as it was labelled when
+   stored: a hit continues with that original, and the pair keeps
+   naming the optimized region consistently. *)
 let analysis_key ~cls ~try_reversal ~interference_limit program =
   let bool_tag = function None -> "-" | Some b -> string_of_bool b in
   let int_tag = function None -> "-" | Some i -> string_of_int i in

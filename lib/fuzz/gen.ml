@@ -21,7 +21,6 @@
 type ctx = {
   rng : Rng.t;
   mutable budget : int;
-  mutable label : int;
   mutable scalars : string list; (* initialised at top level, readable *)
   arrays : (string * int) list; (* name, rank *)
 }
@@ -30,10 +29,6 @@ let index_names = [| "I"; "J"; "K" |]
 let scalar_pool = [ "S"; "T"; "C" ]
 let consts = [ 0.25; 0.5; 0.75; 1.0; 1.5; 2.0; 3.0 ]
 let mul_consts = [ 0.25; 0.5; 0.75; 1.25 ]
-
-let fresh_label ctx =
-  ctx.label <- ctx.label + 1;
-  Printf.sprintf "S%d" ctx.label
 
 (* env is innermost-first [(index, conservative lower bound); ...];
    upper bounds are always <= N by construction. *)
@@ -111,11 +106,11 @@ let gen_stmt ctx env =
       if Rng.chance g 0.7 then Stmt.Binop (Stmt.Fadd, Stmt.Scalar s, rhs)
       else rhs
     in
-    Stmt.scalar_assign ~label:(fresh_label ctx) s rhs
+    Stmt.scalar_assign s rhs
   else
     let name, rank = Rng.pick g ctx.arrays in
     let r = Reference.make name (List.init rank (fun _ -> gen_sub ctx env)) in
-    Stmt.assign ~label:(fresh_label ctx) r rhs
+    Stmt.assign r rhs
 
 (* Lower bound implied by a bound expression, given outer bounds. *)
 let gen_header ctx env depth =
@@ -192,7 +187,7 @@ let generate ~seed ~index ~size =
         let rank = Rng.weighted g [ (3, 1); (4, 2); (2, 3) ] in
         (List.nth array_pool k, rank))
   in
-  let ctx = { rng = g; budget = max 4 size; label = 0; scalars = []; arrays } in
+  let ctx = { rng = g; budget = max 4 size; scalars = []; arrays } in
   let decls =
     List.map
       (fun (name, rank) ->
@@ -215,7 +210,7 @@ let generate ~seed ~index ~size =
           else gen_rexpr ctx [] 1
         in
         ctx.scalars <- ctx.scalars @ [ s ];
-        Loop.Stmt (Stmt.scalar_assign ~label:(fresh_label ctx) s rhs))
+        Loop.Stmt (Stmt.scalar_assign s rhs))
   in
   ctx.budget <- ctx.budget - n_scalars;
   let nests = ref [] in

@@ -15,9 +15,9 @@
     - execution terminates and touches no unset scalar;
     - value growth is bounded (multiplicative constants are small, no
       EXP), so checksums stay finite in practice;
-    - generation is a pure function of [(seed, index)]: labels come from
-      a per-program counter, not the global {!Stmt.fresh_label} stream,
-      so parallel generation is byte-for-byte reproducible. *)
+    - generation is a pure function of [(seed, index)], labels included
+      ({!Program.make} names statements [S1], [S2], ... in textual
+      order), so parallel generation is byte-for-byte reproducible. *)
 
 val generate : seed:int -> index:int -> size:int -> Program.t
 (** [generate ~seed ~index ~size] is program [index] of the stream for

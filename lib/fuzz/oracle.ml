@@ -92,11 +92,7 @@ let check_exec p pt =
 (* Every other statement in program order: a deterministic optimized
    region that exercises label marking. *)
 let alternate_labels p =
-  let rec stmts = function
-    | Loop.Stmt s -> [ s.Stmt.label ]
-    | Loop.Loop l -> List.concat_map stmts l.Loop.body
-  in
-  List.concat_map stmts p.Program.body |> List.filteri (fun i _ -> i mod 2 = 0)
+  List.filteri (fun i _ -> i mod 2 = 0) (Loop.labels p.Program.body)
 
 (* The reference simulator: the tree-walking interpreter's observer
    feeding one cache per geometry through [Cache.access_full], one

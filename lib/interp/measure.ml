@@ -63,8 +63,8 @@ let trace_tag = "v2"
 (* The program being measured, with what every store key of it starts
    with: the canonical program text (the pretty printer is the normal
    form; it prints no statement labels) and the parameter overrides.
-   Statement labels are process-wide counter tickets, so keys name a
-   statement by its position in program order instead
+   Two builds of one program text can label it differently, so keys
+   name a statement by its position in program order instead
    ({!Program.positional_label}); a store entry written by one build of
    a program is then read correctly by any other. *)
 type source = {

@@ -20,6 +20,7 @@ let rec block_statements (b : block) : Stmt.t list =
     b
 
 let statements l = block_statements l.body
+let labels b = List.map (fun (s : Stmt.t) -> s.Stmt.label) (block_statements b)
 
 let rec loops_on_spine l =
   match l.body with
@@ -60,6 +61,26 @@ and map_block f b =
   List.map
     (function Loop l -> Loop (map_statements f l) | Stmt s -> Stmt (f s))
     b
+
+let fresh_name used candidate =
+  let rec go k =
+    let name = candidate k in
+    if Hashtbl.mem used name then go (k + 1)
+    else begin
+      Hashtbl.replace used name ();
+      name
+    end
+  in
+  go 1
+
+let label_statements b =
+  let used = Hashtbl.create 16 in
+  List.iter (fun l -> Hashtbl.replace used l ()) (labels b);
+  let label (s : Stmt.t) =
+    if s.Stmt.label <> "" then s
+    else { s with Stmt.label = fresh_name used (Printf.sprintf "S%d") }
+  in
+  map_block label b
 
 let rec indices l =
   l.header.index

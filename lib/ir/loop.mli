@@ -27,6 +27,9 @@ val statements : t -> Stmt.t list
 
 val block_statements : block -> Stmt.t list
 
+val labels : block -> string list
+(** Labels of the block's statements, in textual order. *)
+
 val loops_on_spine : t -> header list
 (** Headers of the perfect-nest spine: this loop, then the chain of inner
     loops followed while each body is exactly one loop. The spine stops at
@@ -46,6 +49,15 @@ val inner_loops : t -> t list
 val body_is_all_loops : t -> bool
 
 val map_statements : (Stmt.t -> Stmt.t) -> t -> t
+
+val fresh_name : (string, unit) Hashtbl.t -> (int -> string) -> string
+(** The first of [candidate 1], [candidate 2], ... not in [used], added
+    to it. Transforms fill [used] with the names of the nests in hand, so
+    a new label or index is a function of those nests alone. *)
+
+val label_statements : block -> block
+(** Names each unlabelled statement [S<k>], [k] counting from 1 in
+    textual order and skipping labels the block already uses. *)
 
 val indices : t -> string list
 (** Index variables of all loops in the nest, preorder. *)

@@ -5,7 +5,8 @@ type t = {
   body : Loop.block;
 }
 
-let make ~name ?(params = []) decls body = { name; params; decls; body }
+let make ~name ?(params = []) decls body =
+  { name; params; decls; body = Loop.label_statements body }
 
 let decl t name =
   List.find_opt (fun d -> String.equal d.Decl.name name) t.decls

@@ -11,6 +11,8 @@ type t = {
 
 val make :
   name:string -> ?params:(string * int) list -> Decl.t list -> Loop.block -> t
+(** Names the body's unlabelled statements ({!Loop.label_statements}), so
+    a program's labels depend on it alone. *)
 
 val decl : t -> string -> Decl.t option
 val top_loops : t -> Loop.t list
@@ -19,8 +21,9 @@ val top_loops : t -> Loop.t list
 val map_body : (Loop.block -> Loop.block) -> t -> t
 
 val positional_label : t -> string -> string
-(** Statement labels are process-wide counter tickets ({!Stmt}), so two
-    builds of the same program text name their statements differently.
+(** Two builds of one program text can label it differently: lu's
+    explicit [L1]/[L2] against its re-parsed text's [S1]/[S2], or a
+    transformed program's permuted labels against its re-parsed text.
     [positional_label t] maps this program's labels to build-independent
     names: the label of the k-th statement in program order (0-based) is
     ["#k"]. Any other string passes through unchanged, so the function

@@ -12,20 +12,8 @@ type rexpr =
 type lhs = Store of Reference.t | Scalar_set of string
 type t = { label : string; lhs : lhs; rhs : rexpr }
 
-(* Atomic so that programs can be built from several domains at once
-   (the stats tables compute their rows in parallel); ids stay unique
-   within any one program either way. *)
-let counter = Atomic.make 0
-
-let fresh_label () = Printf.sprintf "S%d" (Atomic.fetch_and_add counter 1 + 1)
-
-let assign ?label r e =
-  let label = match label with Some l -> l | None -> fresh_label () in
-  { label; lhs = Store r; rhs = e }
-
-let scalar_assign ?label x e =
-  let label = match label with Some l -> l | None -> fresh_label () in
-  { label; lhs = Scalar_set x; rhs = e }
+let assign ?(label = "") r e = { label; lhs = Store r; rhs = e }
+let scalar_assign ?(label = "") x e = { label; lhs = Scalar_set x; rhs = e }
 
 let writes s = match s.lhs with Store r -> [ r ] | Scalar_set _ -> []
 
@@ -40,6 +28,18 @@ let reads s = reads_of s.rhs
 let refs s =
   List.map (fun r -> (r, `Write)) (writes s)
   @ List.map (fun r -> (r, `Read)) (reads s)
+
+let rec vars_of = function
+  | Const _ | Scalar _ -> []
+  | Iexpr e -> Expr.vars e
+  | Load r -> List.concat_map Expr.vars r.subs
+  | Unop (_, a) -> vars_of a
+  | Binop (_, a, b) -> vars_of a @ vars_of b
+
+let vars s =
+  List.concat_map (fun (r : Reference.t) -> List.concat_map Expr.vars r.subs)
+    (writes s)
+  @ vars_of s.rhs
 
 let rec scalars_of = function
   | Const _ | Iexpr _ | Load _ -> []

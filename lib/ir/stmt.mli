@@ -22,6 +22,8 @@ type lhs = Store of Reference.t | Scalar_set of string
 type t = { label : string; lhs : lhs; rhs : rexpr }
 
 val assign : ?label:string -> Reference.t -> rexpr -> t
+(** Without [~label], unlabelled ([""]) until {!Program.make} names it. *)
+
 val scalar_assign : ?label:string -> string -> rexpr -> t
 
 val writes : t -> Reference.t list
@@ -32,6 +34,9 @@ val reads : t -> Reference.t list
 
 val refs : t -> (Reference.t * [ `Read | `Write ]) list
 (** All array references with their access kind, writes first. *)
+
+val vars : t -> string list
+(** Index variables mentioned in subscripts and integer operands. *)
 
 val scalars_read : t -> string list
 val scalars_written : t -> string list

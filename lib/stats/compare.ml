@@ -45,13 +45,6 @@ let make_row ~unit ~cls ~formula ~sim_acc ~sim_miss ~ana_acc ~ana_miss =
     r_abs_err = Float.abs (r_ana_rate -. r_sim_rate);
   }
 
-let unit_labels node =
-  let rec stmt_labels = function
-    | Loop.Stmt s -> [ s.Stmt.label ]
-    | Loop.Loop l -> List.concat_map stmt_labels l.Loop.body
-  in
-  stmt_labels node
-
 let run ?params ?(config = Machine.cache1) ?(tune = false) ?jobs
     ?(store = None) ~name
     (p : Program.t) =
@@ -79,7 +72,7 @@ let run ?params ?(config = Machine.cache1) ?(tune = false) ?jobs
     (* One batch, one walk: the whole program, then each unit's
        statements as the optimized region. *)
     let query labels = Measure.query ~config ~optimized_labels:labels () in
-    let units = List.map (fun node -> query (unit_labels node)) p.Program.body in
+    let units = List.map (fun node -> query (Loop.labels [ node ])) p.Program.body in
     match (Measure.prepare ?params ~store p).Measure.runs (query [] :: units) with
     | [] -> invalid_arg "Compare.run: no whole-program run"
     | whole_sim :: unit_sims ->

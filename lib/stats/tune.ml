@@ -255,15 +255,9 @@ let splice (p : Program.t) ~nest_idx block =
          p.Program.body)
   in
   let p' = { p with Program.body } in
-  let labels =
-    List.map (fun (s : Stmt.t) -> s.Stmt.label) (Loop.block_statements block)
-  in
-  match Program.validate p' with Ok () -> Some (p', labels) | Error _ -> None
-
-let program_labels (p : Program.t) =
-  List.map
-    (fun (s : Stmt.t) -> s.Stmt.label)
-    (Loop.block_statements p.Program.body)
+  match Program.validate p' with
+  | Ok () -> Some (p', Loop.labels block)
+  | Error _ -> None
 
 let apply ?(cls = 4) p ~nest_idx cand =
   let ( let* ) = Option.bind in
@@ -271,7 +265,7 @@ let apply ?(cls = 4) p ~nest_idx cand =
   let* b = shape ~cls nest cand.structure in
   let* b = permute ~deps:true_deps b cand.perm in
   let* b = tile ~band:(C.Tiling.recommend ~cls) b cand.tile in
-  let* b = unroll ~avoid:(program_labels p) b cand.unroll in
+  let* b = unroll ~avoid:(Loop.labels p.Program.body) b cand.unroll in
   splice p ~nest_idx b
 
 (* [f] behind a one-entry cache. The enumeration lists the candidates
@@ -345,7 +339,7 @@ let screen_map ?(cls = 4) ?jobs p ~nest_idx cands f =
           (c, b, jam_deps))
         cands
   in
-  let avoid = program_labels p in
+  let avoid = Loop.labels p.Program.body in
   Pool.map ?jobs
     (fun (c, tiled, deps) ->
       f c

@@ -9,7 +9,7 @@
 
 module Obs = Locality_obs.Obs
 
-let format_version = 2
+let format_version = 3
 let magic = "MEMSTOR1"
 let footer_len = 16 + 8 + String.length magic (* md5 + LE64 length + magic *)
 

@@ -1,3 +1,8 @@
+(* A deadlock fails the suite instead of hanging it: SIGALRM keeps its
+   default action and ends the process after ten minutes, many times
+   the suite's usual minute. *)
+let () = ignore (Unix.alarm 600)
+
 let () =
   Alcotest.run "memoria"
     [

@@ -255,6 +255,31 @@ let test_program_validate () =
     Alcotest.fail "expected invalid_arg"
   with Invalid_argument _ -> ()
 
+(* Labels are a function of the program: unlabelled statements are named
+   S1, S2, ... in textual order, skipping labels the program already
+   uses, however many programs were built before. *)
+let test_program_labels () =
+  let open Builder in
+  let nn = v "N" in
+  let build () =
+    program "labels" ~params:[ ("N", 4) ] ~arrays:[ ("A", [ nn ]) ]
+      [
+        asn (r "A" [ i 1 ]) (f 0.0);
+        do_ "I" (i 1) nn
+          [
+            asn ~label:"S2" (r "A" [ v "I" ]) (f 1.0);
+            asn (r "A" [ v "I" ]) (f 2.0);
+          ];
+        asn (r "A" [ i 2 ]) (f 3.0);
+      ]
+  in
+  ignore (build ());
+  check
+    Alcotest.(list string)
+    "textual order, explicit S2 skipped, as in the first build"
+    [ "S1"; "S2"; "S3"; "S4" ]
+    (Loop.labels (build ()).Program.body)
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -285,6 +310,7 @@ let suite =
     ("loop imperfect nest", `Quick, test_loop_imperfect);
     ("program validation", `Quick, test_program_validate);
     ("pretty printing", `Quick, test_pretty);
+    ("program labels: S<k> in textual order", `Quick, test_program_labels);
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

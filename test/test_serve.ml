@@ -238,15 +238,11 @@ let test_error_format () =
    nothing behind for the next request to inherit — the property that
    keeps a long-lived daemon byte-identical to one-shot CLI runs. *)
 let test_rate_isolation () =
-  (* [Keep] so the response carries no statement labels — their names
-     are process-unique tickets, fresh per construction, and would
-     differ between byte-identical measurements. *)
   let sampled rate =
     Response.to_json
       (Response.of_run ~id:"" ~emit_program:false
          (run_req
             (Request.make ~n:24 ~replay:Measure.Sampled
-               ~transform:Request.Keep
                ~machines:[ Request.Named "cache2" ]
                ~store:Request.No_store ?sample_rate:rate
                (Request.Kernel "matmul"))))
@@ -508,6 +504,53 @@ let test_wire_malformed () =
       check "connection usable after rejection" true
         (contains body2 "\"status\":\"ok\"" && contains body2 "\"id\":\"after\""))
 
+(* Names are a function of the request: with no store, a daemon that
+   has served unrelated traffic answers a Compound request with the same
+   bytes as a fresh daemon and as a direct Driver.run. *)
+let test_history_independent () =
+  let req =
+    Request.make ~id:"det" ~n:24
+      ~machines:[ Request.Named "cache1"; Request.Named "cache2" ]
+      ~store:Request.No_store (Request.Kernel "matmul")
+  in
+  let unrelated =
+    let r = Request.make ~n:16 ~store:Request.No_store in
+    [
+      r (Request.Kernel "lu");
+      r (Request.Kernel "cholesky");
+      r (Request.Kernel "matmul_chain");
+      r
+        (Request.Text
+           {
+             name = "t.mem";
+             text =
+               Locality_ir.Pretty.program_to_string
+                 (Locality_suite.Kernels.adi_fragment 16);
+           });
+    ]
+  in
+  let ask path r =
+    let fd = connect path in
+    send_line fd (Request.to_json r);
+    let body = recv_line fd in
+    Unix.close fd;
+    body
+  in
+  let fresh = with_server (fun path -> ask path req) in
+  let busy =
+    with_server (fun path ->
+        List.iter
+          (fun r ->
+            check "unrelated request answered ok" true
+              (contains (ask path r) "\"status\":\"ok\""))
+          unrelated;
+        ask path req)
+  in
+  check_str "fresh daemon = direct Driver.run" (direct_bytes req) fresh;
+  check_str "daemon after unrelated traffic = fresh daemon" fresh busy;
+  check "reply names the optimized statement S1" true
+    (contains fresh "\"optimized_labels\":[\"S1\"]")
+
 let suite =
   [
     ("request: canonical round trip", `Quick, test_roundtrip);
@@ -532,4 +575,7 @@ let suite =
     ("serve: drain answers in-flight work", `Slow, test_drain_answers_inflight);
     ("serve: pipelined lines all answered", `Slow, test_pipelined_lines);
     ("serve: malformed line rejected, connection survives", `Quick, test_wire_malformed);
+    ( "serve: no-store reply independent of earlier traffic",
+      `Slow,
+      test_history_independent );
   ]

@@ -266,31 +266,56 @@ let test_gc_min_age () =
       check_int "min_age 0 evicts the rest" 1 deleted2;
       check_int "store empty" 0 remaining2)
 
-(* Statement labels are process-wide tickets, so the second config below
-   builds matmul with different labels than the first, under a different
-   analysis key but the same run (and sample profile) keys. Its measured
-   optimized region must still be the store-less one — in every mode. *)
+(* Kernel lu is built with explicit labels L1/L2; its printed text
+   lowers to S1/S2. The text's first run asks for another analysis
+   (try_reversal Some false), so it misses the kernel's analysis entry,
+   builds S1/S2 programs, and reads the kernel's run and sample profile
+   entries, whose keys name statements by position. Its second run
+   (try_reversal None) shares the kernel's analysis key and resumes from
+   the stored L1/L2 original. Either way the measured optimized region
+   must be the store-less one — in every mode. *)
 let test_labels_across_builds () =
-  let cfg ~store ~replay transform =
+  let lu = S.Kernels.lu 24 in
+  let text = Locality_ir.Pretty.program_to_string lu in
+  let labels p = Locality_ir.Loop.labels p.Locality_ir.Program.body in
+  check "the builds label differently" true
+    (labels lu <> labels (Locality_lang.Lower.parse_program text));
+  let cfg ~store ~replay try_reversal source =
     D.config ~n:24 ~machines:[ Locality_cachesim.Machine.cache1 ]
-      ~use_labels:true ~replay ~transform ~store (D.Source_kernel "matmul")
+      ~use_labels:true ~replay
+      ~transform:(D.Compound { try_reversal; interference_limit = None })
+      ~store source
   in
-  let a = D.Compound { try_reversal = None; interference_limit = None }
-  and b = D.Compound { try_reversal = Some false; interference_limit = None } in
+  let kernel = D.Source_kernel "lu"
+  and parsed = D.Source_text { name = "lu.mem"; text } in
   List.iter
     (fun replay ->
       with_store (fun st ->
           let what = Measure.mode_to_string replay ^ ": " in
-          ignore (D.run_exn (cfg ~store:(Some st) ~replay a));
-          let warm = D.run_exn (cfg ~store:(Some st) ~replay b) in
-          let plain = D.run_exn (cfg ~store:None ~replay b) in
-          check (what ^ "optimized region is attributed") true
-            (List.for_all
-               (fun m ->
-                 m.D.transformed_run.Measure.optimized.Measure.accesses > 0)
-               plain.D.measured);
-          check (what ^ "b with a's entries = b without a store") true
-            (warm.D.measured = plain.D.measured)))
+          let run store rev = D.run_exn (cfg ~store ~replay rev parsed) in
+          ignore (D.run_exn (cfg ~store:(Some st) ~replay None kernel));
+          let hits () = (Store.counters ()).Store.hits in
+          let before = hits () in
+          let by_position = run (Some st) (Some false) in
+          check (what ^ "the text reads the kernel's entries") true
+            (hits () > before);
+          let resumed = run (Some st) None in
+          List.iter
+            (fun (rev, warm, tag) ->
+              let plain = run None rev in
+              check (what ^ tag ^ ": optimized region is attributed") true
+                (List.for_all
+                   (fun m ->
+                     m.D.transformed_run.Measure.optimized.Measure.accesses
+                     > 0)
+                   plain.D.measured);
+              check (what ^ tag ^ ": with the kernel's entries = without a store")
+                true
+                (warm.D.measured = plain.D.measured))
+            [
+              (Some false, by_position, "other analysis");
+              (None, resumed, "stored original");
+            ]))
     Measure.[ Runs; Sampled; Analytic ]
 
 (* Key bytes are a persistent format: a warm store written by one
@@ -309,14 +334,14 @@ let test_pinned_keys () =
         in
         check (what ^ " entry at " ^ hex) true (Sys.file_exists path))
   in
-  check_int "format version" 2 Store.format_version;
-  pinned "measure run" "93be6671cd69b0b99b40fa29437b1205" (fun st ->
+  check_int "format version" 3 Store.format_version;
+  pinned "measure run" "5c90955073cd6f170543b835418788a9" (fun st ->
       ignore (Measure.measure ~mode:Measure.Runs ~store:(Some st) p);
       (* The run is all a cold measurement publishes: no trace is kept. *)
       check_int "entries published" 1 (fst (Store.verify st)));
-  pinned "driver analysis" "07579b05f2f7eb1ff07a192ba3adbc47" (fun st ->
+  pinned "driver analysis" "e7482ececeeac087b6921d86f41873cc" (fun st ->
       ignore (D.run (D.config ~n:8 ~store:(Some st) (D.Source_kernel "cholesky"))));
-  pinned "tune screen" "f1e19933ab0c0dee2410897efd17a48a" (fun st ->
+  pinned "tune screen" "2f18ab44a145c11dff1a0f0faf86b82a" (fun st ->
       ignore
         (Locality_stats.Tune.run ~spec:Locality_stats.Tune.quick_spec
            ~store:(Some st) ~name:"cholesky" p))

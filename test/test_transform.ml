@@ -370,6 +370,36 @@ let test_interference_limit_guard () =
   let _, ste = C.Compound.run_program ~cls:4 ~interference_limit:4 e in
   checkb "4-array fusion still allowed" true (ste.C.Compound.fusions_applied >= 1)
 
+(* Fresh names are a function of the nests in hand: fusing one pair
+   twice prints the same nest both times. Depth-1 fusion renames the
+   second nest's spine K to I, so its inner loop I must be renamed. *)
+let test_fusion_names_repeatable () =
+  let open Builder in
+  let nn = v "N" in
+  let p =
+    program "fr" ~params:[ ("N", 8) ]
+      ~arrays:[ ("X", [ nn; nn ]); ("Y", [ nn; nn ]) ]
+      [
+        do_ "I" (i 1) nn
+          [ do_ "J" (i 1) nn [ asn (r "X" [ v "I"; v "J" ]) (f 1.0) ] ];
+        do_ "K" (i 1) nn
+          [
+            do_ "I" (i 1) nn
+              [ asn (r "Y" [ v "I"; v "K" ]) (ld "X" [ v "K"; v "I" ]) ];
+          ];
+      ]
+  in
+  match Program.top_loops p with
+  | [ l1; l2 ] ->
+    let fused () =
+      Pretty.block_to_string
+        [ Loop.Loop (C.Fusion.fuse_to_depth l1 l2 ~depth:1) ]
+    in
+    let first = fused () in
+    checks "second fusion prints as the first" first (fused ());
+    checkb "colliding inner loop renamed I_f1" true (contains first "DO I_f1 ")
+  | _ -> Alcotest.fail "expected two nests"
+
 let suite =
   [
     ("interference limit guard", `Quick, test_interference_limit_guard);
@@ -387,4 +417,5 @@ let suite =
     ("compound matmul permutes to JKI", `Quick, test_compound_matmul_speedup_cost);
     ("compound leaves optimal nests alone", `Quick, test_compound_already_optimal_untouched);
     ("compound recurses under time loop", `Quick, test_compound_timestep_recursion);
+    ("fusion names repeat across calls", `Quick, test_fusion_names_repeatable);
   ]
