@@ -425,18 +425,9 @@ let run_request_file path =
     | Ok req -> (
       match Request.to_config ~settings req with
       | Error message -> Response.Failed { id = req.Request.id; message }
-      | Ok cfg -> (
-        match req.Request.tune with
-        | Some ts ->
-          (* A tune object turns the request into a tuning query, same
-             as it does daemon-side. *)
-          Response.of_tune ~id:req.Request.id
-            (Result.map Stats.Tune.to_json
-               (Stats.Tune.run_config ~spec:(Stats.Tune.spec_of_request ts)
-                  ~jobs:settings.Settings.jobs cfg))
-        | None ->
-          Response.of_run ~id:req.Request.id
-            ~emit_program:req.Request.emit_program (Driver.run cfg)))
+      | Ok cfg ->
+        Serve.reply ~id:req.Request.id ~emit_program:req.Request.emit_program
+          (Serve.answer ~jobs:settings.Settings.jobs req.Request.tune cfg))
   in
   print_endline (Response.to_json resp);
   match resp with Response.Failed _ -> exit 1 | _ -> ()

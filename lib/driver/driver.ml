@@ -2,7 +2,6 @@
    table generators — see driver.mli for the contract. *)
 
 module Cache = Locality_cachesim.Cache
-module Machine = Locality_cachesim.Machine
 module Measure = Locality_interp.Measure
 module Store = Locality_store.Store
 module Compound = Locality_core.Compound
@@ -32,7 +31,6 @@ type config = {
   cls : int;
   transform : transform;
   machines : Cache.config list;
-  timing : Machine.timing;
   params : (string * int) list option;
   replay : Measure.replay_mode;
   sample_rate : float;
@@ -42,14 +40,14 @@ type config = {
 
 let config ?n ?(scale = 1) ?(cls = 4)
     ?(transform = Compound { try_reversal = None; interference_limit = None })
-    ?(machines = []) ?(timing = Machine.default_timing) ?params
+    ?(machines = []) ?params
     ?(replay = Measure.Runs)
     ?(sample_rate = Locality_sample.Sample.default_rate) ?(use_labels = false)
     ?(store = None) source =
   if scale < 1 then invalid_arg "Driver.config: scale must be >= 1";
   if not (sample_rate > 0.0 && sample_rate <= 1.0) then
     invalid_arg "Driver.config: sample_rate must be in (0, 1]";
-  { source; n; scale; cls; transform; machines; timing; params; replay;
+  { source; n; scale; cls; transform; machines; params; replay;
     sample_rate; use_labels; store }
 
 type measured = {
@@ -161,24 +159,13 @@ let analysis_key ~cls ~try_reversal ~interference_limit program =
     ]
 
 let compound_cached ~store ~cls ~try_reversal ~interference_limit program =
-  let compute () =
-    let p', stats =
-      Compound.run_program ?try_reversal ?interference_limit ~cls program
-    in
-    (program, p', stats)
-  in
-  match store with
-  | None -> compute ()
-  | Some st -> (
-    let k = analysis_key ~cls ~try_reversal ~interference_limit program in
-    match
-      (Store.get_value st k : (Program.t * Program.t * Compound.stats) option)
-    with
-    | Some v -> v
-    | None ->
-      let v = compute () in
-      Store.put_value st k v;
-      v)
+  Store.memo store
+    (fun () -> analysis_key ~cls ~try_reversal ~interference_limit program)
+    (fun () ->
+      let p', stats =
+        Compound.run_program ?try_reversal ?interference_limit ~cls program
+      in
+      (program, p', stats))
 
 let run_loaded cfg name program =
   let program, transformed, compound, optimized_labels =
@@ -204,7 +191,7 @@ let run_loaded cfg name program =
   let labels = if cfg.use_labels then optimized_labels else [] in
   let queries =
     List.map
-      (fun config -> { Measure.config; timing = cfg.timing; labels })
+      (fun config -> { Measure.config; labels })
       cfg.machines
   in
   let runs p =

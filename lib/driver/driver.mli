@@ -5,7 +5,7 @@
     benchmark harness and the table/figure generators in [Stats] — used
     to hand-roll this sequence; they are now thin wrappers over
     {!run}. A config names the program source, the transformation to
-    apply, the cache geometries to measure on, the timing model, the
+    apply, the cache geometries to measure on, the
     trace/replay mode and the experiment store; the result carries both
     program versions, the optimizer's statistics, and one measurement
     per geometry.
@@ -17,7 +17,6 @@
     measured. *)
 
 module Cache = Locality_cachesim.Cache
-module Machine = Locality_cachesim.Machine
 module Measure = Locality_interp.Measure
 module Store = Locality_store.Store
 
@@ -59,7 +58,6 @@ type config = {
   transform : transform;
   machines : Cache.config list;
       (** Geometries to measure on; empty = analysis only (no walk). *)
-  timing : Machine.timing;
   params : (string * int) list option;
       (** Walk-time parameter overrides, as {!Measure.prepare}. *)
   replay : Measure.replay_mode;
@@ -80,7 +78,6 @@ val config :
   ?cls:int ->
   ?transform:transform ->
   ?machines:Cache.config list ->
-  ?timing:Machine.timing ->
   ?params:(string * int) list ->
   ?replay:Measure.replay_mode ->
   ?sample_rate:float ->
@@ -89,8 +86,7 @@ val config :
   source ->
   config
 (** Defaults: no size override, [scale = 1], [cls = 4], {!Compound}
-    with neither knob set, no machines, {!Machine.default_timing}, no
-    parameter overrides, [Runs] replay,
+    with neither knob set, no machines, no parameter overrides, [Runs] replay,
     {!Locality_sample.Sample.default_rate}, [use_labels = false], no
     store. @raise Invalid_argument when
     [scale < 1] or [sample_rate] is outside (0, 1]. *)
@@ -114,6 +110,10 @@ type result = {
           or the provided labels ({!Provided}); [[]] under {!Keep}. *)
   measured : measured list;  (** One per machine, in [machines] order. *)
 }
+
+val effective_n : config -> int option
+(** The size override {!run} loads with: [scale * (n | 64)] when
+    [scale > 1], else [n]. *)
 
 val load : ?n:int -> source -> (string * Program.t, string) Stdlib.result
 (** Resolve a source to a named program. Errors (unknown kernel or

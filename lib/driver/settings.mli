@@ -52,7 +52,6 @@ val config :
   ?cls:int ->
   ?transform:Driver.transform ->
   ?machines:Locality_cachesim.Cache.config list ->
-  ?timing:Locality_cachesim.Machine.timing ->
   ?params:(string * int) list ->
   ?use_labels:bool ->
   Driver.source ->

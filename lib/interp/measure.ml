@@ -32,7 +32,8 @@ type hier_run = {
 }
 
 (* The one run constructor: every backend reduces to these counts. *)
-let make_run ~timing ~ops whole optimized =
+let make_run ~ops whole optimized =
+  let timing = Machine.default_timing in
   let misses = whole.accesses - whole.hits in
   {
     whole;
@@ -118,35 +119,17 @@ let key src ~kind ?labels parts =
   in
   Store.key ~kind (Lazy.force src.ident @ parts @ labels)
 
-(* The one memo: look the value up, else compute it and publish what
-   [keep] makes of it. A corrupt entry reads as a miss (the store
-   quarantines it), so it is recomputed and republished. [memo] stores
-   every result; [memo_some] only the [Some] ones. *)
-let memo_by src ~kind ?labels parts ~hit ~keep compute =
-  match src.store with
-  | None -> compute ()
-  | Some st -> (
-    let k = key src ~kind ?labels parts in
-    match Store.get_value st k with
-    | Some v -> hit v
-    | None ->
-      let r = compute () in
-      Option.iter (Store.put_value st k) (keep r);
-      r)
-
 let memo src ~kind ?labels parts compute =
-  memo_by src ~kind ?labels parts ~hit:Fun.id ~keep:Option.some compute
-
-let memo_some src ~kind ?labels parts compute =
-  memo_by src ~kind ?labels parts ~hit:Option.some ~keep:Fun.id compute
+  Store.memo src.store (fun () -> key src ~kind ?labels parts) compute
 
 type query = {
   config : Cache.config;
-  timing : Machine.timing;
   labels : string list;
 }
 
-let geometry q = [ config_tag q.config; timing_tag q.timing ]
+(* Every run is costed with the one timing model; its tag stays in the
+   key, so changing the model retires the runs costed with the old one. *)
+let geometry q = [ config_tag q.config; timing_tag Machine.default_timing ]
 
 (* Membership in the optimized region, by program position, so a label
    of this build and a positional one mark the same statement. *)
@@ -230,7 +213,7 @@ let cache_sim src q =
           Obs.counter "replay.bulk_iters" metrics.Cache.m_bulk_iters;
           Obs.counter "replay.fallbacks" metrics.Cache.m_fallbacks
         end;
-        make_run ~timing:q.timing ~ops
+        make_run ~ops
           { accesses = s.Cache.accesses; hits = s.Cache.hits;
             cold = s.Cache.cold_misses }
           { accesses = region.Cache.r_accesses; hits = region.Cache.r_hits;
@@ -312,7 +295,7 @@ let profile src ~rate ~line_bytes ~sets =
       end;
       prof)
 
-let run_of_profile ~timing ~ways ~marked (prof : Sample.profile) =
+let run_of_profile ~ways ~marked (prof : Sample.profile) =
   let w_hits = ref 0.0 and w_cold = ref 0.0 in
   let o_hits = ref 0.0 and o_cold = ref 0.0 and o_acc = ref 0 in
   Array.iteri
@@ -332,7 +315,7 @@ let run_of_profile ~timing ~ways ~marked (prof : Sample.profile) =
     { accesses; hits;
       cold = max 0 (min (accesses - hits) (int_of_float (Float.round cold))) }
   in
-  make_run ~timing ~ops:prof.Sample.pf_ops
+  make_run ~ops:prof.Sample.pf_ops
     (clamp ~accesses:prof.Sample.pf_accesses !w_hits !w_cold)
     (clamp ~accesses:!o_acc !o_hits !o_cold)
 
@@ -349,12 +332,16 @@ let sample_run ~rate src q =
       ]
       (fun () -> profile src ~rate ~line_bytes ~sets)
   in
-  run_of_profile ~timing:q.timing ~ways:q.config.Cache.assoc
+  run_of_profile ~ways:q.config.Cache.assoc
     ~marked:(marker src q.labels) prof
 
 (* [Analytic]: the closed-form model, O(nest size). Only estimates are
-   memoised: a fallback verdict ([None]) is cheaper to recompute than a
-   store round trip, and the fallback's runs have their own entries. *)
+   memoised: a program out of the model's scope raises [Fallback],
+   which {!Store.memo} never stores — the verdict is cheaper to
+   recompute than a store round trip, and the fallback's runs have
+   their own entries. *)
+exception Fallback
+
 let estimate src q =
   Obs.span "analytic" ~args:[ ("cache", q.config.Cache.name) ] (fun () ->
       match
@@ -368,15 +355,14 @@ let estimate src q =
           { accesses = c.Analytic.c_accesses; hits = c.Analytic.c_hits;
             cold = c.Analytic.c_cold }
         in
-        Some
-          (make_run ~timing:q.timing ~ops:est.Analytic.e_ops
-             (region est.Analytic.e_whole) (region est.Analytic.e_optimized))
+        make_run ~ops:est.Analytic.e_ops (region est.Analytic.e_whole)
+          (region est.Analytic.e_optimized)
       | Error reason ->
         if Obs.enabled () then begin
           Obs.counter "analytic.fallback" 1;
           Obs.add_span_arg "fallback" reason
         end;
-        None)
+        raise Fallback)
 
 (* Estimates answer what they can; the fallbacks go to the exact
    backend as one batch, so they share one walk. *)
@@ -385,11 +371,11 @@ let analytic_runs src queries =
     (List.map
        (fun q ->
          match
-           memo_some src ~kind:"analytic" ~labels:q.labels (geometry q)
-             (fun () -> estimate src q)
+           memo src ~kind:"analytic" ~labels:q.labels (geometry q) (fun () ->
+               estimate src q)
          with
-         | Some r -> Either.Left r
-         | None -> Either.Right q)
+         | r -> Either.Left r
+         | exception Fallback -> Either.Right q)
        queries)
 
 let prepare ?(mode = Runs) ?(rate = Sample.default_rate) ?params
@@ -403,12 +389,11 @@ let prepare ?(mode = Runs) ?(rate = Sample.default_rate) ?params
   in
   { runs; hierarchy = exact_hierarchy src }
 
-let query ?(config = Machine.cache1) ?(timing = Machine.default_timing)
-    ?(optimized_labels = []) () =
-  { config; timing; labels = optimized_labels }
+let query ?(config = Machine.cache1) ?(optimized_labels = []) () =
+  { config; labels = optimized_labels }
 
-let replay_prepared ?config ?timing ?optimized_labels b =
-  match b.runs [ query ?config ?timing ?optimized_labels () ] with
+let replay_prepared ?config ?optimized_labels b =
+  match b.runs [ query ?config ?optimized_labels () ] with
   | [ r ] -> r
   | rs ->
     invalid_arg
@@ -417,8 +402,8 @@ let replay_prepared ?config ?timing ?optimized_labels b =
 let replay_hierarchy_prepared ?(l1 = Machine.cache2) ?(l2 = Machine.cache1) b =
   b.hierarchy ~l1 ~l2
 
-let measure ?config ?timing ?optimized_labels ?mode ?rate ?params ?store p =
-  replay_prepared ?config ?timing ?optimized_labels
+let measure ?config ?optimized_labels ?mode ?rate ?params ?store p =
+  replay_prepared ?config ?optimized_labels
     (prepare ?mode ?rate ?params ?store p)
 
 let measure_hierarchy ?l1 ?l2 ?mode ?params ?store p =
@@ -444,8 +429,8 @@ let capture ?mode:_ ?params ?store:_ p =
 let trace_stats { trace = t; _ } =
   (t.Trace.run_records, t.Trace.run_stream_words, t.Trace.run_groups)
 
-let replay ?config ?timing ?optimized_labels ?store:_ cap =
-  let s = cache_sim cap.src (query ?config ?timing ?optimized_labels ()) in
+let replay ?config ?optimized_labels ?store:_ cap =
+  let s = cache_sim cap.src (query ?config ?optimized_labels ()) in
   s.finish
     (fan_out
        (fun sink ->

@@ -4,12 +4,13 @@
     Tables 1, 3 and 4.
 
     {!prepare} builds one {!backend} per replay mode; it answers a batch
-    of queries (geometry, timing model, optimized-region labels) at once.
-    Every entry point takes an optional content-addressed
-    {!Locality_store.Store.t} (default: none): results are then looked up
-    by a digest of the canonical program text, parameter overrides, mode,
-    cache geometry, timing model and optimized-region statements, and
-    only computed (and stored) on a miss. Statements are named by their
+    of queries (geometry, optimized-region labels) at once. Every run is
+    costed with {!Machine.default_timing}. Every entry point takes an
+    optional content-addressed {!Locality_store.Store.t} (default:
+    none): results are then looked up by a digest of the canonical
+    program text, parameter overrides, mode, cache geometry, timing
+    model and optimized-region statements, and only computed (and
+    stored) on a miss. Statements are named by their
     position in program order in keys, so an entry written by one build
     of a program reads correctly in any other. Cached values are
     bit-identical to recomputation; a corrupt entry is quarantined and
@@ -87,18 +88,13 @@ val mode_to_string : replay_mode -> string
 
 type query = {
   config : Cache.config;
-  timing : Machine.timing;
   labels : string list;  (** the optimized region's statements *)
 }
-(** One geometry and timing model, with a label set. *)
+(** One geometry, with a label set. *)
 
 val query :
-  ?config:Cache.config ->
-  ?timing:Machine.timing ->
-  ?optimized_labels:string list ->
-  unit ->
-  query
-(** Defaults: cache1, {!Machine.default_timing}, no labels. *)
+  ?config:Cache.config -> ?optimized_labels:string list -> unit -> query
+(** Defaults: cache1, no labels. *)
 
 type backend = {
   runs : query list -> run list;
@@ -125,7 +121,6 @@ val prepare :
 
 val replay_prepared :
   ?config:Cache.config ->
-  ?timing:Machine.timing ->
   ?optimized_labels:string list ->
   backend ->
   run
@@ -133,7 +128,6 @@ val replay_prepared :
 
 val measure :
   ?config:Cache.config ->
-  ?timing:Machine.timing ->
   ?optimized_labels:string list ->
   ?mode:replay_mode ->
   ?rate:float ->
@@ -152,21 +146,14 @@ val measure_hierarchy :
   Program.t ->
   hier_run
 
-(** {1 Store key tags}
+(** {1 Store keys}
 
-    The one spelling of each key component, shared with every other
-    store kind built over measurements (the [tune] kind). Changing a
-    tag's bytes changes every key it appears in: bump
-    {!Store.format_version} with it. *)
-
-val config_tag : Cache.config -> string
-(** [name/size/assoc/line]. *)
-
-val timing_tag : Machine.timing -> string
-(** The three cost-model constants in hex float notation. *)
-
-val params_tag : (string * int) list -> string
-(** [k=v;k=v] in the given order. *)
+    This module decides the key of every measurement it stores (kinds
+    [run], [hier], [sample] and [analytic]); no other module builds
+    one. A key spells the cache geometry as [name/size/assoc/line], the
+    timing model's three constants in hex float notation and parameter
+    overrides as [k=v;k=v]. Changing a tag's bytes changes every key it
+    appears in: bump {!Store.format_version} with it. *)
 
 (** {1 Captures}
 
@@ -193,7 +180,6 @@ val trace_stats : capture -> int * int * int
 
 val replay :
   ?config:Cache.config ->
-  ?timing:Machine.timing ->
   ?optimized_labels:string list ->
   ?store:Store.t option ->
   capture ->

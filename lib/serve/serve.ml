@@ -177,6 +177,31 @@ let write_line conn s =
 
 let respond conn resp = write_line conn (Response.to_json resp)
 
+(* ---- the one request dispatcher ------------------------------------- *)
+
+type answer =
+  | Ran of (Driver.result, string) result
+  | Tuned of (string, string) result
+
+(* A tune object turns a request into a tuning query. Anything a stage
+   raises becomes an error answer, so no request can take down a
+   worker, and [memoria sim --request] prints what the daemon sends. *)
+let answer ?jobs tune cfg =
+  try
+    match tune with
+    | None -> Ran (Driver.run cfg)
+    | Some ts ->
+      Tuned
+        (Result.map Tune.to_json
+           (Tune.run_config ~spec:(Tune.spec_of_request ts) ?jobs cfg))
+  with e -> Ran (Error ("serve: " ^ Printexc.to_string e))
+
+let answered_ok = function Ran r -> Result.is_ok r | Tuned r -> Result.is_ok r
+
+let reply ~id ~emit_program = function
+  | Ran r -> Response.of_run ~id ~emit_program r
+  | Tuned r -> Response.of_tune ~id r
+
 (* ---- worker side ---------------------------------------------------- *)
 
 let process t job =
@@ -201,26 +226,7 @@ let process t job =
   else begin
     let result, events =
       Obs.scoped (fun () ->
-          Obs.span "serve.request" (fun () ->
-              try
-                match job.j_tune with
-                | None -> `Run (Driver.run job.j_cfg)
-                | Some ts ->
-                  `Tune
-                    (Result.map Tune.to_json
-                       (Tune.run_config ~spec:(Tune.spec_of_request ts)
-                          job.j_cfg))
-              with e -> `Run (Error ("serve: " ^ Printexc.to_string e))))
-    in
-    let ok =
-      match result with
-      | `Run r -> Result.is_ok r
-      | `Tune r -> Result.is_ok r
-    in
-    let response_for w =
-      match result with
-      | `Run r -> Response.of_run ~id:w.w_id ~emit_program:w.w_emit r
-      | `Tune r -> Response.of_tune ~id:w.w_id r
+          Obs.span "serve.request" (fun () -> answer job.j_tune job.j_cfg))
     in
     (* Claim before writing: a waiter is answered by exactly one side,
        us or the deadline scan. Whoever flips [w_answered] first under
@@ -232,7 +238,10 @@ let process t job =
           List.iter (fun w -> w.w_answered <- true) ws;
           ws)
     in
-    List.iter (fun w -> respond w.w_conn (response_for w)) claimed;
+    List.iter
+      (fun w ->
+        respond w.w_conn (reply ~id:w.w_id ~emit_program:w.w_emit result))
+      claimed;
     (* Only now release the refs and the in-flight slot: the main loop
        treats [n_inflight = 0] as "all replies written" when draining,
        and the reaper trusts a nonzero refcount to mean a write may
@@ -240,7 +249,7 @@ let process t job =
     locked t (fun () ->
         List.iter (fun w -> w.w_conn.c_refs <- w.w_conn.c_refs - 1) claimed;
         t.n_inflight <- t.n_inflight - 1;
-        Queue.push (Done (ok, events)) t.completions);
+        Queue.push (Done (answered_ok result, events)) t.completions);
     wake t
   end
 

@@ -73,6 +73,28 @@ val default_options : options
     target, 60 s min age when enabled), 8 MiB line limit, 512
     connections, 10 s write-stall budget. *)
 
+(** {1 Answering one request} *)
+
+type answer
+(** What a request computed, before it is addressed to a client. *)
+
+val answer :
+  ?jobs:int ->
+  Locality_driver.Request.tune_spec option ->
+  Locality_driver.Driver.config ->
+  answer
+(** The one dispatcher, shared by the daemon's workers and
+    [memoria sim --request]: a tune spec runs
+    {!Locality_stats.Tune.run_config} on [jobs] domains, otherwise
+    {!Locality_driver.Driver.run}. An exception from either becomes the
+    error ["serve: <exception>"]. *)
+
+val reply :
+  id:string -> emit_program:bool -> answer -> Locality_driver.Response.t
+(** The answer addressed to one client's request [id]. *)
+
+(** {1 The daemon} *)
+
 type t
 
 val create :

@@ -1,4 +1,4 @@
-(* `memoria tune`: enumerate → screen → confirm → memoize. See tune.mli. *)
+(* `memoria tune`: enumerate → screen → confirm. See tune.mli. *)
 
 module D = Locality_driver.Driver
 module C = Locality_core
@@ -78,8 +78,6 @@ type result = {
   t_screened : int;
   t_confirmed : int;
   t_truncated : int;
-  t_store_hits : int;
-  t_store_misses : int;
   t_baseline_miss : float;
   t_memorder_miss : float;
   t_rows : row list;
@@ -360,40 +358,14 @@ let miss_of (r : Measure.run) =
     *. float_of_int (w.Measure.accesses - w.Measure.hits)
     /. float_of_int w.Measure.accesses
 
-(* Keyed by the *transformed* program text, so candidates reached from
-   different starting points (cross-kernel overlap: the six matmul
-   orders permute into each other) share one entry. The tags are
-   Measure's; the "tune" kind keeps the entries apart from its own. *)
-let tune_key ~stage ~machine ~timing ~params p =
-  Store.key ~kind:"tune"
-    [
-      stage; Pretty.program_to_string p; Measure.config_tag machine;
-      Measure.timing_tag timing; Measure.params_tag params;
-    ]
-
-let measure_miss ~mode ~machine ~timing ~params ~store p =
-  let prep = Measure.prepare ~mode ?params ~store p in
-  miss_of (Measure.replay_prepared ~config:machine ~timing prep)
-
-(* One candidate's cached (or computed-and-published) miss rate.
-   Returns the rate and whether the tune entry was warm. *)
-let cached_miss ~stage ~mode ~machine ~timing ~params ~store p =
-  let params' = Option.value ~default:[] params in
-  let key = tune_key ~stage ~machine ~timing ~params:params' p in
-  match store with
-  | None ->
-    (measure_miss ~mode ~machine ~timing ~params ~store p, false)
-  | Some s -> begin
-    match Store.get_value s key with
-    | Some (miss : float) ->
-      Obs.counter "tune.store_hit" 1;
-      (miss, true)
-    | None ->
-      Obs.counter "tune.store_miss" 1;
-      let miss = measure_miss ~mode ~machine ~timing ~params ~store:store p in
-      Store.put_value s key miss;
-      (miss, false)
-  end
+(* One candidate's whole-program miss rate in one replay mode. The
+   store memoizes the run under the transformed program's text, so a
+   candidate reached from different starting points (the six matmul
+   orders permute into each other) is measured once. *)
+let measure_miss ~mode ~machine ~params ~store p =
+  miss_of
+    (Measure.replay_prepared ~config:machine
+       (Measure.prepare ~mode ?params ~store p))
 
 (* ------------------------------------------------------------ search --- *)
 
@@ -410,8 +382,7 @@ let spec_error ~name spec =
          t_max_candidates = Some spec.max_candidates })
 
 let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
-    ?(timing = Machine.default_timing) ?params ?jobs ?(store = None) ~name
-    (p : Program.t) =
+    ?params ?jobs ?(store = None) ~name (p : Program.t) =
   match spec_error ~name spec with
   | Some e -> Error e
   | None ->
@@ -420,7 +391,7 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
      on the same geometry. *)
   match
     D.run
-      (D.config ?n ~cls ~machines:[ machine ] ~timing ?params
+      (D.config ?n ~cls ~machines:[ machine ] ?params
          ~replay:Measure.Runs ~store
          (D.Source_program { name; program = p }))
   with
@@ -461,34 +432,28 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
                     Obs.counter "tune.pruned_illegal" 1;
                     ( { enc; status = Illegal; analytic_miss = None;
                         simulated_miss = None },
-                      false, None )
+                      None )
                   | Some (p', labels) ->
                     Obs.counter "tune.screened" 1;
-                    let miss, warm =
-                      cached_miss ~stage:"screen" ~mode:Measure.Analytic
-                        ~machine ~timing ~params ~store p'
+                    let miss =
+                      measure_miss ~mode:Measure.Analytic ~machine ~params
+                        ~store p'
                     in
                     Obs.histogram "tune.screen.miss_bp"
                       (int_of_float (miss *. 100.0));
                     ( { enc; status = Screened; analytic_miss = Some miss;
                         simulated_miss = None },
-                      warm, Some (p', labels) )))
+                      Some (p', labels) )))
         in
-        let hits = ref 0 and misses = ref 0 in
-        List.iter
-          (fun (r, warm, _) ->
-            if r.status <> Illegal then
-              if warm then incr hits else incr misses)
-          screened;
         let pruned =
-          List.length (List.filter (fun (r, _, _) -> r.status = Illegal) screened)
+          List.length (List.filter (fun (r, _) -> r.status = Illegal) screened)
         in
         (* Confirm the analytically best top-K with the exact simulator;
            ties at equal analytic score break on the encoding. *)
         let finalists =
           let legal =
             List.filter_map
-              (fun (r, _, applied) ->
+              (fun (r, applied) ->
                 match (r.analytic_miss, applied) with
                 | Some a, Some (p', labels) -> Some (r.enc, a, p', labels)
                 | _, _ -> None)
@@ -513,22 +478,18 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
               Pool.map ?jobs
                 (fun (enc, analytic, p', labels) ->
                   Obs.counter "tune.simulated" 1;
-                  let miss, warm =
-                    cached_miss ~stage:"confirm" ~mode:Measure.Runs ~machine
-                      ~timing ~params ~store p'
+                  let miss =
+                    measure_miss ~mode:Measure.Runs ~machine ~params ~store p'
                   in
                   Obs.histogram "tune.confirm.miss_bp"
                     (int_of_float (miss *. 100.0));
-                  (enc, analytic, miss, warm, p', labels))
+                  (enc, analytic, miss, p', labels))
                 finalists)
         in
-        List.iter
-          (fun (_, _, _, warm, _, _) -> if warm then incr hits else incr misses)
-          confirmed;
         let winner =
           match
             List.stable_sort
-              (fun (e1, _, m1, _, _, _) (e2, _, m2, _, _, _) ->
+              (fun (e1, _, m1, _, _) (e2, _, m2, _, _) ->
                 match compare m1 m2 with
                 | 0 -> String.compare e1 e2
                 | c -> c)
@@ -539,29 +500,24 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
         in
         let rows =
           List.map
-            (fun (r, _, _) ->
+            (fun (r, _) ->
               match
-                List.find_opt (fun (enc, _, _, _, _, _) -> enc = r.enc)
-                  confirmed
+                List.find_opt (fun (enc, _, _, _, _) -> enc = r.enc) confirmed
               with
-              | Some (_, _, miss, _, _, _) ->
+              | Some (_, _, miss, _, _) ->
                 { r with status = Confirmed; simulated_miss = Some miss }
               | None -> r)
             screened
         in
         let winner_row, winner_program, winner_labels =
           match winner with
-          | Some (enc, analytic, miss, _, p', labels) ->
+          | Some (enc, analytic, miss, p', labels) ->
             ( Some
                 { enc; status = Confirmed; analytic_miss = Some analytic;
                   simulated_miss = Some miss },
               p', labels )
           | None -> (None, program, [])
         in
-        Obs.gauge "tune.store_hit_rate"
-          (let total = !hits + !misses in
-           if total = 0 then 0.0
-           else 100.0 *. float_of_int !hits /. float_of_int total);
         Ok
           {
             t_name = base.D.name;
@@ -572,8 +528,6 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
             t_screened = List.length kept - pruned;
             t_confirmed = List.length confirmed;
             t_truncated = dropped;
-            t_store_hits = !hits;
-            t_store_misses = !misses;
             t_baseline_miss = baseline_miss;
             t_memorder_miss = memorder_miss;
             t_rows = rows;
@@ -584,21 +538,16 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
       end
   end
 
-let eff_n (cfg : D.config) =
-  match (cfg.D.scale, cfg.D.n) with
-  | s, Some n when s > 1 -> Some (s * n)
-  | s, None when s > 1 -> Some (s * 64)
-  | _, n -> n
-
 let run_config ?(spec = default_spec) ?jobs (cfg : D.config) =
-  match D.load ?n:(eff_n cfg) cfg.D.source with
+  let n = D.effective_n cfg in
+  match D.load ?n cfg.D.source with
   | Error e -> Error e
   | Ok (name, p) ->
     let machine =
       match cfg.D.machines with m :: _ -> m | [] -> Machine.cache1
     in
-    run ~spec ?n:(eff_n cfg) ~cls:cfg.D.cls ~machine ~timing:cfg.D.timing
-      ?params:cfg.D.params ?jobs ~store:cfg.D.store ~name p
+    run ~spec ?n ~cls:cfg.D.cls ~machine ?params:cfg.D.params ?jobs
+      ~store:cfg.D.store ~name p
 
 (* ------------------------------------------------------- reporting --- *)
 
@@ -629,11 +578,6 @@ let render t =
     (if t.t_truncated > 0 then
        Printf.sprintf ", %d dropped beyond max-candidates" t.t_truncated
      else "");
-  let total = t.t_store_hits + t.t_store_misses in
-  addf "store: %d hits / %d misses (%.1f%% warm)" t.t_store_hits
-    t.t_store_misses
-    (if total = 0 then 0.0
-     else 100.0 *. float_of_int t.t_store_hits /. float_of_int total);
   addf "baseline miss: %.2f%%   memory order (compound) miss: %.2f%%"
     t.t_baseline_miss t.t_memorder_miss;
   (match top_rows t with
@@ -687,8 +631,6 @@ let to_json t =
        ("screened", Json.int t.t_screened);
        ("confirmed", Json.int t.t_confirmed);
        ("truncated", Json.int t.t_truncated);
-       ("store_hits", Json.int t.t_store_hits);
-       ("store_misses", Json.int t.t_store_misses);
        ("baseline_miss_rate", float_json t.t_baseline_miss);
        ("memory_order_miss_rate", float_json t.t_memorder_miss);
        ("top", Json.list (List.map row_json (top_rows t)));

@@ -1,8 +1,8 @@
-(** [memoria tune]: store-memoized search over the typed transformation
-    space — structure (as-is / fused / distributed) × loop permutation ×
-    tile size × unroll-and-jam factor.
+(** [memoria tune]: search over the typed transformation space —
+    structure (as-is / fused / distributed) × loop permutation × tile
+    size × unroll-and-jam factor.
 
-    The search is enumerate → screen → confirm → memoize:
+    The search is enumerate → screen → confirm:
 
     + {e enumerate} the candidate space for the program's deepest
       top-level nest, in a fixed order (identity permutation first, the
@@ -26,23 +26,23 @@
       and a [tune.pruned_illegal] count of its own;
     + {e confirm} the top-K analytic finalists with the exact simulator
       ([Runs] mode); the winner is the lowest simulated miss rate, ties
-      broken lexicographically on the candidate encoding;
-    + {e memoize}: every screened and confirmed rate is stored under the
-      content-addressed ["tune"] kind, keyed by the {e transformed}
-      program text plus geometry, timing and parameters — so re-tuning
-      is warm, and candidates shared between kernels (the six matmul
-      orders permute into each other) hit across kernels.
+      broken lexicographically on the candidate encoding.
+
+    Both scores come from {!Locality_interp.Measure.prepare} with the
+    run's store, which memoizes each under the {e transformed} program
+    text and geometry ([analytic] and [run] kinds): re-tuning is warm,
+    candidates shared between kernels (the six matmul orders permute
+    into each other) hit across kernels, and the result never depends
+    on what the store holds.
 
     Obs surface: [tune.generated], [tune.pruned_illegal],
     [tune.screened], [tune.simulated], [tune.truncated],
-    [tune.store_hit], [tune.store_miss], [tune.dep_analyses]
-    counters; [tune.enumerate] / [tune.screen] / [tune.confirm] spans;
-    [tune.screen.miss_bp] and [tune.confirm.miss_bp] histograms (miss
-    rate in basis points); a [tune.store_hit_rate] gauge. *)
+    [tune.dep_analyses] counters; [tune.enumerate] / [tune.screen] /
+    [tune.confirm] spans; [tune.screen.miss_bp] and
+    [tune.confirm.miss_bp] histograms (miss rate in basis points). *)
 
 module D = Locality_driver.Driver
 module Cache = Locality_cachesim.Cache
-module Machine = Locality_cachesim.Machine
 module Store = Locality_store.Store
 
 type spec = {
@@ -151,8 +151,6 @@ type result = {
   t_screened : int;
   t_confirmed : int;
   t_truncated : int;
-  t_store_hits : int;  (** warm ["tune"]-kind lookups this pass *)
-  t_store_misses : int;
   t_baseline_miss : float;  (** original program, exact simulator, % *)
   t_memorder_miss : float;
       (** the compound (memory-order) transform's result — the paper's
@@ -168,7 +166,6 @@ val run :
   ?n:int ->
   ?cls:int ->
   ?machine:Cache.config ->
-  ?timing:Machine.timing ->
   ?params:(string * int) list ->
   ?jobs:int ->
   ?store:Store.t option ->
@@ -186,11 +183,11 @@ val run_config : ?spec:spec -> ?jobs:int -> D.config -> (result, string) Stdlib.
 (** {!run} driven by a driver config (the serve daemon and
     [memoria tune]'s request path): source loaded via {!D.load}, scored
     on the config's first machine (cache1 when none), with its cls,
-    timing, params and store. *)
+    params and store. *)
 
 val render : result -> string
-(** Human-readable report: counts, store warmth, baseline vs memory
-    order vs winner, and the confirmed top-K table. *)
+(** Human-readable report: counts, baseline vs memory order vs winner,
+    and the confirmed top-K table. *)
 
 val to_json : result -> string
 (** Versioned JSON document (see [doc/SCHEMA.md]), newline-terminated. *)

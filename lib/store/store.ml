@@ -207,6 +207,18 @@ let get_value t k =
       bump c_quarantines "store.quarantine";
       None)
 
+let memo store key compute =
+  match store with
+  | None -> compute ()
+  | Some st -> (
+    let k = key () in
+    match get_value st k with
+    | Some v -> v
+    | None ->
+      let v = compute () in
+      put_value st k v;
+      v)
+
 (* ---------------------------------------------------- maintenance --- *)
 
 type disk_stats = {

@@ -89,6 +89,15 @@ val get_value : t -> key -> 'a option
     quarantined and reported as a miss. Type safety rests on the key:
     only read a key with the type it was written with. *)
 
+val memo : t option -> (unit -> key) -> (unit -> 'a) -> 'a
+(** [memo store key compute]: the one lookup-else-compute. With no
+    store, [compute ()]. Otherwise the value stored under [key ()], or
+    on a miss [compute ()], published under that key. A corrupt entry
+    reads as a miss, so it is recomputed and republished; an exception
+    from [compute] propagates and publishes nothing, which is how a
+    caller leaves a verdict unstored. [key] runs only when a store is
+    present, and must encode the value's type (see {!get_value}). *)
+
 val object_path : t -> key -> string
 (** Test oracle: where an entry lives, for tests that corrupt or age it. *)
 

@@ -151,13 +151,13 @@ let test_truncation_invalidates () =
       check "entry gone from objects/" false
         (Sys.file_exists (Store.object_path st k)))
 
-let test_corruption_recomputes_identically () =
+(* Damage every entry a cold computation published: each must be
+   retired and recomputed without changing a single field. One input per
+   stored kind: the measurement's run and the driver's analysis. *)
+let recomputes_identically what equal compute =
   with_store (fun st ->
-      let p = S.Kernels.matmul ~order:"IJK" 16 in
-      let plain = Measure.measure ~store:None p in
-      let cold = Measure.measure ~store:(Some st) p in
-      (* Damage every entry: each must be retired and recomputed
-         without changing a single field. *)
+      let plain = compute None in
+      let cold = compute (Some st) in
       let rec each dir f =
         Array.iter
           (fun n ->
@@ -166,13 +166,21 @@ let test_corruption_recomputes_identically () =
           (Sys.readdir dir)
       in
       each (Filename.concat (Store.root st) "objects") corrupt_file;
-      let recomputed = Measure.measure ~store:(Some st) p in
-      check "cold = plain" true (runs_equal plain cold);
-      check "recomputed after corruption = plain" true
-        (runs_equal plain recomputed);
+      let recomputed = compute (Some st) in
+      check (what ^ ": cold = plain") true (equal plain cold);
+      check (what ^ ": recomputed after corruption = plain") true
+        (equal plain recomputed);
       let d = Store.disk_stats st in
-      check "quarantine holds the damaged entries" true
+      check (what ^ ": quarantine holds the damaged entries") true
         (d.Store.quarantined > 0))
+
+let test_corruption_recomputes_identically () =
+  let p = S.Kernels.matmul ~order:"IJK" 16 in
+  recomputes_identically "run" runs_equal (fun store ->
+      Measure.measure ~store p);
+  recomputes_identically "analysis" ( = ) (fun store ->
+      D.run_exn
+        (D.config ~store (D.Source_program { name = "matmul"; program = p })))
 
 (* ------------------------------------------------ concurrent writers --- *)
 
@@ -341,10 +349,10 @@ let test_pinned_keys () =
       check_int "entries published" 1 (fst (Store.verify st)));
   pinned "driver analysis" "e7482ececeeac087b6921d86f41873cc" (fun st ->
       ignore (D.run (D.config ~n:8 ~store:(Some st) (D.Source_kernel "cholesky"))));
-  pinned "tune screen" "2f18ab44a145c11dff1a0f0faf86b82a" (fun st ->
-      ignore
-        (Locality_stats.Tune.run ~spec:Locality_stats.Tune.quick_spec
-           ~store:(Some st) ~name:"cholesky" p))
+  pinned "analytic estimate" "cc18bcdc93cbb2e4877f365bc1d830a1" (fun st ->
+      ignore (Measure.measure ~mode:Measure.Analytic ~store:(Some st) p);
+      (* The model certifies cholesky: its estimate is the one entry. *)
+      check_int "entries published" 1 (fst (Store.verify st)))
 
 let suite =
   [
