@@ -171,58 +171,62 @@ let analytic_stats ~store rows =
       |> List.map (fun (r, n) -> Printf.sprintf "  fallback reason (%2d): %s" n r)
       ))
 
-(* [rows] are Table 2's, shared by every experiment that needs them;
-   [tune] (the --tune flag) adds the tuned column (quick transformation
+(* An experiment runs on its own or over Table 2's rows. The rows are
+   computed once, by [run], before the fan-out: concurrent Lazy.force
+   from several domains raises. *)
+type experiment =
+  | Alone of (unit -> string)
+  | Over_rows of (Stats.Table2.row list -> string)
+
+(* [tune] (the --tune flag) adds the tuned column (quick transformation
    search) to tables 2 and 4 — off by default so CI's replay-mode A/B
    byte-diff baselines are unchanged. *)
-let registry ~settings ~tune ~scale ~rows :
-    (string * (unit -> string)) list =
+let registry ~settings ~tune ~scale : (string * experiment) list =
   let store = settings.Settings.store in
   [
-    ("fig2", fun () -> Stats.Figures.fig2 ~settings ());
-    ("fig3", fun () -> Stats.Figures.fig3 ~settings ());
-    ("fig7", fun () -> Stats.Figures.fig7 ~settings ());
-    ("table1", fun () -> Stats.Perf.table1 ~settings ());
-    ("table2", fun () -> Stats.Table2.render (Lazy.force rows));
-    ("table3", fun () -> Stats.Perf.table3 ~settings ());
-    ("table4", fun () -> Stats.Perf.table4 ~settings ~tune (Lazy.force rows));
-    ("table5", fun () -> Stats.Table5.render_for (Lazy.force rows));
-    ("fig8", fun () -> Stats.Figures.fig8 (Lazy.force rows));
-    ("fig9", fun () -> Stats.Figures.fig9 (Lazy.force rows));
-    ("ablation-transforms", fun () -> Stats.Ablation.transforms ~settings ());
-    ("ablation-tiling", fun () -> Stats.Ablation.tiling ~settings ());
-    ("ablation-reversal", fun () -> Stats.Ablation.reversal ());
-    ("ablation-cls", fun () -> Stats.Ablation.cls_sensitivity ());
-    ("ablation-reuse", fun () -> Stats.Ablation.reuse_profile ~settings ());
-    ("ablation-multilevel", fun () -> Stats.Ablation.multilevel ~settings ());
-    ("ablation-parallelism", fun () -> Stats.Ablation.parallelism ());
+    ("fig2", Alone (fun () -> Stats.Figures.fig2 ~settings ()));
+    ("fig3", Alone (fun () -> Stats.Figures.fig3 ~settings ()));
+    ("fig7", Alone (fun () -> Stats.Figures.fig7 ~settings ()));
+    ("table1", Alone (fun () -> Stats.Perf.table1 ~settings ()));
+    ("table2", Over_rows Stats.Table2.render);
+    ("table3", Alone (fun () -> Stats.Perf.table3 ~settings ()));
+    ("table4", Over_rows (Stats.Perf.table4 ~settings ~tune));
+    ("table5", Over_rows Stats.Table5.render_for);
+    ("fig8", Over_rows Stats.Figures.fig8);
+    ("fig9", Over_rows Stats.Figures.fig9);
+    ( "ablation-transforms",
+      Alone (fun () -> Stats.Ablation.transforms ~settings ()) );
+    ("ablation-tiling", Alone (fun () -> Stats.Ablation.tiling ~settings ()));
+    ("ablation-reversal", Alone (fun () -> Stats.Ablation.reversal ()));
+    ("ablation-cls", Alone (fun () -> Stats.Ablation.cls_sensitivity ()));
+    ( "ablation-reuse",
+      Alone (fun () -> Stats.Ablation.reuse_profile ~settings ()) );
+    ( "ablation-multilevel",
+      Alone (fun () -> Stats.Ablation.multilevel ~settings ()) );
+    ("ablation-parallelism", Alone (fun () -> Stats.Ablation.parallelism ()));
     ( "ablation-interference",
-      fun () -> Stats.Ablation.interference ~settings () );
-    ("ablation-step3", fun () -> Stats.Ablation.step3 ~settings ());
-    ("ablation-tilesize", fun () -> Stats.Ablation.tilesize ~settings ());
-    ("tracestats", fun () -> tracestats (Lazy.force rows));
-    ("alloc", fun () -> alloc_probe (); "(see stderr)\n");
-    ("analytic", fun () -> analytic_stats ~store (Lazy.force rows));
-    ("scale", fun () -> Stats.Scale.render_scale ~settings ~factor:scale ());
-    ("sampleerr", fun () -> Stats.Scale.render_err ~settings (Lazy.force rows));
+      Alone (fun () -> Stats.Ablation.interference ~settings ()) );
+    ("ablation-step3", Alone (fun () -> Stats.Ablation.step3 ~settings ()));
+    ( "ablation-tilesize",
+      Alone (fun () -> Stats.Ablation.tilesize ~settings ()) );
+    ("tracestats", Over_rows tracestats);
+    ("alloc", Alone (fun () -> alloc_probe (); "(see stderr)\n"));
+    ("analytic", Over_rows (analytic_stats ~store));
+    ( "scale",
+      Alone (fun () -> Stats.Scale.render_scale ~settings ~factor:scale ()) );
+    ("sampleerr", Over_rows (Stats.Scale.render_err ~settings));
   ]
 
-(* Experiments that read Table 2's rows. Before running experiments in
-   parallel the rows are computed once up front: concurrent Lazy.force
-   from several domains raises, and the rows are wanted by many
-   consumers. *)
-let needs_table2 =
-  [ "table2"; "table4"; "table5"; "fig8"; "fig9"; "tracestats"; "analytic";
-    "sampleerr" ]
-
 let run ~jobs ~rows selected =
-  if
-    jobs > 1
-    && List.exists (fun (name, _) -> List.mem name needs_table2) selected
-  then ignore (Lazy.force rows);
+  let rows =
+    let over_rows = function _, Over_rows _ -> true | _, Alone _ -> false in
+    if List.exists over_rows selected then Lazy.force rows else []
+  in
+  let render = function Alone f -> f () | Over_rows f -> f rows in
   let rendered =
     Pool.map ~jobs
-      (fun (name, f) -> (name, Obs.span ("experiment:" ^ name) f))
+      (fun (name, e) ->
+        (name, Obs.span ("experiment:" ^ name) (fun () -> render e)))
       selected
   in
   List.iter

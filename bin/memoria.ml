@@ -409,7 +409,7 @@ let cgen_cmd =
 
 (* One Request document in, one Response line out — the serve wire
    format on the CLI, which is what CI byte-diffs daemon replies
-   against. Serve-side fields (timeout_ms, jobs) are inert here; a
+   against. The serve-side deadline (timeout_ms) is inert here; a
    protocol-level failure still prints its envelope before exiting
    non-zero so the bytes match the daemon's. *)
 let run_request_file path =
@@ -578,8 +578,9 @@ let tune_cmd =
           factor — for the candidate with the lowest simulated miss rate. \
           Every legal candidate is screened with the analytic model, the \
           top K finalists are confirmed with the exact simulator, and every \
-          score is memoized in the store (kind $(b,tune)), so re-tuning and \
-          overlapping searches are warm. Deterministic at any job count.")
+          score is memoized in the store (kinds $(b,analytic) and \
+          $(b,run)), so re-tuning and overlapping searches are warm. \
+          Deterministic at any job count.")
     Term.(
       const run $ file_arg $ kernel_arg $ cls_arg $ n_arg $ scale_arg 1
       $ cache_arg $ jobs_arg $ json_arg $ quick_arg $ top_k_arg $ tiles_arg
@@ -778,7 +779,7 @@ let suite_cmd =
                   let req =
                     Request.make ~n ~scale ~cls
                       ~machines:[ Request.Named "cache1"; Request.Named "cache2" ]
-                      ?sample_rate:rate ~jobs (Request.Kernel name)
+                      ?sample_rate:rate (Request.Kernel name)
                   in
                   (* Driver.run's errors already carry the kernel name
                      ("<name>: <detail>"); rows forward them verbatim. *)
@@ -919,9 +920,8 @@ let store_cmd =
     [ stats_cmd; verify_cmd; gc_cmd ]
 
 let serve_cmd =
-  let run socket stdio jobs max_queue timeout_ms retry_after_ms gc_every
-      gc_max_bytes gc_min_age max_conns write_timeout trace profile metrics
-      flame =
+  let run socket stdio jobs max_queue timeout_ms max_conns write_timeout trace
+      profile metrics flame =
     let listen =
       match (socket, stdio) with
       | Some path, false -> Serve.Socket path
@@ -931,14 +931,9 @@ let serve_cmd =
     in
     let options =
       {
-        Serve.default_options with
         Serve.jobs = Some jobs;
         max_queue;
         default_timeout_ms = timeout_ms;
-        retry_after_ms;
-        gc_every_s = gc_every;
-        gc_max_bytes;
-        gc_min_age_s = gc_min_age;
         max_conns;
         write_timeout_s = write_timeout;
       }
@@ -982,37 +977,6 @@ let serve_cmd =
              means unbounded. Expired requests get a typed $(b,timeout) \
              response.")
   in
-  let retry_after_arg =
-    Arg.(
-      value
-      & opt int Serve.default_options.Serve.retry_after_ms
-      & info [ "retry-after-ms" ] ~docv:"MS"
-          ~doc:"Retry hint carried by $(b,overloaded) responses.")
-  in
-  let gc_every_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "gc-every" ] ~docv:"SECONDS"
-          ~doc:
-            "Run $(b,store gc) over the ambient store ($(b,MEMORIA_STORE)) \
-             every SECONDS while serving; 0 disables the tick.")
-  in
-  let gc_max_bytes_arg =
-    Arg.(
-      value
-      & opt int Serve.default_options.Serve.gc_max_bytes
-      & info [ "gc-max-bytes" ] ~docv:"BYTES"
-          ~doc:"Store size target for the periodic gc tick.")
-  in
-  let gc_min_age_arg =
-    Arg.(
-      value
-      & opt float Serve.default_options.Serve.gc_min_age_s
-      & info [ "gc-min-age" ] ~docv:"SECONDS"
-          ~doc:
-            "Entries younger than this survive every gc tick (see \
-             $(b,memoria store gc --min-age)).")
-  in
   let max_conns_arg =
     Arg.(
       value
@@ -1041,11 +1005,11 @@ let serve_cmd =
           $(b,MEMORIA_STORE), and answer each with one typed response line. \
           Identical in-flight requests are computed once; deadlines, queue \
           bounds and shutdown drain all answer with typed responses. \
-          SIGINT/SIGTERM drain gracefully.")
+          SIGINT/SIGTERM drain gracefully. The daemon never collects its \
+          store; run $(b,memoria store gc --min-age) beside it.")
     Term.(
       const run $ socket_arg $ stdio_arg $ jobs_arg $ max_queue_arg
-      $ timeout_arg $ retry_after_arg $ gc_every_arg $ gc_max_bytes_arg
-      $ gc_min_age_arg $ max_conns_arg $ write_timeout_arg $ trace_arg
+      $ timeout_arg $ max_conns_arg $ write_timeout_arg $ trace_arg
       $ profile_arg $ metrics_arg $ flame_arg)
 
 let fuzz_cmd =
@@ -1146,7 +1110,7 @@ let bench_cmd =
       }
     in
     let rows = lazy (Stats.Table2.compute ~settings ~tune ()) in
-    let registry = Experiments.registry ~settings ~tune ~scale ~rows in
+    let registry = Experiments.registry ~settings ~tune ~scale in
     let experiment name =
       match List.assoc_opt name registry with
       | Some f -> (name, f)

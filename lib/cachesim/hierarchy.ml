@@ -55,7 +55,11 @@ let l1_stats t = Cache.stats t.l1
 let l2_stats t = Cache.stats t.l2
 let writebacks t = t.writebacks
 
-let amat ?(l1_time = 1.0) ?(l2_time = 8.0) ?(mem_time = 40.0) t =
+let l1_time = 1.0
+let l2_time = 8.0
+let mem_time = 40.0
+
+let amat t =
   if t.total = 0 then 0.0
   else
     ((float_of_int t.l1_hits *. l1_time)

@@ -26,7 +26,6 @@ val l2_stats : t -> Cache.stats
 val writebacks : t -> int
 (** Dirty L1 lines pushed into L2 on eviction. *)
 
-val amat :
-  ?l1_time:float -> ?l2_time:float -> ?mem_time:float -> t -> float
-(** Average memory access time in cycles (defaults 1 / 8 / 40). 0 when
-    no accesses were made. *)
+val amat : t -> float
+(** Average memory access time in cycles, with L1, L2 and memory
+    latencies of 1, 8 and 40 cycles. 0 when no accesses were made. *)

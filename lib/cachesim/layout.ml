@@ -4,7 +4,7 @@ type info = {
   elem_size : int;
 }
 
-type t = { tbl : (string, info) Hashtbl.t; mutable total : int; base0 : int }
+type t = { tbl : (string, info) Hashtbl.t }
 
 (* Scaled geometries (--scale) can push extent products past both the
    native int and the 32-bit packed-record address field, so every
@@ -17,9 +17,12 @@ let checked_mul name a b =
       (Printf.sprintf "Layout.build: size of %s overflows (%d * %d)" name a b)
   else a * b
 
-let build ?(base = 0) ?(align = 128) ~param decls =
+(* Array bases are aligned to 128 bytes, cache1's line size. *)
+let align = 128
+
+let build ~param decls =
   let tbl = Hashtbl.create 16 in
-  let cursor = ref base in
+  let cursor = ref 0 in
   List.iter
     (fun (d : Decl.t) ->
       let extents =
@@ -48,7 +51,7 @@ let build ?(base = 0) ?(align = 128) ~param decls =
              d.Decl.name !cursor bytes (Chunk.max_addr + 1));
       cursor := !cursor + bytes)
     decls;
-  { tbl; total = !cursor - base; base0 = base }
+  { tbl }
 
 let info t name =
   match Hashtbl.find_opt t.tbl name with

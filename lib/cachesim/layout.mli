@@ -6,9 +6,9 @@
 
 type t
 
-val build : ?base:int -> ?align:int -> param:(string -> int) -> Decl.t list -> t
-(** Lay out the arrays in declaration order. [param] evaluates symbolic
-    extents; [align] (default 128) aligns bases.
+val build : param:(string -> int) -> Decl.t list -> t
+(** Lay out the arrays in declaration order from byte 0, each base
+    aligned to 128 bytes. [param] evaluates symbolic extents.
     @raise Invalid_argument on non-positive extents, on extent products
     that overflow the native int, and when the layout no longer fits the
     {!Chunk.max_addr} packed-record address space (scaled geometries:

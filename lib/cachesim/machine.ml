@@ -17,5 +17,7 @@ let cycles t ~ops ~hits ~misses =
   +. (t.cycles_per_hit *. float_of_int hits)
   +. (t.miss_penalty *. float_of_int misses)
 
-let seconds ?(mhz = 50.0) t ~ops ~hits ~misses =
+let mhz = 50.0
+
+let seconds t ~ops ~hits ~misses =
   cycles t ~ops ~hits ~misses /. (mhz *. 1e6)

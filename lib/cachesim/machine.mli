@@ -18,5 +18,5 @@ val default_timing : timing
 val cycles :
   timing -> ops:int -> hits:int -> misses:int -> float
 
-val seconds : ?mhz:float -> timing -> ops:int -> hits:int -> misses:int -> float
-(** Cycle count scaled by a clock (default 50 MHz, RS/6000-540 class). *)
+val seconds : timing -> ops:int -> hits:int -> misses:int -> float
+(** Cycle count at a 50 MHz clock (RS/6000-540 class). *)

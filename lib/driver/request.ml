@@ -41,7 +41,6 @@ type t = {
   sample_rate : float option;
   use_labels : bool;
   store : store_choice;
-  jobs : int option;
   timeout_ms : int option;
   emit_program : bool;
   tune : tune_spec option;
@@ -50,9 +49,9 @@ type t = {
 let make ?(id = "") ?n ?(scale = 1) ?(cls = 4)
     ?(transform = Compound { try_reversal = None; interference_limit = None })
     ?(machines = []) ?(params = []) ?replay ?sample_rate ?(use_labels = false)
-    ?(store = Ambient) ?jobs ?timeout_ms ?(emit_program = false) ?tune source =
+    ?(store = Ambient) ?timeout_ms ?(emit_program = false) ?tune source =
   { id; source; n; scale; cls; transform; machines; params; replay;
-    sample_rate; use_labels; store; jobs; timeout_ms; emit_program; tune }
+    sample_rate; use_labels; store; timeout_ms; emit_program; tune }
 
 let named_machines =
   [ ("cache1", Machine.cache1); ("cache2", Machine.cache2) ]
@@ -130,15 +129,13 @@ let to_json r =
       ("sample_rate", jopt jfloat r.sample_rate);
       ("use_labels", jbool r.use_labels);
       ("store", store_json r.store);
-      ("jobs", jopt Json.int r.jobs);
       ("timeout_ms", jopt Json.int r.timeout_ms);
       ("emit_program", jbool r.emit_program);
       ("tune", jopt tune_json r.tune);
     ]
 
 let fingerprint r =
-  to_json
-    { r with id = ""; timeout_ms = None; jobs = None; emit_program = false }
+  to_json { r with id = ""; timeout_ms = None; emit_program = false }
 
 (* -------------------------------------------------------- reading --- *)
 
@@ -370,7 +367,7 @@ let allowed_fields =
   [
     "schema_version"; "id"; "source"; "n"; "scale"; "cls"; "transform";
     "machines"; "params"; "replay"; "sample_rate"; "use_labels"; "store";
-    "jobs"; "timeout_ms"; "emit_program"; "tune";
+    "timeout_ms"; "emit_program"; "tune";
   ]
 
 let decode src keys json =
@@ -452,7 +449,6 @@ let decode src keys json =
       (match non_null fields "store" with
       | Some v -> decode_store ~src ~keys v
       | None -> Ambient);
-    jobs = int_field ~src ~keys fields "jobs";
     timeout_ms =
       (let v = int_field ~src ~keys fields "timeout_ms" in
        Option.iter

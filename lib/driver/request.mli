@@ -84,9 +84,6 @@ type t = {
           rate. *)
   use_labels : bool;
   store : store_choice;
-  jobs : int option;
-      (** Dispatch-width hint for batch callers ([memoria suite]); a
-          single {!Driver.run} ignores it. *)
   timeout_ms : int option;
       (** Serve-side deadline; [Some 0] means already expired (the
           deterministic way to ask for a typed timeout response). *)
@@ -112,7 +109,6 @@ val make :
   ?sample_rate:float ->
   ?use_labels:bool ->
   ?store:store_choice ->
-  ?jobs:int ->
   ?timeout_ms:int ->
   ?emit_program:bool ->
   ?tune:tune_spec ->
@@ -121,7 +117,7 @@ val make :
 (** Defaults mirror {!Driver.config}'s: empty id, no size override,
     [scale = 1], [cls = 4], {!Compound} with neither knob set, no
     machines, no params, no replay mode, {!Ambient} store, no rate, no labels,
-    no jobs hint, no timeout, no program echo. *)
+    no timeout, no program echo. *)
 
 val machine_of_config : Cache.config -> machine
 (** [Named] when the config structurally equals a preset, [Custom]
@@ -140,7 +136,7 @@ val of_json : string -> (t, string) Stdlib.result
 
 val fingerprint : t -> string
 (** The request's compute identity: {!to_json} of the request with
-    [id], [timeout_ms], [jobs] and [emit_program] neutralized — equal
+    [id], [timeout_ms] and [emit_program] neutralized — equal
     fingerprints get identical {!Driver.result}s, which is what the
     serve daemon batches on. *)
 

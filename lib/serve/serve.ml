@@ -16,7 +16,6 @@ module Response = Locality_driver.Response
 module Pool = Locality_par.Pool
 module Obs = Locality_obs.Obs
 module Event = Locality_obs.Event
-module Store = Locality_store.Store
 module Settings = Locality_driver.Settings
 module Tune = Locality_stats.Tune
 
@@ -26,11 +25,6 @@ type options = {
   jobs : int option;
   max_queue : int;
   default_timeout_ms : int;
-  retry_after_ms : int;
-  gc_every_s : float;
-  gc_max_bytes : int;
-  gc_min_age_s : float;
-  max_line_bytes : int;
   max_conns : int;
   write_timeout_s : float;
 }
@@ -40,14 +34,12 @@ let default_options =
     jobs = None;
     max_queue = 64;
     default_timeout_ms = 0;
-    retry_after_ms = 100;
-    gc_every_s = 0.;
-    gc_max_bytes = 256 * 1024 * 1024;
-    gc_min_age_s = 60.;
-    max_line_bytes = 8 * 1024 * 1024;
     max_conns = 512;
     write_timeout_s = 10.;
   }
+
+let retry_after_ms = 100
+let max_line_bytes = 8 * 1024 * 1024
 
 type conn = {
   c_rfd : Unix.file_descr;
@@ -262,7 +254,6 @@ type loop = {
   listener : Unix.file_descr option;
   mutable conns : conn list;
   mutable waiters : waiter list;  (* deadline-carrying, main loop only *)
-  mutable last_gc : float;
   mutable listener_open : bool;
 }
 
@@ -339,7 +330,7 @@ let handle_line l conn line =
             Obs.counter "serve.overloaded" 1;
             respond conn
               (Response.Overloaded
-                 { id = req.Request.id; retry_after_ms = t.opts.retry_after_ms })
+                 { id = req.Request.id; retry_after_ms })
           | `Submitted (w, job) ->
             if w.w_deadline < infinity then l.waiters <- w :: l.waiters;
             Pool.submit l.pool (fun () -> process t job))))
@@ -366,7 +357,7 @@ let drain_buffer l conn =
     Buffer.clear conn.c_buf;
     Buffer.add_substring conn.c_buf s !start (len - !start)
   end;
-  if len - !start > l.t.opts.max_line_bytes then begin
+  if len - !start > max_line_bytes then begin
     Obs.counter "serve.malformed" 1;
     respond conn
       (Response.Failed { id = ""; message = "request: line too long" });
@@ -398,7 +389,7 @@ let accept_conn l fd =
       let line =
         Response.to_json
           (Response.Overloaded
-             { id = ""; retry_after_ms = l.t.opts.retry_after_ms })
+             { id = ""; retry_after_ms })
         ^ "\n"
       in
       (try
@@ -469,22 +460,6 @@ let drain_completions t =
         Obs.counter (if ok then "serve.ok" else "serve.errors") 1
       | Discarded -> Obs.counter "serve.discarded" 1)
     pending
-
-let gc_tick l t_now =
-  let t = l.t in
-  if t.opts.gc_every_s > 0. && t_now -. l.last_gc >= t.opts.gc_every_s then begin
-    l.last_gc <- t_now;
-    match t.settings.Settings.store with
-    | None -> ()
-    | Some store ->
-      let deleted, remaining =
-        Store.gc store ~max_bytes:t.opts.gc_max_bytes
-          ~min_age_s:t.opts.gc_min_age_s
-      in
-      Obs.counter "serve.gc_ticks" 1;
-      Obs.counter "serve.gc_deleted" deleted;
-      Obs.gauge "serve.store_bytes" (float_of_int remaining)
-  end
 
 let close_conn conn =
   Mutex.lock conn.c_wlock;
@@ -574,7 +549,6 @@ let run t =
       listener;
       conns;
       waiters = [];
-      last_gc = now ();
       listener_open = Option.is_some listener;
     }
   in
@@ -584,7 +558,6 @@ let run t =
     let draining = Atomic.get t.stop_flag in
     if draining then close_listener l;
     scan_deadlines l t_now;
-    if not draining then gc_tick l t_now;
     drain_completions t;
     reap_conns l;
     let idle = locked t (fun () -> t.n_inflight = 0) in
@@ -601,17 +574,11 @@ let run t =
                   l.conns)
       in
       let timeout =
-        let next_deadline =
+        let until =
           List.fold_left
             (fun acc w -> if w.w_answered then acc else min acc w.w_deadline)
             infinity l.waiters
         in
-        let next_gc =
-          if (not draining) && t.opts.gc_every_s > 0. then
-            l.last_gc +. t.opts.gc_every_s
-          else infinity
-        in
-        let until = min next_deadline next_gc in
         if until = infinity then 1.0
         else Float.max 0. (Float.min 1.0 (until -. t_now))
       in

@@ -10,7 +10,7 @@
     [doc/PROTOCOL.md].
 
     One event-loop thread owns all I/O (accept, line framing, deadline
-    and gc bookkeeping); compute is dispatched to a persistent
+    bookkeeping); compute is dispatched to a persistent
     {!Locality_par.Pool.pool} of worker domains, so concurrent requests
     simulate in parallel while sharing the process-wide warm state: the
     store the server was started with (warm requests are answered from
@@ -26,16 +26,20 @@
       [timeout_ms = 0] expires immediately (the deterministic probe).
     - {b Backpressure}: at most [max_queue] requests may be in flight;
       beyond that the client immediately gets ["overloaded"] with a
-      [retry_after_ms] hint rather than unbounded queueing.
+      [retry_after_ms = 100] hint rather than unbounded queueing.
     - {b Batching}: requests with equal
       {!Locality_driver.Request.fingerprint}s in flight at once are
       computed once and answered to every waiter.
     - {b Graceful drain}: {!stop} (wired to SIGINT/SIGTERM by
       {!install_signal_handlers}) stops accepting work, answers
       everything in flight, then returns from {!run}.
-    - {b Maintenance}: an optional periodic {!Locality_store.Store.gc}
-      tick over the server's store, with a minimum entry age so a
-      just-published object racing the tick is never evicted. *)
+    - {b Maintenance}: the daemon never collects its store; run
+      [memoria store gc --min-age] beside it, which leaves entries
+      younger than the minimum age alone so an object just published
+      by a request is never evicted.
+
+    A request line longer than 8 MiB is answered with an error and its
+    connection closed. *)
 
 type listen =
   | Socket of string  (** Unix-domain socket path (created, later unlinked). *)
@@ -47,15 +51,6 @@ type options = {
   max_queue : int;  (** In-flight bound (queued + running). *)
   default_timeout_ms : int;
       (** Deadline for requests that carry none; [0] = unbounded. *)
-  retry_after_ms : int;  (** Hint in ["overloaded"] responses. *)
-  gc_every_s : float;  (** Store gc period; [0.] disables the tick. *)
-  gc_max_bytes : int;  (** Store size target for the tick. *)
-  gc_min_age_s : float;
-      (** Entries younger than this survive every tick
-          ({!Locality_store.Store.gc}'s [min_age_s]). *)
-  max_line_bytes : int;
-      (** Request lines longer than this are rejected and the
-          connection closed. *)
   max_conns : int;
       (** Open-connection cap (kept below [select]'s FD_SETSIZE); an
           accept beyond it is answered with the typed ["overloaded"]
@@ -68,9 +63,7 @@ type options = {
 }
 
 val default_options : options
-(** Default jobs, [max_queue = 64], no default timeout,
-    [retry_after_ms = 100], gc tick off ([gc_every_s = 0.], 256 MiB
-    target, 60 s min age when enabled), 8 MiB line limit, 512
+(** Default jobs, [max_queue = 64], no default timeout, 512
     connections, 10 s write-stall budget. *)
 
 (** {1 Answering one request} *)
@@ -101,9 +94,8 @@ val create :
   ?options:options -> ?settings:Locality_driver.Settings.t -> listen -> t
 (** Build a server. [settings] (default
     {!Locality_driver.Settings.default}) resolves each request's absent
-    replay mode and sampling rate and its ["ambient"] store, and names
-    the store the gc tick maintains. Nothing is bound or spawned until
-    {!run}. *)
+    replay mode and sampling rate and its ["ambient"] store. Nothing is
+    bound or spawned until {!run}. *)
 
 val run : t -> unit
 (** Bind, spawn the worker pool, and serve until {!stop} (or EOF under

@@ -134,6 +134,7 @@ val gc : ?min_age_s:float -> t -> max_bytes:int -> int * int
     quarantine. Returns [(deleted, remaining_bytes)]. Entries whose
     mtime is younger than [min_age_s] seconds (default [0.]) are never
     evicted, so a concurrent writer — e.g. a serve worker publishing a
-    result as the gc tick fires — cannot have its object collected
+    result while [memoria store gc] runs beside the daemon — cannot
+    have its object collected
     before any reader sees it; the returned remaining byte count still
     includes them, and may therefore exceed [max_bytes]. *)

@@ -26,7 +26,7 @@ let sample_requests =
     Request.make (Request.Kernel "matmul");
     Request.make ~id:"r-1" ~n:32 ~scale:2 ~cls:8
       ~machines:[ Request.Named "cache1"; Request.Named "cache2" ]
-      ~replay:Measure.Runs ~sample_rate:0.25 ~use_labels:true ~jobs:4
+      ~replay:Measure.Runs ~sample_rate:0.25 ~use_labels:true
       ~timeout_ms:500 ~emit_program:true
       (Request.Suite "dmxpy");
     Request.make ~transform:Request.Keep ~store:Request.No_store
@@ -64,10 +64,8 @@ let test_roundtrip () =
 
 let test_fingerprint () =
   let base = List.nth sample_requests 1 in
-  let same =
-    { base with Request.id = "other"; timeout_ms = None; jobs = Some 9 }
-  in
-  check "id/timeout/jobs don't change the compute identity" true
+  let same = { base with Request.id = "other"; timeout_ms = None } in
+  check "id/timeout don't change the compute identity" true
     (String.equal (Request.fingerprint base) (Request.fingerprint same));
   check "n does" false
     (String.equal (Request.fingerprint base)
@@ -158,6 +156,17 @@ let test_retired_replay_mode () = check_retired_mode "per-access"
 
 (* The streamed mode merged into [runs]: its name is retired too. *)
 let test_retired_stream_mode () = check_retired_mode "stream"
+
+(* The retired [jobs] field is an unknown field like any other, pointed
+   at by its key. *)
+let test_retired_jobs_field () =
+  match
+    Request.of_json
+      {|{"schema_version":1,"source":{"kind":"kernel","name":"m"},"jobs":4}|}
+  with
+  | Ok _ -> Alcotest.fail "jobs field accepted"
+  | Error msg ->
+    check_str "typed diagnostic" {|1:59: unknown field "jobs" in request|} msg
 
 (* Fuzz the reader with the fuzzer's deterministic seed streams: random
    bytes and random mutations of a valid document must produce an Error,
@@ -394,10 +403,7 @@ let test_timeout_and_backpressure () =
       check_str "queue full answers overloaded"
         (Response.to_json
            (Response.Overloaded
-              {
-                id = "b";
-                retry_after_ms = Serve.default_options.Serve.retry_after_ms;
-              }))
+              { id = "b"; retry_after_ms = 100 }))
         body_b;
       let body_a = recv_line fd_a in
       Unix.close fd_a;
@@ -559,6 +565,7 @@ let suite =
     ("request: malformed documents rejected", `Quick, test_malformed_rejection);
     ("request: retired per-access replay rejected", `Quick,
      test_retired_replay_mode);
+    ("request: retired jobs field rejected", `Quick, test_retired_jobs_field);
     ("request: retired stream replay rejected", `Quick,
      test_retired_stream_mode);
     ("request: reader survives seed-stream fuzz", `Quick, test_fuzz_reader);
