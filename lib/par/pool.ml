@@ -96,13 +96,34 @@ let shutdown p =
   List.iter Domain.join p.p_domains;
   p.p_domains <- []
 
-(* ------------------------------------------------------------ map --- *)
+(* ---------------------------------------------------- fan-outs --- *)
 
-(* [map]'s helpers live for the whole process: spawned on the first
-   fan-out that needs them, never more than [default_jobs () - 1], and
-   never shut down. On OCaml 5.1 a joined domain leaves resident memory
-   behind, so a spawn per fan-out would grow RSS with every fan-out. *)
+(* [map]'s and [both]'s helpers live for the whole process: spawned on
+   the first fan-out that needs them, never more than
+   [default_jobs () - 1], and never shut down. On OCaml 5.1 a joined
+   domain leaves resident memory behind, so a spawn per fan-out would
+   grow RSS with every fan-out. *)
 let helpers = empty ()
+
+(* A count of unfinished pieces of one fan-out, which its caller awaits. *)
+type latch = { left : int Atomic.t; l_lock : Mutex.t; l_zero : Condition.t }
+
+let latch n =
+  { left = Atomic.make n; l_lock = Mutex.create (); l_zero = Condition.create () }
+
+let count_down l =
+  if Atomic.fetch_and_add l.left (-1) = 1 then begin
+    Mutex.lock l.l_lock;
+    Condition.broadcast l.l_zero;
+    Mutex.unlock l.l_lock
+  end
+
+let await l =
+  Mutex.lock l.l_lock;
+  while Atomic.get l.left > 0 do
+    Condition.wait l.l_zero l.l_lock
+  done;
+  Mutex.unlock l.l_lock
 
 let map ?jobs f items =
   let items = Array.of_list items in
@@ -127,9 +148,8 @@ let map ?jobs f items =
       end
       else f items.(i)
     in
-    let next = Atomic.make 0 and finished = Atomic.make 0 in
+    let next = Atomic.make 0 and unfinished = latch n in
     let failure = Atomic.make None in
-    let lock = Mutex.create () and all_finished = Condition.create () in
     (* Every claimed index counts as finished, also one skipped after
        another item failed; otherwise the caller would wait forever. A
        helper that picks this closure up after the map returned claims
@@ -143,11 +163,7 @@ let map ?jobs f items =
            | exception e ->
              let bt = Printexc.get_raw_backtrace () in
              ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-        if Atomic.fetch_and_add finished 1 = n - 1 then begin
-          Mutex.lock lock;
-          Condition.broadcast all_finished;
-          Mutex.unlock lock
-        end;
+        count_down unfinished;
         claim ()
       end
     in
@@ -160,11 +176,7 @@ let map ?jobs f items =
     Domain.DLS.set in_worker false;
     (* The counter is drained, but helpers may still be running items
        they claimed. *)
-    Mutex.lock lock;
-    while Atomic.get finished < n do
-      Condition.wait all_finished lock
-    done;
-    Mutex.unlock lock;
+    await unfinished;
     (match Atomic.get failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());
@@ -175,4 +187,37 @@ let map ?jobs f items =
            | Some v -> v
            | None -> invalid_arg (Printf.sprintf "Pool.map: item %d lost" i))
          results)
+  end
+
+(* [h ()] with its exception caught, and with its events captured when
+   tracing. *)
+let attempt tracing h =
+  match if tracing then Obs.scoped h else (h (), []) with
+  | r -> Ok r
+  | exception e -> Error (e, Printexc.get_raw_backtrace ())
+
+let both ?(jobs = 2) f g =
+  if min jobs (default_jobs ()) <= 1 || Domain.DLS.get in_worker then begin
+    let a = f () in
+    (a, g ())
+  end
+  else begin
+    (* Events are merged as in [map]: [f]'s, then [g]'s, the order the
+       sequential path records them in. Unlike [map]'s caller, this one
+       stays outside the nested-pool guard, so a [map] inside [g] fans
+       out, and the helper joins it once [f] is done. *)
+    let tracing = Obs.enabled () in
+    let first = ref None and unfinished = latch 1 in
+    grow helpers 1;
+    submit helpers (fun () ->
+        first := Some (attempt tracing f);
+        count_down unfinished);
+    let second = attempt tracing g in
+    await unfinished;
+    match (Option.get !first, second) with
+    | Error (e, bt), _ | _, Error (e, bt) -> Printexc.raise_with_backtrace e bt
+    | Ok (a, a_events), Ok (b, b_events) ->
+      Obs.inject a_events;
+      Obs.inject b_events;
+      (a, b)
   end

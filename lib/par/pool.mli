@@ -1,12 +1,15 @@
 (** A domain pool for independent work items.
 
     Built on OCaml 5 domains; used to run the per-program rows of the
-    evaluation tables and the experiment list of the benchmark harness
-    in parallel. Results are always delivered in input order, and with
-    [jobs = 1] the functions are plain sequential maps, so pool size
-    never changes the answer — only the wall clock.
+    evaluation tables, the experiment list of the benchmark harness and
+    a tune search's screen and confirmation in parallel ({!map}), and a
+    tune search's baseline beside its screen ({!both}). Results are
+    always delivered in input order, and with [jobs = 1] the functions
+    are plain sequential code, so pool size never changes the answer —
+    only the wall clock.
 
-    {!map} runs on helper domains that live for the whole process: they
+    {!map} and {!both} run on helper domains that live for the whole
+    process: they
     are spawned on the first fan-out that needs them, never number more
     than [default_jobs () - 1], and wait on a condition variable between
     fan-outs. The pool size defaults to {!default_jobs}, and an explicit
@@ -34,6 +37,19 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     and up to [jobs - 1] helpers. An exception raised by [f] aborts the
     map and is re-raised in the caller once every item already started
     has finished. *)
+
+val both : ?jobs:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+(** [both ~jobs f g] is [let a = f () in (a, g ())], with [f] run on a
+    helper while the caller runs [g]. [?jobs] defaults to 2; at
+    [jobs = 1], or called from inside a worker, [both] is exactly that
+    sequential code. The caller runs [g] outside the nested-pool guard,
+    so a {!map} inside [g] fans out as it would at top level, and the
+    helper joins it once [f] is done; a {!map} inside [f] runs
+    sequentially on the helper. When either side raises on the fan-out
+    path, the exception is re-raised once both sides have finished,
+    [f]'s when both raise, so the first exception of the sequential
+    order wins.
+    Traced events are merged as {!map} merges them: [f]'s, then [g]'s. *)
 
 (** {1 Persistent pool}
 

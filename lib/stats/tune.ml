@@ -282,9 +282,10 @@ let last_memo eq f =
 
 (* The screen: structure, permutation and tiling run in the calling
    domain once per distinct prefix, and a rejected prefix prunes every
-   candidate below it unapplied. Unroll, splice, validation and [f] run
-   per candidate, in one fan-out over the pool; [f] gets what [apply]
-   would return.
+   candidate below it unapplied: its [f c None] runs right there, in
+   enumeration order. Unroll, splice, validation and [f] run per
+   candidate with a live prefix, in one fan-out over the pool; [f] gets
+   what [apply] would return.
 
    Each distinct nest is analysed once, in the calling domain, and every
    stage that reads its dependences shares that one analysis. A shaped
@@ -297,7 +298,7 @@ let last_memo eq f =
 let screen_map ?(cls = 4) ?jobs p ~nest_idx cands f =
   let prefixed =
     match nest_at p nest_idx with
-    | None -> List.map (fun c -> (c, None, None)) cands
+    | None -> List.map (fun c -> Either.Left (f c None)) cands
     | Some nest ->
       (* Every candidate below a prefix gets that prefix's very nest, so
          physical identity keys the analyses of a nest. *)
@@ -327,23 +328,34 @@ let screen_map ?(cls = 4) ?jobs p ~nest_idx cands f =
       in
       List.map
         (fun c ->
-          let b = tiled (c.structure, c.perm, c.tile) in
-          let jam_deps =
-            match (c.unroll, b) with
-            | Some _, Some [ Loop.Loop l ] ->
-              Some (if c.tile = None then deps l else tiled_deps l)
-            | _, _ -> None
-          in
-          (c, b, jam_deps))
+          match tiled (c.structure, c.perm, c.tile) with
+          | None -> Either.Left (f c None)
+          | Some b ->
+            let jam_deps =
+              match (c.unroll, b) with
+              | Some _, [ Loop.Loop l ] ->
+                Some (if c.tile = None then deps l else tiled_deps l)
+              | _, _ -> None
+            in
+            Either.Right (c, b, jam_deps))
         cands
   in
   let avoid = Loop.labels p.Program.body in
-  Pool.map ?jobs
-    (fun (c, tiled, deps) ->
-      f c
-        (Option.bind tiled (fun b ->
-             Option.bind (unroll ?deps ~avoid b c.unroll) (splice p ~nest_idx))))
-    prefixed
+  let live =
+    Pool.map ?jobs
+      (fun (c, b, deps) ->
+        f c
+          (Option.bind (unroll ?deps ~avoid b c.unroll) (splice p ~nest_idx)))
+      (List.filter_map Either.find_right prefixed)
+  in
+  (* Put the live answers back among the pruned ones. *)
+  let rec merge prefixed live =
+    match (prefixed, live) with
+    | Either.Left v :: rest, live -> v :: merge rest live
+    | Either.Right _ :: rest, v :: live -> v :: merge rest live
+    | [], _ | Either.Right _ :: _, [] -> []
+  in
+  merge prefixed live
 
 let apply_all ?cls ?jobs p ~nest_idx cands =
   screen_map ?cls ?jobs p ~nest_idx cands (fun _ applied -> applied)
@@ -381,162 +393,181 @@ let spec_error ~name spec =
          t_unrolls = Some spec.unrolls;
          t_max_candidates = Some spec.max_candidates })
 
+(* Enumerate, screen and confirm [program]; [None] when it has no loop
+   nest. The rest of the result, the baseline's and the memory order's
+   miss rates, comes from the baseline run beside the search. *)
+let search ~spec ?n ~cls ~machine ?params ?jobs ~store ~name program =
+  match Obs.span "tune.enumerate" (fun () -> candidates ~cls spec program) with
+  | None -> None
+  | Some (nest_idx, all) ->
+    let generated = List.length all in
+    Obs.counter "tune.generated" generated;
+    let kept, dropped =
+      if generated <= spec.max_candidates then (all, 0)
+      else
+        let rec split n acc = function
+          | rest when n = 0 -> (List.rev acc, List.length rest)
+          | [] -> (List.rev acc, 0)
+          | x :: rest -> split (n - 1) (x :: acc) rest
+        in
+        split spec.max_candidates [] all
+    in
+    if dropped > 0 then Obs.counter "tune.truncated" dropped;
+    (* Screen every candidate; the legal ones are costed with the
+       analytic fast path. *)
+    let screened =
+      Obs.span "tune.screen" (fun () ->
+          screen_map ~cls ?jobs program ~nest_idx kept (fun cand applied ->
+              let enc = encode cand in
+              match applied with
+              | None ->
+                Obs.counter "tune.pruned_illegal" 1;
+                ( { enc; status = Illegal; analytic_miss = None;
+                    simulated_miss = None },
+                  None )
+              | Some (p', labels) ->
+                Obs.counter "tune.screened" 1;
+                let miss =
+                  measure_miss ~mode:Measure.Analytic ~machine ~params
+                    ~store p'
+                in
+                Obs.histogram "tune.screen.miss_bp"
+                  (int_of_float (miss *. 100.0));
+                ( { enc; status = Screened; analytic_miss = Some miss;
+                    simulated_miss = None },
+                  Some (p', labels) )))
+    in
+    let pruned =
+      List.length (List.filter (fun (r, _) -> r.status = Illegal) screened)
+    in
+    (* Confirm the analytically best top-K with the exact simulator;
+       ties at equal analytic score break on the encoding. *)
+    let finalists =
+      let legal =
+        List.filter_map
+          (fun (r, applied) ->
+            match (r.analytic_miss, applied) with
+            | Some a, Some (p', labels) -> Some (r.enc, a, p', labels)
+            | _, _ -> None)
+          screened
+      in
+      let sorted =
+        List.stable_sort
+          (fun (e1, a1, _, _) (e2, a2, _, _) ->
+            match compare a1 a2 with
+            | 0 -> String.compare e1 e2
+            | c -> c)
+          legal
+      in
+      let rec take n = function
+        | [] -> []
+        | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
+      in
+      take spec.top_k sorted
+    in
+    let confirmed =
+      Obs.span "tune.confirm" (fun () ->
+          Pool.map ?jobs
+            (fun (enc, analytic, p', labels) ->
+              Obs.counter "tune.simulated" 1;
+              let miss =
+                measure_miss ~mode:Measure.Runs ~machine ~params ~store p'
+              in
+              Obs.histogram "tune.confirm.miss_bp"
+                (int_of_float (miss *. 100.0));
+              (enc, analytic, miss, p', labels))
+            finalists)
+    in
+    let winner =
+      match
+        List.stable_sort
+          (fun (e1, _, m1, _, _) (e2, _, m2, _, _) ->
+            match compare m1 m2 with
+            | 0 -> String.compare e1 e2
+            | c -> c)
+          confirmed
+      with
+      | [] -> None
+      | w :: _ -> Some w
+    in
+    let rows =
+      List.map
+        (fun (r, _) ->
+          match
+            List.find_opt (fun (enc, _, _, _, _) -> enc = r.enc) confirmed
+          with
+          | Some (_, _, miss, _, _) ->
+            { r with status = Confirmed; simulated_miss = Some miss }
+          | None -> r)
+        screened
+    in
+    let winner_row, winner_program, winner_labels =
+      match winner with
+      | Some (enc, analytic, miss, p', labels) ->
+        ( Some
+            { enc; status = Confirmed; analytic_miss = Some analytic;
+              simulated_miss = Some miss },
+          p', labels )
+      | None -> (None, program, [])
+    in
+    Some
+      (fun ~baseline_miss ~memorder_miss ->
+        {
+          t_name = name;
+          t_machine = machine;
+          t_n = n;
+          t_generated = generated;
+          t_pruned = pruned;
+          t_screened = List.length kept - pruned;
+          t_confirmed = List.length confirmed;
+          t_truncated = dropped;
+          t_baseline_miss = baseline_miss;
+          t_memorder_miss = memorder_miss;
+          t_rows = rows;
+          t_winner = winner_row;
+          t_winner_program = winner_program;
+          t_winner_labels = winner_labels;
+        })
+
 let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
     ?params ?jobs ?(store = None) ~name (p : Program.t) =
   match spec_error ~name spec with
   | Some e -> Error e
-  | None ->
-  (* Baseline and the paper's single-pass answer, measured exactly: the
-     tuned winner is judged against the compound (memory-order) result
-     on the same geometry. *)
-  match
-    D.run
-      (D.config ?n ~cls ~machines:[ machine ] ?params
-         ~replay:Measure.Runs ~store
-         (D.Source_program { name; program = p }))
-  with
-  | Error e -> Error e
-  | Ok base -> begin
-    let program = base.D.original in
-    match base.D.measured with
-    | [] -> Error (Printf.sprintf "%s: no measurement" name)
-    | m :: _ -> begin
-      match
-        Obs.span "tune.enumerate" (fun () -> candidates ~cls spec program)
-      with
-      | None -> Error (Printf.sprintf "%s: no loop nest to tune" name)
-      | Some (nest_idx, all) ->
-        let baseline_miss = miss_of m.D.original_run in
-        let memorder_miss = miss_of m.D.transformed_run in
-        let generated = List.length all in
-        Obs.counter "tune.generated" generated;
-        let kept, dropped =
-          if generated <= spec.max_candidates then (all, 0)
-          else
-            let rec split n acc = function
-              | rest when n = 0 -> (List.rev acc, List.length rest)
-              | [] -> (List.rev acc, 0)
-              | x :: rest -> split (n - 1) (x :: acc) rest
-            in
-            split spec.max_candidates [] all
-        in
-        if dropped > 0 then Obs.counter "tune.truncated" dropped;
-        (* Screen every candidate; the legal ones are costed with the
-           analytic fast path. *)
-        let screened =
-          Obs.span "tune.screen" (fun () ->
-              screen_map ~cls ?jobs program ~nest_idx kept (fun cand applied ->
-                  let enc = encode cand in
-                  match applied with
-                  | None ->
-                    Obs.counter "tune.pruned_illegal" 1;
-                    ( { enc; status = Illegal; analytic_miss = None;
-                        simulated_miss = None },
-                      None )
-                  | Some (p', labels) ->
-                    Obs.counter "tune.screened" 1;
-                    let miss =
-                      measure_miss ~mode:Measure.Analytic ~machine ~params
-                        ~store p'
-                    in
-                    Obs.histogram "tune.screen.miss_bp"
-                      (int_of_float (miss *. 100.0));
-                    ( { enc; status = Screened; analytic_miss = Some miss;
-                        simulated_miss = None },
-                      Some (p', labels) )))
-        in
-        let pruned =
-          List.length (List.filter (fun (r, _) -> r.status = Illegal) screened)
-        in
-        (* Confirm the analytically best top-K with the exact simulator;
-           ties at equal analytic score break on the encoding. *)
-        let finalists =
-          let legal =
-            List.filter_map
-              (fun (r, applied) ->
-                match (r.analytic_miss, applied) with
-                | Some a, Some (p', labels) -> Some (r.enc, a, p', labels)
-                | _, _ -> None)
-              screened
-          in
-          let sorted =
-            List.stable_sort
-              (fun (e1, a1, _, _) (e2, a2, _, _) ->
-                match compare a1 a2 with
-                | 0 -> String.compare e1 e2
-                | c -> c)
-              legal
-          in
-          let rec take n = function
-            | [] -> []
-            | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-          in
-          take spec.top_k sorted
-        in
-        let confirmed =
-          Obs.span "tune.confirm" (fun () ->
-              Pool.map ?jobs
-                (fun (enc, analytic, p', labels) ->
-                  Obs.counter "tune.simulated" 1;
-                  let miss =
-                    measure_miss ~mode:Measure.Runs ~machine ~params ~store p'
-                  in
-                  Obs.histogram "tune.confirm.miss_bp"
-                    (int_of_float (miss *. 100.0));
-                  (enc, analytic, miss, p', labels))
-                finalists)
-        in
-        let winner =
-          match
-            List.stable_sort
-              (fun (e1, _, m1, _, _) (e2, _, m2, _, _) ->
-                match compare m1 m2 with
-                | 0 -> String.compare e1 e2
-                | c -> c)
-              confirmed
-          with
-          | [] -> None
-          | w :: _ -> Some w
-        in
-        let rows =
-          List.map
-            (fun (r, _) ->
-              match
-                List.find_opt (fun (enc, _, _, _, _) -> enc = r.enc) confirmed
-              with
-              | Some (_, _, miss, _, _) ->
-                { r with status = Confirmed; simulated_miss = Some miss }
-              | None -> r)
-            screened
-        in
-        let winner_row, winner_program, winner_labels =
-          match winner with
-          | Some (enc, analytic, miss, p', labels) ->
-            ( Some
-                { enc; status = Confirmed; analytic_miss = Some analytic;
-                  simulated_miss = Some miss },
-              p', labels )
-          | None -> (None, program, [])
-        in
+  | None -> (
+    match D.load ?n (D.Source_program { name; program = p }) with
+    | Error e -> Error e
+    | Ok (name, program) -> (
+      (* Baseline and the paper's single-pass answer, measured exactly:
+         the tuned winner is judged against the compound (memory-order)
+         result on the same geometry. They run on a helper beside the
+         search, which reads the same loaded program. A store hit may
+         hand the baseline an original labelled differently from
+         [program], but labels appear in no tune output. *)
+      let baseline () =
+        D.run
+          (D.config ~cls ~machines:[ machine ] ?params ~replay:Measure.Runs
+             ~store
+             (D.Source_program { name; program }))
+      in
+      (* The search's exception waits until the baseline's error, which
+         wins, has been looked at. *)
+      let searched () =
+        match
+          search ~spec ?n ~cls ~machine ?params ?jobs ~store ~name program
+        with
+        | s -> Ok s
+        | exception e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      match Pool.both ?jobs baseline searched with
+      | Error e, _ -> Error e
+      | Ok { D.measured = []; _ }, _ ->
+        Error (Printf.sprintf "%s: no measurement" name)
+      | Ok _, Error (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Ok _, Ok None -> Error (Printf.sprintf "%s: no loop nest to tune" name)
+      | Ok { D.measured = m :: _; _ }, Ok (Some finish) ->
         Ok
-          {
-            t_name = base.D.name;
-            t_machine = machine;
-            t_n = n;
-            t_generated = generated;
-            t_pruned = pruned;
-            t_screened = List.length kept - pruned;
-            t_confirmed = List.length confirmed;
-            t_truncated = dropped;
-            t_baseline_miss = baseline_miss;
-            t_memorder_miss = memorder_miss;
-            t_rows = rows;
-            t_winner = winner_row;
-            t_winner_program = winner_program;
-            t_winner_labels = winner_labels;
-          }
-      end
-  end
+          (finish ~baseline_miss:(miss_of m.D.original_run)
+             ~memorder_miss:(miss_of m.D.transformed_run))))
 
 let run_config ?(spec = default_spec) ?jobs (cfg : D.config) =
   let n = D.effective_n cfg in

@@ -2,7 +2,14 @@
     structure (as-is / fused / distributed) × loop permutation × tile
     size × unroll-and-jam factor.
 
-    The search is enumerate → screen → confirm:
+    The search is enumerate → screen → confirm, run on the program as
+    {!D.load} resizes it. Beside it, on a pool helper
+    ({!Locality_par.Pool.both}), a {!D.run} measures the baseline the
+    result is judged against: the original and the compound
+    (memory-order) program, both with the exact simulator. A store hit
+    may hand that run an original labelled differently from the one the
+    search reads (builds of one text can label it differently); labels
+    appear in no tune output, so the report's bytes do not change.
 
     + {e enumerate} the candidate space for the program's deepest
       top-level nest, in a fixed order (identity permutation first, the
@@ -13,14 +20,16 @@
       subtree would build every [Asis] program a second time;
     + {e screen} every candidate as a walk of the tree structure →
       permutation → tile → unroll: structure, permutation and tiling
-      run once per distinct prefix, in the calling domain, and a prefix
-      a stage rejects prunes every candidate below it unapplied. Each
-      distinct nest of the tree is analysed for dependences once there,
-      and every stage that checks legality on it — permutation, tiling
-      band and test, unroll-and-jam — reads that one analysis. Then
-      one fan-out over {!Locality_par.Pool} (input-order results, so
-      any [MEMORIA_JOBS] gives the same answer) unrolls each remaining
-      candidate, prunes it if the result fails {!Program.validate}, and
+      run once per distinct prefix, in the domain that calls {!run}
+      while the baseline runs on a helper, and a prefix a stage rejects
+      prunes every candidate below it unapplied, answered right there.
+      Each distinct nest of the tree is analysed for dependences once
+      there, and every stage that checks legality on it — permutation,
+      tiling band and test, unroll-and-jam — reads that one analysis.
+      Then one fan-out over {!Locality_par.Pool}, which the helper joins
+      once the baseline is done (input-order results, so any
+      [MEMORIA_JOBS] gives the same answer), unrolls each candidate with
+      a live prefix, prunes it if the result fails {!Program.validate}, and
       costs it with the [Analytic] replay mode — O(nest size) with
       transparent simulator fallback. Every pruned candidate is a row
       and a [tune.pruned_illegal] count of its own;
@@ -124,7 +133,8 @@ val apply_all :
     [List.map (apply p ~nest_idx) cands], but structure, permutation and
     tiling run once per distinct prefix of consecutive candidates, and
     a rejected prefix rejects the candidates below it without applying
-    them. Input-order results at any [jobs].
+    them; only candidates with a live prefix go to the pool. Input-order
+    results at any [jobs].
 
     Which analysis serves which stage: a shaped or permuted nest is
     analysed with its input dependences (the tiling band needs them),
@@ -176,7 +186,9 @@ val run :
     order, pool results in input order, lexicographic tie-breaks.
     Errors follow the driver's ["<name>: <detail>"] contract; no input
     raises — a [spec] that breaks the wire's range rules
-    ({!Locality_driver.Request.tune_spec_error}) is an error too.
+    ({!Locality_driver.Request.tune_spec_error}) is an error too. When
+    the baseline run fails, its error is the answer, whatever the
+    search beside it did.
     [machine] defaults to cache1; no store by default. *)
 
 val run_config : ?spec:spec -> ?jobs:int -> D.config -> (result, string) Stdlib.result

@@ -175,10 +175,22 @@ let pool_workload i =
       i * i)
 
 (* The one event that depends on the pool size is the spawn counter,
-   recorded by whichever fan-out first needs a helper domain. *)
+   recorded by whichever fan-out first needs a helper domain. A whole
+   tune search, whose baseline runs beside its screen, records the same
+   stream as well. *)
 let stream_at_jobs jobs =
+  let tune_spec =
+    { Stats.Tune.tiles = [ 8; 16 ]; unrolls = [ 2; 4 ]; top_k = 2;
+      max_candidates = 128 }
+  in
   let res, events =
-    Obs.collect (fun () -> Pool.map ~jobs pool_workload (List.init 8 Fun.id))
+    Obs.collect (fun () ->
+        let squares = Pool.map ~jobs pool_workload (List.init 8 Fun.id) in
+        let tuned =
+          Stats.Tune.run ~spec:tune_spec ~n:8 ~jobs ~store:None ~name:"matmul"
+            (Suite.Kernels.matmul 8)
+        in
+        (squares, Result.map Stats.Tune.to_json tuned))
   in
   let spawn = function
     | { Event.payload = Event.Counter { name = "par.domains_spawned"; _ }; _ }

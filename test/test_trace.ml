@@ -232,14 +232,19 @@ let test_pool_helper_failure () =
     (Pool.map ~jobs:4 (fun x -> x * x) (List.init 200 Fun.id))
 
 (* Helpers are made once per process, not once per fan-out: 200 maps
-   spawn at most [default_jobs () - 1] domains between them. *)
+   and 200 [both]s (each with a map inside) spawn at most
+   [default_jobs () - 1] domains between them. *)
 let test_pool_spawns_bounded () =
   let module Obs = Locality_obs.Obs in
   let module Event = Locality_obs.Event in
   let _, events =
     Obs.collect (fun () ->
         for r = 1 to 200 do
-          ignore (Pool.map ~jobs:4 (fun x -> x + r) (List.init 8 Fun.id))
+          ignore (Pool.map ~jobs:4 (fun x -> x + r) (List.init 8 Fun.id));
+          ignore
+            (Pool.both ~jobs:4
+               (fun () -> r)
+               (fun () -> Pool.map ~jobs:4 (fun x -> x + r) (List.init 8 Fun.id)))
         done)
   in
   let spawned =
@@ -254,6 +259,97 @@ let test_pool_spawns_bounded () =
     (Printf.sprintf "%d spawned <= %d" spawned (Pool.default_jobs () - 1))
     true
     (spawned <= Pool.default_jobs () - 1)
+
+(* ------------------------------------------------------ Pool.both --- *)
+
+let test_pool_both_results () =
+  let caller = Domain.self () in
+  List.iter
+    (fun jobs ->
+      let (a, fdom), (b, gdom) =
+        Pool.both ~jobs
+          (fun () -> (6 * 7, Domain.self ()))
+          (fun () -> ("g", Domain.self ()))
+      in
+      let tag s = Printf.sprintf "jobs=%d: %s" jobs s in
+      Alcotest.(check int) (tag "first") 42 a;
+      Alcotest.(check string) (tag "second") "g" b;
+      Alcotest.(check bool) (tag "second runs on the caller") true
+        (gdom = caller);
+      Alcotest.(check bool) (tag "first on a helper iff one is allowed")
+        (min jobs (Pool.default_jobs ()) >= 2)
+        (fdom <> caller))
+    [ 1; 2; 4 ]
+
+(* Either side's exception is re-raised once the other side is done, and
+   the first thunk's wins when both raise, as in sequential order. *)
+let test_pool_both_exceptions () =
+  List.iter
+    (fun jobs ->
+      let tag s = Printf.sprintf "jobs=%d: %s" jobs s in
+      let slow_done = Atomic.make false in
+      let slow () =
+        Unix.sleepf 0.05;
+        Atomic.set slow_done true
+      in
+      Alcotest.check_raises (tag "first raises") (Failure "first") (fun () ->
+          ignore (Pool.both ~jobs (fun () -> failwith "first") slow));
+      (* Sequentially, [f]'s exception skips [g]. *)
+      Alcotest.(check bool) (tag "second finished before the raise")
+        (min jobs (Pool.default_jobs ()) >= 2)
+        (Atomic.get slow_done);
+      Atomic.set slow_done false;
+      Alcotest.check_raises (tag "second raises") (Failure "second")
+        (fun () -> ignore (Pool.both ~jobs slow (fun () -> failwith "second")));
+      Alcotest.(check bool) (tag "first finished before the raise") true
+        (Atomic.get slow_done);
+      Alcotest.check_raises (tag "both raise: the first wins") (Failure "first")
+        (fun () ->
+          ignore
+            (Pool.both ~jobs
+               (fun () -> failwith "first")
+               (fun () -> failwith "second"))))
+    [ 1; 2; 4 ]
+
+(* Inside a worker (a map's items, on helpers and on the caller alike)
+   [both] runs both thunks inline, on the item's domain. *)
+let test_pool_both_inline_in_worker () =
+  let inline =
+    Pool.map ~jobs:4
+      (fun _ ->
+        let here = Domain.self () in
+        let f, g =
+          Pool.both ~jobs:4 (fun () -> Domain.self ()) (fun () -> Domain.self ())
+        in
+        f = here && g = here)
+      (List.init 8 Fun.id)
+  in
+  Alcotest.(check (list bool)) "every call ran inline" (List.init 8 (fun _ -> true))
+    inline
+
+(* At jobs=2 the first thunk holds the only helper until the second's
+   map has returned; the map still completes, on the caller. *)
+let test_pool_both_map_beside_busy_helper () =
+  let has_helper = Pool.default_jobs () >= 2 in
+  let map_done = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let held, squares =
+    Pool.both ~jobs:2
+      (fun () ->
+        if has_helper then
+          while (not (Atomic.get map_done)) && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done;
+        Atomic.get map_done || not has_helper)
+      (fun () ->
+        let r = Pool.map ~jobs:2 (fun x -> x * x) (List.init 64 Fun.id) in
+        Atomic.set map_done true;
+        r)
+  in
+  Alcotest.(check (list int)) "map inside the second thunk"
+    (List.init 64 (fun x -> x * x))
+    squares;
+  Alcotest.(check bool) "first thunk held the helper throughout" true held
 
 let suite =
   [
@@ -274,4 +370,12 @@ let suite =
       test_pool_helper_failure;
     Alcotest.test_case "pool spawns helpers once per process" `Quick
       test_pool_spawns_bounded;
+    Alcotest.test_case "pool both: results at jobs 1, 2, 4" `Quick
+      test_pool_both_results;
+    Alcotest.test_case "pool both: exceptions after both sides, first wins"
+      `Quick test_pool_both_exceptions;
+    Alcotest.test_case "pool both: inline inside a worker" `Quick
+      test_pool_both_inline_in_worker;
+    Alcotest.test_case "pool both: map beside a busy helper" `Quick
+      test_pool_both_map_beside_busy_helper;
   ]

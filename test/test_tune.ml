@@ -1,6 +1,8 @@
 (* The transformation-search driver: determinism across pool sizes,
-   store warmth on re-tuning, the hardened imperfect-nest paths in
-   unroll/distribution, label freshening under collision pressure, the
+   store warmth on re-tuning, the baseline's error and a relabelled
+   warm store with the baseline beside the search, the hardened
+   imperfect-nest paths in unroll/distribution, label freshening under
+   collision pressure, the
    request wire format's tune field, a fuzz sweep that tunes generated
    programs without raising, the staged screen held to the
    one-candidate [apply], the bench kernels' pinned search shape, the
@@ -104,6 +106,60 @@ let test_store_warm_rerun () =
              | _ -> false)
            events))
     [ "replay"; "sample"; "analytic" ]
+
+(* ---------------------------------------- baseline beside the search --- *)
+
+(* The baseline runs beside the search, and when it fails its error is
+   the answer, whatever the search did. A cache geometry [Cache.create]
+   refuses fails the baseline's exact replay. *)
+let test_baseline_error_wins () =
+  let module D = Locality_driver.Driver in
+  let module Measure = Locality_interp.Measure in
+  let machine =
+    { Locality_cachesim.Machine.cache1 with Locality_cachesim.Cache.assoc = 3 }
+  in
+  let p = S.Kernels.matmul 8 in
+  let expected =
+    match
+      D.run
+        (D.config ~machines:[ machine ] ~replay:Measure.Runs
+           (D.Source_program { name = "matmul"; program = p }))
+    with
+    | Ok _ -> Alcotest.fail "the baseline run should fail on a bad geometry"
+    | Error e -> e
+  in
+  List.iter
+    (fun jobs ->
+      match
+        Tune.run ~spec:test_spec ~n:8 ~machine ~jobs ~store:None ~name:"matmul"
+          p
+      with
+      | Ok _ -> Alcotest.failf "jobs=%d: the search answered" jobs
+      | Error e ->
+        checks (Printf.sprintf "jobs=%d: the baseline's error" jobs) expected e)
+    [ 1; 2; 4 ]
+
+(* The search reads the request's own program while the baseline may
+   continue with a stored original labelled otherwise: a store written
+   by lu's build (labels L1/L2), re-tuned from lu's printed text
+   (S1/S2), answers with a cold run's bytes. *)
+let test_relabelled_warm_store () =
+  let st = Store.open_root (fresh_dir ()) in
+  let built = S.Kernels.lu 8 in
+  let printed =
+    Locality_lang.Lower.parse_program (Pretty.program_to_string built)
+  in
+  checkb "the builds label lu differently" true
+    (Loop.labels built.Program.body <> Loop.labels printed.Program.body);
+  let tune store p =
+    Tune.to_json
+      (or_fail (Tune.run ~spec:test_spec ~n:8 ~store ~name:"lu" p))
+  in
+  ignore (tune (Some st) built);
+  let hits = (Store.counters ()).Store.hits in
+  let warm = tune (Some st) printed in
+  checkb "the re-tune read the store" true ((Store.counters ()).Store.hits > hits);
+  checks "warm relabelled = cold" (tune None printed) warm
 
 (* ------------------------------- imperfect nests: typed rejection ------ *)
 
@@ -624,4 +680,8 @@ let suite =
       test_dep_analyses_pinned;
     Alcotest.test_case "tune: each legal candidate distinct (kernels, fuzz)"
       `Slow test_distinct_candidates;
+    Alcotest.test_case "tune: the baseline's error wins" `Quick
+      test_baseline_error_wins;
+    Alcotest.test_case "tune: relabelled warm store = cold" `Quick
+      test_relabelled_warm_store;
   ]
