@@ -178,10 +178,7 @@ type experiment =
   | Alone of (unit -> string)
   | Over_rows of (Stats.Table2.row list -> string)
 
-(* [tune] (the --tune flag) adds the tuned column (quick transformation
-   search) to tables 2 and 4 — off by default so CI's replay-mode A/B
-   byte-diff baselines are unchanged. *)
-let registry ~settings ~tune ~scale : (string * experiment) list =
+let registry ~settings ~scale : (string * experiment) list =
   let store = settings.Settings.store in
   [
     ("fig2", Alone (fun () -> Stats.Figures.fig2 ~settings ()));
@@ -190,7 +187,7 @@ let registry ~settings ~tune ~scale : (string * experiment) list =
     ("table1", Alone (fun () -> Stats.Perf.table1 ~settings ()));
     ("table2", Over_rows Stats.Table2.render);
     ("table3", Alone (fun () -> Stats.Perf.table3 ~settings ()));
-    ("table4", Over_rows (Stats.Perf.table4 ~settings ~tune));
+    ("table4", Over_rows (Stats.Perf.table4 ~settings));
     ("table5", Over_rows Stats.Table5.render_for);
     ("fig8", Over_rows Stats.Figures.fig8);
     ("fig9", Over_rows Stats.Figures.fig9);

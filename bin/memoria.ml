@@ -588,14 +588,14 @@ let tune_cmd =
       $ metrics_arg $ flame_arg)
 
 let explain_cmd =
-  let run file kernel cls n json interference_limit compare tune cache metrics =
+  let run file kernel cls n json interference_limit compare cache metrics =
     with_obs ~trace:None ~profile:false ~metrics ~flame:None (fun () ->
         let src = or_die (source_of ~kernel ~file) in
         let name, p = or_die (Driver.load ?n src) in
         if compare then begin
           let c =
-            Stats.Compare.run ~config:cache ~tune ~jobs:settings.Settings.jobs
-              ~store:settings.Settings.store ~name p
+            Stats.Compare.run ~config:cache ~store:settings.Settings.store
+              ~name p
           in
           (* Mean absolute error of the analytic model vs the simulator
              (percentage points, per-unit mean), exported with the
@@ -647,15 +647,6 @@ let explain_cmd =
              per-nest miss rates from both, with the absolute error and the \
              formula the model used. Honours $(b,--json) and $(b,--cache).")
   in
-  let tune_arg =
-    Arg.(
-      value & flag
-      & info [ "tune" ]
-          ~doc:
-            "With $(b,--compare): also run the quick-profile transformation \
-             search ($(b,memoria tune --quick)) and report its winner's \
-             simulated miss rate beside the model-vs-simulator rows.")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -666,7 +657,7 @@ let explain_cmd =
           simulator instead.")
     Term.(
       const run $ file_arg $ kernel_arg $ cls_arg $ n_arg $ json_arg
-      $ interference_arg $ compare_arg $ tune_arg $ cache_arg $ metrics_arg)
+      $ interference_arg $ compare_arg $ cache_arg $ metrics_arg)
 
 let unroll_cmd =
   let run file kernel n loop factor replace =
@@ -1101,7 +1092,7 @@ let fuzz_cmd =
       $ flame_arg)
 
 let bench_cmd =
-  let run names jobs scale rate tune trace profile metrics flame =
+  let run names jobs scale rate trace profile metrics flame =
     let settings =
       {
         settings with
@@ -1109,8 +1100,8 @@ let bench_cmd =
         sample_rate = Option.value rate ~default:settings.Settings.sample_rate;
       }
     in
-    let rows = lazy (Stats.Table2.compute ~settings ~tune ()) in
-    let registry = Experiments.registry ~settings ~tune ~scale in
+    let rows = lazy (Stats.Table2.compute ~settings ()) in
+    let registry = Experiments.registry ~settings ~scale in
     let experiment name =
       match List.assoc_opt name registry with
       | Some f -> (name, f)
@@ -1164,14 +1155,6 @@ let bench_cmd =
              $(b,analytic), $(b,scale), $(b,sampleerr). None (or $(b,all)) \
              runs every one; $(b,csv) DIR exports tables 2-4 as CSV instead.")
   in
-  let tune_arg =
-    Arg.(
-      value & flag
-      & info [ "tune" ]
-          ~doc:
-            "Add the tuned column (the quick-profile transformation search) \
-             to tables 2 and 4.")
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
@@ -1180,8 +1163,8 @@ let bench_cmd =
           probes (DESIGN.md's experiment index). Independent experiments run \
           on the domain pool; stdout is identical at any $(b,-j).")
     Term.(
-      const run $ names_arg $ jobs_arg $ scale_arg 4 $ rate_arg $ tune_arg
-      $ trace_arg $ profile_arg $ metrics_arg $ flame_arg)
+      const run $ names_arg $ jobs_arg $ scale_arg 4 $ rate_arg $ trace_arg
+      $ profile_arg $ metrics_arg $ flame_arg)
 
 let main =
   Cmd.group

@@ -214,9 +214,11 @@ let both ?(jobs = 2) f g =
         count_down unfinished);
     let second = attempt tracing g in
     await unfinished;
-    match (Option.get !first, second) with
-    | Error (e, bt), _ | _, Error (e, bt) -> Printexc.raise_with_backtrace e bt
-    | Ok (a, a_events), Ok (b, b_events) ->
+    match (!first, second) with
+    | None, _ -> invalid_arg "Pool.both: the helper's result was lost"
+    | Some (Error (e, bt)), _ | _, Error (e, bt) ->
+      Printexc.raise_with_backtrace e bt
+    | Some (Ok (a, a_events)), Ok (b, b_events) ->
       Obs.inject a_events;
       Obs.inject b_events;
       (a, b)

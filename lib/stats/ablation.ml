@@ -151,7 +151,8 @@ let reversal () =
       [ "nests where reversal applied"; string_of_int reversed_used; "" ];
     ]
 
-let step3 ?(settings = Settings.default ()) ?(n = 64) () =
+let step3 ?(settings = Settings.default ()) () =
+  let n = 64 in
   let p = S.Kernels.matmul ~order:"JKI" n in
   let nest = List.hd (Program.top_loops p) in
   let row label q =
@@ -232,7 +233,8 @@ let step3 ?(settings = Settings.default ()) ?(n = 64) () =
     [ "Version"; "Mem accesses"; "Acc/FLOP"; "Modelled(s) cache2" ]
     !rows
 
-let interference ?(settings = Settings.default ()) ?(n = 128) () =
+let interference ?(settings = Settings.default ()) () =
+  let n = 128 in
   let p = S.Kernels.shallow_water n in
   let compound lim =
     D.run_exn

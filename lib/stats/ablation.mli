@@ -26,16 +26,15 @@ val reversal : unit -> string
 val cls_sensitivity : unit -> string
 (** Memory order chosen for sample kernels under cls = 2, 4, 16. *)
 
-val step3 :
-  ?settings:Locality_driver.Settings.t -> ?n:int -> unit -> string
+val step3 : ?settings:Locality_driver.Settings.t -> unit -> string
 (** Step-3 preview (the paper's register level): unroll-and-jam plus
-    scalar replacement on memory-ordered matmul, measured as memory
-    accesses per FLOP and modelled time. *)
+    scalar replacement on memory-ordered matmul at [N] = 64, measured
+    as memory accesses per FLOP and modelled time. *)
 
-val interference :
-  ?settings:Locality_driver.Settings.t -> ?n:int -> unit -> string
+val interference : ?settings:Locality_driver.Settings.t -> unit -> string
 (** Fusion with and without the Section-5.5 interference guard on the
-    shallow-water kernel, where unguarded fusion conflicts in cache1. *)
+    shallow-water kernel at [N] = 128, where unguarded fusion conflicts
+    in cache1. *)
 
 val parallelism : unit -> string
 (** Locality vs parallelism: DOALL loops and outer-parallel nests before

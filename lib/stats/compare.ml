@@ -22,7 +22,6 @@ type t = {
   c_config : Cache.config;
   c_exact : bool;
   c_verdict : [ `Compared of row list * row | `Fallback of string ];
-  c_tuned : (string * float) option;
 }
 
 let miss_rate ~accesses ~misses =
@@ -45,35 +44,17 @@ let make_row ~unit ~cls ~formula ~sim_acc ~sim_miss ~ana_acc ~ana_miss =
     r_abs_err = Float.abs (r_ana_rate -. r_sim_rate);
   }
 
-let run ?params ?(config = Machine.cache1) ?(tune = false) ?jobs
-    ?(store = None) ~name
-    (p : Program.t) =
-  (* The tuned line is opt-in: a quick-profile transformation search
-     (see {!Tune.quick_spec}) whose winner rides beside the model-vs-
-     simulator rows, so one report answers both "how good is the model"
-     and "how good could this nest get". *)
-  let c_tuned =
-    if not tune then None
-    else
-      match
-        Tune.run ~spec:Tune.quick_spec ?params ~machine:config ?jobs ~store
-          ~name p
-      with
-      | Error _ -> None
-      | Ok t ->
-        Option.bind t.Tune.t_winner (fun (w : Tune.row) ->
-            Option.map (fun m -> (w.Tune.enc, m)) w.Tune.simulated_miss)
-  in
-  match Analytic.estimate ?params ~config p with
+let run ?(config = Machine.cache1) ?(store = None) ~name (p : Program.t) =
+  match Analytic.estimate ~config p with
   | Error reason ->
     { c_name = name; c_config = config; c_exact = false;
-      c_verdict = `Fallback reason; c_tuned }
+      c_verdict = `Fallback reason }
   | Ok est -> (
     (* One batch, one walk: the whole program, then each unit's
        statements as the optimized region. *)
     let query labels = Measure.query ~config ~optimized_labels:labels () in
     let units = List.map (fun node -> query (Loop.labels [ node ])) p.Program.body in
-    match (Measure.prepare ?params ~store p).Measure.runs (query [] :: units) with
+    match (Measure.prepare ~store p).Measure.runs (query [] :: units) with
     | [] -> invalid_arg "Compare.run: no whole-program run"
     | whole_sim :: unit_sims ->
     let rows =
@@ -104,7 +85,7 @@ let run ?params ?(config = Machine.cache1) ?(tune = false) ?jobs
           - est.Analytic.e_whole.Analytic.c_hits)
     in
     { c_name = name; c_config = config; c_exact = est.Analytic.e_exact;
-      c_verdict = `Compared (rows, whole); c_tuned })
+      c_verdict = `Compared (rows, whole) })
 
 (* ------------------------------------------------------- rendering --- *)
 
@@ -128,11 +109,6 @@ let render t =
     addf "whole-program class: %s"
       (if t.c_exact then "exact (analytic counts are simulator-equal)"
        else "approx (bracketed estimates)"));
-  (match t.c_tuned with
-  | Some (enc, miss) ->
-    addf "tuned (quick search): %s  simulated %s%% miss" enc
-      (Report.fmt_pct miss)
-  | None -> ());
   Buffer.contents b
 
 (* ------------------------------------------------------------ JSON --- *)
@@ -163,15 +139,6 @@ let to_json t =
       ("program", Json.str t.c_name);
       ("cache", Json.str t.c_config.Cache.name);
       ("exact", if t.c_exact then "true" else "false");
-      ( "tuned",
-        match t.c_tuned with
-        | Some (enc, miss) ->
-          Json.obj
-            [
-              ("candidate", Json.str enc);
-              ("simulated_miss_rate", float_json miss);
-            ]
-        | None -> "null" );
     ]
   in
   (match t.c_verdict with

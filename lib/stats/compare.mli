@@ -26,22 +26,17 @@ type t = {
   c_verdict : [ `Compared of row list * row | `Fallback of string ];
       (** per-unit rows plus the whole-program row, or the analytic
           fallback reason (the simulator row set is skipped then) *)
-  c_tuned : (string * float) option;
-      (** with [~tune:true]: the quick-profile {!Tune} winner — its
-          candidate encoding and simulated miss rate (percent) on the
-          same geometry *)
 }
 
 val run :
-  ?params:(string * int) list -> ?config:Cache.config -> ?tune:bool ->
-  ?jobs:int -> ?store:Locality_store.Store.t option -> name:string ->
-  Program.t -> t
+  ?config:Cache.config -> ?store:Locality_store.Store.t option ->
+  name:string -> Program.t -> t
 (** Analyze and simulate the program under one geometry (default
     {!Locality_cachesim.Machine.cache1}). The simulator side is one
     batch on one walk: the whole program, then one query per unit with
     that unit's statement labels as the optimized region, so per-unit
-    numbers come from the same replay machinery as every table.
-    [?jobs] is the pool width of the [~tune] search. *)
+    numbers come from the same replay machinery as every table. The
+    program is measured at its own parameter values. *)
 
 val render : t -> string
 

@@ -24,10 +24,10 @@ let events t = t.events
 let is_instant (e : Event.t) =
   match e.Event.payload with Event.Instant _ -> true | _ -> false
 
-let run ?cls ?try_reversal ?interference_limit ~name program =
+let run ?cls ?interference_limit ~name program =
   let (transformed, stats), events =
     Obs.collect (fun () ->
-        Compound.run_program ?cls ?try_reversal ?interference_limit program)
+        Compound.run_program ?cls ?interference_limit program)
   in
   let decisions =
     List.filter_map

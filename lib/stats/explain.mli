@@ -35,7 +35,6 @@ val events : t -> Locality_obs.Event.t list
 
 val run :
   ?cls:int ->
-  ?try_reversal:bool ->
   ?interference_limit:int ->
   name:string ->
   Program.t ->

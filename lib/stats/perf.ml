@@ -60,10 +60,10 @@ let table1 ?(settings = Settings.default ()) ?(n = 64) () =
 
 (* One compound run, one walk per program version feeding every cache
    geometry (and with a store, warm rows walk nothing at all). *)
-let perf_of ~settings ?(cls = 4) name (p : Program.t) =
+let perf_of ~settings name (p : Program.t) =
   let r =
     D.run_exn
-      (Settings.config settings ~cls
+      (Settings.config settings
          ~machines:[ Machine.cache1; Machine.cache2 ]
          (D.Source_program { name; program = p }))
   in
@@ -78,7 +78,7 @@ let perf_of ~settings ?(cls = 4) name (p : Program.t) =
     speedup2 = m2.D.speedup;
   }
 
-let table3_rows ?(settings = Settings.default ()) ?(n = 128) ?cls () =
+let table3_rows ?(settings = Settings.default ()) ?(n = 128) () =
   let kernels =
     [
       ("arc2d (adi kernel)", S.Kernels.adi_fragment n);
@@ -104,11 +104,11 @@ let table3_rows ?(settings = Settings.default ()) ?(n = 128) ?cls () =
     ]
   in
   Pool.map ~jobs:settings.Settings.jobs
-    (fun (name, p) -> perf_of ~settings ?cls name p)
+    (fun (name, p) -> perf_of ~settings name p)
     kernels
 
-let table3 ?settings ?n ?cls () =
-  let rows = table3_rows ?settings ?n ?cls () in
+let table3 ?settings () =
+  let rows = table3_rows ?settings () in
   Report.render
     ~title:"Table 3: Performance Results (modelled seconds, cache1 machine)"
     ~note:
@@ -140,11 +140,10 @@ type hit_row = {
   whole1_final : float;
   whole2_orig : float;
   whole2_final : float;
-  whole1_tuned : float option;
 }
 
-let table4_rows ?(settings = Settings.default ()) ?(n = 32) ?cls:_
-    ?(tune = false) (rows : Table2.row list) =
+let table4_rows ?(settings = Settings.default ()) ?(n = 32)
+    (rows : Table2.row list) =
   let rows =
     (* Each program version is interpreted once and its trace replayed
        on both geometries, rows in parallel; the optimizer already ran
@@ -177,24 +176,6 @@ let table4_rows ?(settings = Settings.default ()) ?(n = 32) ?cls:_
           in
           let o1 = m1.D.original_run and f1 = m1.D.transformed_run in
           let o2 = m2.D.original_run and f2 = m2.D.transformed_run in
-          (* Opt-in like Table 2's Tuned% column, but at this table's
-             geometry (params N=n), so the tuned hit rate is comparable
-             to the Whole1 columns beside it. *)
-          let whole1_tuned =
-            if not tune then None
-            else
-              match
-                Tune.run ~spec:Tune.quick_spec
-                  ~params:[ ("N", n) ]
-                  ~machine:Machine.cache1 ~jobs:settings.Settings.jobs
-                  ~store:settings.Settings.store
-                  ~name:r.Table2.entry.S.Programs.name r.Table2.original
-              with
-              | Error _ -> None
-              | Ok t ->
-                Option.bind t.Tune.t_winner (fun (w : Tune.row) ->
-                    Option.map (fun m -> 100.0 -. m) w.Tune.simulated_miss)
-          in
           Some
             {
               name = res.D.name;
@@ -206,27 +187,23 @@ let table4_rows ?(settings = Settings.default ()) ?(n = 32) ?cls:_
               whole1_final = Measure.hit_rate f1.Measure.whole;
               whole2_orig = Measure.hit_rate o2.Measure.whole;
               whole2_final = Measure.hit_rate f2.Measure.whole;
-              whole1_tuned;
             }
         end)
       rows
   in
   List.filter_map Fun.id rows
 
-let table4 ?settings ?n ?cls ?tune rows =
-  let hit_rows = table4_rows ?settings ?n ?cls ?tune rows in
+let table4 ?settings rows =
+  let hit_rows = table4_rows ?settings rows in
   Report.render
     ~title:"Table 4: Simulated Cache Hit Rates (cold misses excluded)"
     ~note:
       "cache1 = 64KB 4-way 128B lines (RS/6000); cache2 = 8KB 2-way 32B \
-       lines (i860). Optimized = accesses in nests the compiler changed. \
-       Whole1 Tuned = the quick transformation-search winner's whole-program \
-       hit rate on cache1 (with ~tune, else -)."
+       lines (i860). Optimized = accesses in nests the compiler changed."
     [ Report.Left ]
     [
       "Program"; "Opt1 Orig"; "Opt1 Final"; "Opt2 Orig"; "Opt2 Final";
-      "Whole1 Orig"; "Whole1 Final"; "Whole1 Tuned"; "Whole2 Orig";
-      "Whole2 Final";
+      "Whole1 Orig"; "Whole1 Final"; "Whole2 Orig"; "Whole2 Final";
     ]
     (List.map
        (fun r ->
@@ -238,9 +215,6 @@ let table4 ?settings ?n ?cls ?tune rows =
            Report.fmt_pct r.opt2_final;
            Report.fmt_pct r.whole1_orig;
            Report.fmt_pct r.whole1_final;
-           (match r.whole1_tuned with
-           | Some h -> Report.fmt_pct h
-           | None -> "-");
            Report.fmt_pct r.whole2_orig;
            Report.fmt_pct r.whole2_final;
          ])

@@ -21,14 +21,13 @@ val table1 : ?settings:Locality_driver.Settings.t -> ?n:int -> unit -> string
 (** Erlebacher: hand-coded vs distributed vs fused (Section 4.3.4). *)
 
 val table3_rows :
-  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> unit ->
-  perf_row list
-val table3 :
-  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> unit -> string
+  ?settings:Locality_driver.Settings.t -> ?n:int -> unit -> perf_row list
+val table3 : ?settings:Locality_driver.Settings.t -> unit -> string
 (** Original vs compound-transformed modelled times for the kernels the
-    paper reports in Table 3, on the cache1 machine model. Each program
-    version is interpreted once and its trace replayed per cache config;
-    rows are simulated in parallel on the domain pool. *)
+    paper reports in Table 3 (at [n] = 128, cache line size 4), on the
+    cache1 machine model. Each program version is interpreted once and
+    its trace replayed per cache config; rows are simulated in parallel
+    on the domain pool. *)
 
 type hit_row = {
   name : string;
@@ -40,20 +39,15 @@ type hit_row = {
   whole1_final : float;
   whole2_orig : float;
   whole2_final : float;
-  whole1_tuned : float option;
-      (** with [~tune:true]: the quick-profile {!Tune} winner's
-          whole-program hit rate on cache1 — the "tuned" column beside
-          the memory-order (Final) results *)
 }
 
 val table4_rows :
-  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> ?tune:bool ->
-  Table2.row list -> hit_row list
+  ?settings:Locality_driver.Settings.t -> ?n:int -> Table2.row list ->
+  hit_row list
 
-val table4 :
-  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> ?tune:bool ->
-  Table2.row list -> string
-(** Simulated hit rates (cold misses excluded) for optimized procedures
-    and whole programs, on cache1 (RS/6000) and cache2 (i860). Each
-    program version is interpreted once and its trace replayed on both
-    geometries; rows run in parallel on the domain pool. *)
+val table4 : ?settings:Locality_driver.Settings.t -> Table2.row list -> string
+(** Simulated hit rates at [N] = 32 (cold misses excluded) for optimized
+    procedures and whole programs, on cache1 (RS/6000) and cache2
+    (i860). Each program version is interpreted once and its trace
+    replayed on both geometries; rows run in parallel on the domain
+    pool. *)

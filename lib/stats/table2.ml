@@ -19,7 +19,6 @@ type row = {
   dist_results : int;
   ratio_final : float;
   ratio_ideal : float;
-  tuned : float option;
   original : Program.t;
   transformed : Program.t;
   optimized_labels : string list;
@@ -52,27 +51,9 @@ let ratio_avg eval_n pairs =
   | [] -> 1.0
   | _ -> List.fold_left ( +. ) 0.0 ratios /. float_of_int (List.length ratios)
 
-let compute_row ?(settings = Settings.default ()) ?(n = 24) ?(cls = 4)
-    ?(tune = false) entry =
-  let r = D.run_exn (Settings.config settings ~n ~cls (D.Source_entry entry)) in
+let compute_row ?(settings = Settings.default ()) ?(n = 24) entry =
+  let r = D.run_exn (Settings.config settings ~n (D.Source_entry entry)) in
   let original = r.D.original in
-  (* The tuned column is opt-in (it simulates finalists); quick profile
-     on cache1, like the hit-rate tables. A search that errors out (no
-     nest to tune) reads as "-", not as a failed row. *)
-  let tuned =
-    if not tune then None
-    else
-      match
-        Tune.run ~spec:Tune.quick_spec ~n ~cls
-          ~machine:Locality_cachesim.Machine.cache1
-          ~jobs:settings.Settings.jobs ~store:settings.Settings.store
-          ~name:entry.S.Programs.name original
-      with
-      | Error _ -> None
-      | Ok t ->
-        Option.bind t.Tune.t_winner (fun (w : Tune.row) ->
-            w.Tune.simulated_miss)
-  in
   let stats = Option.get r.D.compound in
   let nests = stats.C.Compound.nests in
   let count f = List.length (List.filter f nests) in
@@ -105,7 +86,6 @@ let compute_row ?(settings = Settings.default ()) ?(n = 24) ?(cls = 4)
         (List.map
            (fun s -> (s.C.Compound.cost_orig, s.C.Compound.cost_ideal))
            nests);
-    tuned;
     original;
     transformed = r.D.transformed;
     optimized_labels = r.D.optimized_labels;
@@ -113,9 +93,9 @@ let compute_row ?(settings = Settings.default ()) ?(n = 24) ?(cls = 4)
 
 (* Rows are independent per program, so they are computed on the domain
    pool; results come back in suite order regardless of pool size. *)
-let compute ?(settings = Settings.default ()) ?n ?cls ?tune () =
+let compute ?(settings = Settings.default ()) ?n () =
   Locality_par.Pool.map ~jobs:settings.Settings.jobs
-    (compute_row ~settings ?n ?cls ?tune)
+    (compute_row ~settings ?n)
     S.Programs.all
 
 let render rows =
@@ -123,7 +103,7 @@ let render rows =
     [
       "Program"; "Lines"; "Loops"; "Nests"; "Orig%"; "Perm%"; "Fail%";
       "iOrig%"; "iPerm%"; "iFail%"; "FusC"; "FusA"; "DistD"; "DistR";
-      "Final"; "Ideal"; "Tuned%";
+      "Final"; "Ideal";
     ]
   in
   let body =
@@ -146,9 +126,6 @@ let render rows =
           string_of_int r.dist_results;
           Printf.sprintf "%.2f" r.ratio_final;
           Printf.sprintf "%.2f" r.ratio_ideal;
-          (match r.tuned with
-          | Some m -> Printf.sprintf "%.2f" m
-          | None -> "-");
         ])
       rows
   in
@@ -168,7 +145,7 @@ let render rows =
       string_of_int (sum (fun r -> r.fusions));
       string_of_int (sum (fun r -> r.dist));
       string_of_int (sum (fun r -> r.dist_results));
-      ""; ""; "";
+      ""; "";
     ]
   in
   let groups =
@@ -196,9 +173,7 @@ let render rows =
       "Synthetic reconstructions of the paper's 35 programs (Lines = paper's \
        size). Orig/Perm/Fail = % of nests in / permuted into / failing \
        memory order; iXxx = same for the innermost loop; Final/Ideal = \
-       average LoopCost(original)/LoopCost(version); Tuned% = simulated \
-       miss rate of the quick transformation-search winner on cache1 \
-       (with ~tune, else -)."
+       average LoopCost(original)/LoopCost(version)."
     [ Report.Left ]
     header
     (body @ group_rows @ [ subtotal "totals" rows ])

@@ -16,10 +16,6 @@ type row = {
   dist_results : int;
   ratio_final : float;  (** avg original/final LoopCost, at default N *)
   ratio_ideal : float;
-  tuned : float option;
-      (** with [~tune:true]: the quick-profile {!Tune} winner's simulated
-          miss rate (percent) on cache1 — the "tuned" column beside the
-          memory-order results *)
   original : Program.t;
   transformed : Program.t;
   optimized_labels : string list;
@@ -31,17 +27,17 @@ val count_loops : Program.t -> int
     generator. *)
 
 val compute_row :
-  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> ?tune:bool ->
+  ?settings:Locality_driver.Settings.t -> ?n:int ->
   Locality_suite.Programs.entry -> row
 (** Test oracle: one row of {!compute}, for tests that check a row or a
     subset of the suite. *)
 
 val compute :
-  ?settings:Locality_driver.Settings.t -> ?n:int -> ?cls:int -> ?tune:bool ->
-  unit -> row list
-(** All 35 programs. Rows are computed in parallel on a pool of the
-    settings' width (default {!Locality_driver.Settings.default}), as
-    is the [~tune] search; the result list is in suite order and identical for every pool size. *)
+  ?settings:Locality_driver.Settings.t -> ?n:int -> unit -> row list
+(** All 35 programs at cache line size 4. Rows are computed in parallel
+    on a pool of the settings' width (default
+    {!Locality_driver.Settings.default}); the result list is in suite
+    order and identical for every pool size. *)
 
 val render : row list -> string
 

@@ -83,7 +83,6 @@ type result = {
   t_rows : row list;
   t_winner : row option;
   t_winner_program : Program.t;
-  t_winner_labels : string list;
 }
 
 (* ------------------------------------------------------ enumeration --- *)
@@ -254,7 +253,7 @@ let splice (p : Program.t) ~nest_idx block =
   in
   let p' = { p with Program.body } in
   match Program.validate p' with
-  | Ok () -> Some (p', Loop.labels block)
+  | Ok () -> Some p'
   | Error _ -> None
 
 let apply ?(cls = 4) p ~nest_idx cand =
@@ -425,7 +424,7 @@ let search ~spec ?n ~cls ~machine ?params ?jobs ~store ~name program =
                 ( { enc; status = Illegal; analytic_miss = None;
                     simulated_miss = None },
                   None )
-              | Some (p', labels) ->
+              | Some p' ->
                 Obs.counter "tune.screened" 1;
                 let miss =
                   measure_miss ~mode:Measure.Analytic ~machine ~params
@@ -435,7 +434,7 @@ let search ~spec ?n ~cls ~machine ?params ?jobs ~store ~name program =
                   (int_of_float (miss *. 100.0));
                 ( { enc; status = Screened; analytic_miss = Some miss;
                     simulated_miss = None },
-                  Some (p', labels) )))
+                  Some p' )))
     in
     let pruned =
       List.length (List.filter (fun (r, _) -> r.status = Illegal) screened)
@@ -447,13 +446,13 @@ let search ~spec ?n ~cls ~machine ?params ?jobs ~store ~name program =
         List.filter_map
           (fun (r, applied) ->
             match (r.analytic_miss, applied) with
-            | Some a, Some (p', labels) -> Some (r.enc, a, p', labels)
+            | Some a, Some p' -> Some (r.enc, a, p')
             | _, _ -> None)
           screened
       in
       let sorted =
         List.stable_sort
-          (fun (e1, a1, _, _) (e2, a2, _, _) ->
+          (fun (e1, a1, _) (e2, a2, _) ->
             match compare a1 a2 with
             | 0 -> String.compare e1 e2
             | c -> c)
@@ -468,20 +467,20 @@ let search ~spec ?n ~cls ~machine ?params ?jobs ~store ~name program =
     let confirmed =
       Obs.span "tune.confirm" (fun () ->
           Pool.map ?jobs
-            (fun (enc, analytic, p', labels) ->
+            (fun (enc, analytic, p') ->
               Obs.counter "tune.simulated" 1;
               let miss =
                 measure_miss ~mode:Measure.Runs ~machine ~params ~store p'
               in
               Obs.histogram "tune.confirm.miss_bp"
                 (int_of_float (miss *. 100.0));
-              (enc, analytic, miss, p', labels))
+              (enc, analytic, miss, p'))
             finalists)
     in
     let winner =
       match
         List.stable_sort
-          (fun (e1, _, m1, _, _) (e2, _, m2, _, _) ->
+          (fun (e1, _, m1, _) (e2, _, m2, _) ->
             match compare m1 m2 with
             | 0 -> String.compare e1 e2
             | c -> c)
@@ -494,21 +493,21 @@ let search ~spec ?n ~cls ~machine ?params ?jobs ~store ~name program =
       List.map
         (fun (r, _) ->
           match
-            List.find_opt (fun (enc, _, _, _, _) -> enc = r.enc) confirmed
+            List.find_opt (fun (enc, _, _, _) -> enc = r.enc) confirmed
           with
-          | Some (_, _, miss, _, _) ->
+          | Some (_, _, miss, _) ->
             { r with status = Confirmed; simulated_miss = Some miss }
           | None -> r)
         screened
     in
-    let winner_row, winner_program, winner_labels =
+    let winner_row, winner_program =
       match winner with
-      | Some (enc, analytic, miss, p', labels) ->
+      | Some (enc, analytic, miss, p') ->
         ( Some
             { enc; status = Confirmed; analytic_miss = Some analytic;
               simulated_miss = Some miss },
-          p', labels )
-      | None -> (None, program, [])
+          p' )
+      | None -> (None, program)
     in
     Some
       (fun ~baseline_miss ~memorder_miss ->
@@ -526,17 +525,20 @@ let search ~spec ?n ~cls ~machine ?params ?jobs ~store ~name program =
           t_rows = rows;
           t_winner = winner_row;
           t_winner_program = winner_program;
-          t_winner_labels = winner_labels;
         })
 
-let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
-    ?params ?jobs ?(store = None) ~name (p : Program.t) =
-  match spec_error ~name spec with
-  | Some e -> Error e
-  | None -> (
-    match D.load ?n (D.Source_program { name; program = p }) with
-    | Error e -> Error e
-    | Ok (name, program) -> (
+let run_config ?(spec = default_spec) ?jobs (cfg : D.config) =
+  let n = D.effective_n cfg in
+  match D.load ?n cfg.D.source with
+  | Error e -> Error e
+  | Ok (name, program) -> (
+    match spec_error ~name spec with
+    | Some e -> Error e
+    | None -> (
+      let cls = cfg.D.cls and params = cfg.D.params and store = cfg.D.store in
+      let machine =
+        match cfg.D.machines with m :: _ -> m | [] -> Machine.cache1
+      in
       (* Baseline and the paper's single-pass answer, measured exactly:
          the tuned winner is judged against the compound (memory-order)
          result on the same geometry. They run on a helper beside the
@@ -569,16 +571,10 @@ let run ?(spec = default_spec) ?n ?(cls = 4) ?(machine = Machine.cache1)
           (finish ~baseline_miss:(miss_of m.D.original_run)
              ~memorder_miss:(miss_of m.D.transformed_run))))
 
-let run_config ?(spec = default_spec) ?jobs (cfg : D.config) =
-  let n = D.effective_n cfg in
-  match D.load ?n cfg.D.source with
-  | Error e -> Error e
-  | Ok (name, p) ->
-    let machine =
-      match cfg.D.machines with m :: _ -> m | [] -> Machine.cache1
-    in
-    run ~spec ?n ~cls:cfg.D.cls ~machine ?params:cfg.D.params ?jobs
-      ~store:cfg.D.store ~name p
+let run ?spec ?n ?(machine = Machine.cache1) ?jobs ?store ~name p =
+  run_config ?spec ?jobs
+    (D.config ?n ~machines:[ machine ] ?store
+       (D.Source_program { name; program = p }))
 
 (* ------------------------------------------------------- reporting --- *)
 

@@ -2,10 +2,14 @@
     structure (as-is / fused / distributed) × loop permutation × tile
     size × unroll-and-jam factor.
 
+    Two ways in, one search: [memoria tune] and a wire request's [tune]
+    object both reach {!run_config}; {!run} is its adapter for a
+    program already in memory.
+
     The search is enumerate → screen → confirm, run on the program as
-    {!D.load} resizes it. Beside it, on a pool helper
-    ({!Locality_par.Pool.both}), a {!D.run} measures the baseline the
-    result is judged against: the original and the compound
+    {!D.load} loads and resizes it, once per search. Beside it, on a
+    pool helper ({!Locality_par.Pool.both}), a {!D.run} measures the
+    baseline the result is judged against: the original and the compound
     (memory-order) program, both with the exact simulator. A store hit
     may hand that run an original labelled differently from the one the
     search reads (builds of one text can label it differently); labels
@@ -20,8 +24,8 @@
       subtree would build every [Asis] program a second time;
     + {e screen} every candidate as a walk of the tree structure →
       permutation → tile → unroll: structure, permutation and tiling
-      run once per distinct prefix, in the domain that calls {!run}
-      while the baseline runs on a helper, and a prefix a stage rejects
+      run once per distinct prefix, in the domain that calls
+      {!run_config} while the baseline runs on a helper, and a prefix a stage rejects
       prunes every candidate below it unapplied, answered right there.
       Each distinct nest of the tree is analysed for dependences once
       there, and every stage that checks legality on it — permutation,
@@ -71,7 +75,7 @@ val default_spec : spec
      max_candidates = 4096}] — the full band. *)
 
 val quick_spec : spec
-(** A cheap profile for table columns and smoke tests:
+(** A cheap profile for [--quick] and smoke tests:
     [{tiles = [16]; unrolls = [4]; top_k = 1; max_candidates = 96}]. *)
 
 val spec_of_request : Locality_driver.Request.tune_spec -> spec
@@ -109,7 +113,7 @@ val apply :
   Program.t ->
   nest_idx:int ->
   candidate ->
-  (Program.t * string list) option
+  Program.t option
 (** Test oracle: the one-candidate reference that {!apply_all} must equal.
 
     Apply one candidate to the top-level nest at [nest_idx]: structure
@@ -125,7 +129,7 @@ val apply_all :
   Program.t ->
   nest_idx:int ->
   candidate list ->
-  (Program.t * string list) option list
+  Program.t option list
 (** Test oracle: the screen's batched application, checked element by
     element against {!apply}.
 
@@ -168,34 +172,33 @@ type result = {
   t_rows : row list;  (** every candidate, enumeration order *)
   t_winner : row option;  (** best confirmed; [None] if none legal *)
   t_winner_program : Program.t;  (** the original when no winner *)
-  t_winner_labels : string list;
 }
+
+val run_config : ?spec:spec -> ?jobs:int -> D.config -> (result, string) Stdlib.result
+(** Tune the config's source, the one search path: load it once via
+    {!D.load} (at {!D.effective_n}), check the spec, then run the
+    baseline and the search side by side. Scored on the config's first
+    machine (cache1 when none), with its cls, params and store; its
+    other fields are not read. Deterministic at any [jobs]: fixed
+    enumeration order, pool results in input order, lexicographic
+    tie-breaks. Errors follow the driver's ["<name>: <detail>"]
+    contract; no input raises — a [spec] that breaks the wire's range
+    rules ({!Locality_driver.Request.tune_spec_error}) is an error too.
+    When the baseline run fails, its error is the answer, whatever the
+    search beside it did. *)
 
 val run :
   ?spec:spec ->
   ?n:int ->
-  ?cls:int ->
   ?machine:Cache.config ->
-  ?params:(string * int) list ->
   ?jobs:int ->
   ?store:Store.t option ->
   name:string ->
   Program.t ->
   (result, string) Stdlib.result
-(** Tune one program. Deterministic at any [jobs]: fixed enumeration
-    order, pool results in input order, lexicographic tie-breaks.
-    Errors follow the driver's ["<name>: <detail>"] contract; no input
-    raises — a [spec] that breaks the wire's range rules
-    ({!Locality_driver.Request.tune_spec_error}) is an error too. When
-    the baseline run fails, its error is the answer, whatever the
-    search beside it did.
-    [machine] defaults to cache1; no store by default. *)
-
-val run_config : ?spec:spec -> ?jobs:int -> D.config -> (result, string) Stdlib.result
-(** {!run} driven by a driver config (the serve daemon and
-    [memoria tune]'s request path): source loaded via {!D.load}, scored
-    on the config's first machine (cache1 when none), with its cls,
-    params and store. *)
+(** {!run_config} on [Source_program {name; program}] at [n], on
+    [machine] (default cache1), cls 4, no params; no store by
+    default. *)
 
 val render : result -> string
 (** Human-readable report: counts, baseline vs memory order vs winner,

@@ -8,8 +8,8 @@
    one-candidate [apply], the bench kernels' pinned search shape, the
    dependences the screen shares between stages held to what each stage
    computes alone, the screen's pinned analysis count, the tune spec's
-   range rules on every path, and one legal candidate per distinct
-   program. *)
+   range rules on every path, one legal candidate per distinct
+   program, and [run] held to [run_config]. *)
 
 open Locality_ir
 open Builder
@@ -264,7 +264,7 @@ let test_tune_apply_unroll_validates () =
   in
   match Tune.apply p ~nest_idx:0 cand with
   | None -> Alcotest.fail "unroll candidate rejected"
-  | Some (p', _) ->
+  | Some p' ->
     checkb "unrolled program validates" true
       (match Program.validate p' with Ok () -> true | Error _ -> false)
 
@@ -389,7 +389,7 @@ let check_staged ~spec ~n name p =
               row.Tune.enc;
           match (r, row.Tune.status) with
           | None, Tune.Illegal -> ()
-          | Some (p', _), (Tune.Screened | Tune.Confirmed) ->
+          | Some p', (Tune.Screened | Tune.Confirmed) ->
             if row.Tune.analytic_miss <> Some (analytic_miss p') then
               Alcotest.failf "%s %s: analytic rate differs" name row.Tune.enc
           | _, _ ->
@@ -459,7 +459,7 @@ let screen_nests ~spec p =
     Hashtbl.iter
       (fun _ c ->
         match Tune.apply p ~nest_idx c with
-        | Some (p', _) -> (
+        | Some p' -> (
           match List.nth_opt p'.Program.body nest_idx with
           | Some (Loop.Loop l) -> Hashtbl.replace nests l ()
           | Some (Loop.Stmt _) | None -> ())
@@ -561,7 +561,7 @@ let check_distinct ~spec name p =
       (fun c applied ->
         match applied with
         | None -> ()
-        | Some (p', _) -> (
+        | Some p' -> (
           let text = Pretty.program_to_string p' in
           match Hashtbl.find_opt seen text with
           | Some first ->
@@ -642,6 +642,34 @@ let test_tune_run_spec_ranges () =
        ]
        bad_specs)
 
+(* One search, two doors: [Tune.run] on a kernel's program and
+   [Tune.run_config] on the same kernel by name load the same program
+   and run the same search, so their documents, their reports and
+   their spec errors match byte for byte at any job count. *)
+let test_run_is_run_config () =
+  let module D = Locality_driver.Driver in
+  let by_config ~spec ~jobs name =
+    Tune.run_config ~spec ~jobs (D.config ~n:8 (D.Source_kernel name))
+  in
+  let by_program ~spec ~jobs name =
+    Tune.run ~spec ~n:8 ~jobs ~store:None ~name
+      ((List.assoc name S.Kernels.all) 8)
+  in
+  List.iter
+    (fun (name, jobs) ->
+      let c = or_fail (by_config ~spec:test_spec ~jobs name)
+      and p = or_fail (by_program ~spec:test_spec ~jobs name) in
+      let what = Printf.sprintf "%s jobs=%d: run = run_config" name jobs in
+      checks what (Tune.to_json c) (Tune.to_json p);
+      checks what (Tune.render c) (Tune.render p))
+    [ ("matmul", 1); ("matmul", 2); ("adi", 1); ("adi", 2) ];
+  let bad = { test_spec with Tune.tiles = [ 0 ] } in
+  match
+    (by_config ~spec:bad ~jobs:1 "matmul", by_program ~spec:bad ~jobs:1 "matmul")
+  with
+  | Error e1, Error e2 -> checks "the same spec error" e1 e2
+  | _, _ -> Alcotest.fail "an out-of-range spec was accepted"
+
 let suite =
   [
     Alcotest.test_case "tune: jobs=1 vs jobs=4 byte-identical" `Quick
@@ -684,4 +712,6 @@ let suite =
       test_baseline_error_wins;
     Alcotest.test_case "tune: relabelled warm store = cold" `Quick
       test_relabelled_warm_store;
+    Alcotest.test_case "tune: run = run_config (reports, spec errors)" `Quick
+      test_run_is_run_config;
   ]
