@@ -34,9 +34,9 @@ let occurrences (m : Refgroup.member) =
 
 (* The innermost enclosing loop of the group's representative. *)
 let actual_inner nest (m : Refgroup.member) =
-  match Loop.enclosing_headers nest m.Refgroup.stmt with
-  | Some hs when hs <> [] -> Some (List.nth hs (List.length hs - 1))
-  | _ -> None
+  match Option.map List.rev (Loop.enclosing_headers nest m.Refgroup.stmt) with
+  | Some (h :: _) -> Some h
+  | Some [] | None -> None
 
 let spatial_pair (a : Reference.t) (b : Reference.t) =
   (not (Reference.equal a b))

@@ -373,8 +373,9 @@ let run_program ?(cls = 4) ?(try_reversal = true) ?interference_limit
     (p : Program.t) =
   Obs.span "compound" (fun () ->
       let body, stats =
-        run_block ~cls ~try_reversal ?interference_limit ~outer:[]
-          p.Program.body
+        Locality_dep.Depend.with_memo (fun () ->
+            run_block ~cls ~try_reversal ?interference_limit ~outer:[]
+              p.Program.body)
       in
       if Obs.enabled () then begin
         Obs.add_span_arg "nests" (string_of_int (List.length stats.nests));

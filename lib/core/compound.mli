@@ -39,4 +39,6 @@ val run_program :
   Program.t ->
   Program.t * stats
 (** [interference_limit] is forwarded to the cross-nest fusion pass (see
-    {!Fusion.fuse_block}); off by default, as in the paper. *)
+    {!Fusion.fuse_block}); off by default, as in the paper. The run is one
+    {!Locality_dep.Depend.with_memo} scope: its steps share their
+    dependence pair tests. *)

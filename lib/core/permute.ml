@@ -160,16 +160,21 @@ let run ?(cls = 4) ?(try_reversal = true) ?deps ?mo nest =
       match Interchange.permute_spine nest' order with
       | Some nest'' ->
         note_candidate order reversed "applied";
-        let inner_achieved = List.nth order (List.length order - 1) in
         let best_cost = List.assoc (Memorder.innermost mo) mo.Memorder.ranked in
-        let got_cost = List.assoc inner_achieved mo.Memorder.ranked in
+        let inner_ok =
+          match List.rev order with
+          | inner_achieved :: _ ->
+            let got_cost = List.assoc inner_achieved mo.Memorder.ranked in
+            Poly.compare_dominant got_cost best_cost <= 0
+          | [] -> false
+        in
         Some
           {
             nest = nest'';
             achieved = order;
             memory_order = mo;
             status = Permuted;
-            inner_ok = Poly.compare_dominant got_cost best_cost <= 0;
+            inner_ok;
             reversed;
           }
       | None ->

@@ -18,7 +18,9 @@ val deps :
   ?include_input:bool -> ?outer:Loop.header list -> Loop.block -> Depend.t list
 (** All dependences between accesses of the block. Input (read-read)
     dependences are included only on request — the cost model's RefGroup
-    needs them; legality tests do not. *)
+    needs them; legality tests do not. Inside {!Depend.with_memo} (every
+    [Compound.run_program] is) each distinct reference pair is tested
+    once per scope; the list is the same either way. *)
 
 val deps_in_nest : ?include_input:bool -> Loop.t -> Depend.t list
 (** Dependences within a single nest, vectors over the nest's own loops

@@ -1,3 +1,5 @@
+module Obs = Locality_obs.Obs
+
 type kind = Flow | Anti | Output | Input
 
 type t = {
@@ -146,9 +148,9 @@ let slot_sign_possible ~src_path ~snk_path ~ncommon ~(v : Direction.t) ~slot
     ~(hyp : [ `Pos | `Neg | `Zero ]) ~(src_ref : Reference.t)
     (snk_ref : Reference.t) =
   let common = List.filteri (fun i _ -> i < ncommon) src_path in
-  let slot_header : Loop.header = List.nth common slot in
-  if slot_header.Loop.step <> 1 && hyp <> `Zero then true
-  else begin
+  match List.nth_opt common slot with
+  | Some (h : Loop.header) when h.Loop.step <> 1 && hyp <> `Zero -> true
+  | _ -> begin
     (* Build the rename map and the renamed sink headers, outermost
        first so bounds can be rewritten with the map built so far. *)
     let bang x = x ^ "!" in
@@ -187,9 +189,8 @@ let slot_sign_possible ~src_path ~snk_path ~ncommon ~(v : Direction.t) ~slot
       else (h.Loop.ub, h.Loop.lb)
     in
     List.iteri
-      (fun p (h : Loop.header) ->
+      (fun p ((h : Loop.header), entry) ->
         let x = h.Loop.index in
-        let entry = List.nth v p in
         let rename_with_own_bounds () =
           let x2 = bang x in
           renamed_headers :=
@@ -248,7 +249,8 @@ let slot_sign_possible ~src_path ~snk_path ~ncommon ~(v : Direction.t) ~slot
         end
         else if Direction.must_zero entry then share ()
         else ignore (rename_with_own_bounds ()))
-      common;
+      (* [v] has one entry per common loop *)
+      (List.combine common v);
     (* Non-common tail, primed and passed through the map. *)
     let tail = List.filteri (fun i _ -> i >= ncommon) snk_path in
     List.iter
@@ -333,7 +335,7 @@ let slot_sign_possible ~src_path ~snk_path ~ncommon ~(v : Direction.t) ~slot
     end
   end
 
-let analyze_pair ~src_path ~snk_path ~ncommon (src_ref : Reference.t)
+let analyze ~src_path ~snk_path ~ncommon (src_ref : Reference.t)
     (snk_ref : Reference.t) =
   let common = List.filteri (fun i _ -> i < ncommon) src_path in
   if List.length src_ref.Reference.subs <> List.length snk_ref.Reference.subs
@@ -404,6 +406,53 @@ let analyze_pair ~src_path ~snk_path ~ncommon (src_ref : Reference.t)
         (match refined with
         | None -> None
         | Some v -> Some (v, zero_ok, always, mzp))
+
+(* [analyze] reads only its five arguments (no statement label, no
+   global state), so a memo keyed on all five is invisible. A scope
+   lives in the running domain's local state: other domains never see
+   it, and it is dropped when the outermost [with_memo] returns or
+   raises. *)
+module Key = struct
+  type t = Loop.header list * Loop.header list * int * Reference.t * Reference.t
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 100 400
+end
+
+module Memo = Hashtbl.Make (Key)
+
+type scope = {
+  table : (Direction.t * bool * bool * int) option Memo.t;
+  mutable lookups : int;
+}
+
+let scope : scope option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let analyze_pair ~src_path ~snk_path ~ncommon src_ref snk_ref =
+  match Domain.DLS.get scope with
+  | None -> analyze ~src_path ~snk_path ~ncommon src_ref snk_ref
+  | Some s -> (
+    s.lookups <- s.lookups + 1;
+    let key = (src_path, snk_path, ncommon, src_ref, snk_ref) in
+    match Memo.find_opt s.table key with
+    | Some r -> r
+    | None ->
+      let r = analyze ~src_path ~snk_path ~ncommon src_ref snk_ref in
+      Memo.add s.table key r;
+      r)
+
+let with_memo f =
+  match Domain.DLS.get scope with
+  | Some _ -> f ()
+  | None ->
+    let s = { table = Memo.create 256; lookups = 0 } in
+    Domain.DLS.set scope (Some s);
+    let v = Fun.protect ~finally:(fun () -> Domain.DLS.set scope None) f in
+    if Obs.enabled () then begin
+      Obs.counter "dep.pair_tests" (Memo.length s.table);
+      Obs.counter "dep.pair_lookups" s.lookups
+    end;
+    v
 
 let mk ~src ~snk ~kind ~vec ~loops ~li ~li_always ~zero_prefix =
   let s1, r1 = src and s2, r2 = snk in

@@ -36,8 +36,9 @@ val analyze_pair :
   Reference.t ->
   Reference.t ->
   (Direction.t * bool * bool * int) option
-(** Test oracle: the pairwise test behind {!test_pair}, for reference
-    pairs that no valid program produces.
+(** Test oracle: the pairwise test behind {!test_pair} and
+    {!test_self}, for reference pairs that no valid program produces.
+    Memoized inside {!with_memo}.
 
     Constraint vector over the first [ncommon] loops of the paths (the
     common prefix), with sink iteration variables implicitly primed, plus
@@ -46,6 +47,30 @@ val analyze_pair :
     always flag (identical subscript functions). [None] means provably no
     dependence. Bounds of the enclosing loops (including non-common ones)
     refine the result by interval reasoning. *)
+
+val with_memo : (unit -> 'a) -> 'a
+(** [with_memo f] runs [f] with {!analyze_pair} memoized, so each
+    distinct reference pair is tested once however many times [f]'s
+    analyses ask about it. [Compound.run_program] runs inside one scope,
+    so permutation, memory order, fusion and distribution share their
+    pair tests; code outside every scope analyses each pair afresh.
+
+    Key: the whole input of {!analyze_pair},
+    [(src_path, snk_path, ncommon, src_ref, snk_ref)], compared
+    structurally. Statement labels and access kinds are not part of it:
+    the pair test reads neither, and {!test_pair} attaches them to the
+    memoized answer. The memo relies on the pair test being a pure
+    function of that input; it reads no global state.
+
+    Scope: the running domain only, from the outermost [with_memo] until
+    it returns or raises; a nested call joins the open scope. The table
+    is then dropped, so its memory is bounded by the pairs one scope
+    asks about (a long-running daemon keeps none between requests).
+
+    While recording ({!Locality_obs.Obs.enabled}), the outermost scope
+    emits two counters when [f] returns: [dep.pair_tests], the distinct
+    pairs tested, and [dep.pair_lookups], the pair tests asked for
+    (every one would run without the memo). *)
 
 val test_self :
   path:Loop.header list -> Stmt.t * Reference.t -> t option

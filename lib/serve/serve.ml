@@ -125,6 +125,15 @@ let stop t =
   Atomic.set t.stop_flag true;
   wake t
 
+(* A worker's last step: the main loop has something to do with a
+   finished job only when it is draining (it may now be idle) or
+   recording (the job's events and counters wait in [completions]).
+   Otherwise the completion waits for the loop's next wake-up, and a
+   request costs no pipe write, [select] return and read. Called after
+   the in-flight decrement: a [stop] that this read misses sets the flag
+   after it, and its own wake finds the loop idle. *)
+let job_done t = if Atomic.get t.stop_flag || Obs.enabled () then wake t
+
 let install_signal_handlers t =
   let h = Sys.Signal_handle (fun _ -> stop t) in
   Sys.set_signal Sys.sigint h;
@@ -213,7 +222,7 @@ let process t job =
   in
   if skip then begin
     locked t (fun () -> Queue.push Discarded t.completions);
-    wake t
+    job_done t
   end
   else begin
     let result, events =
@@ -242,7 +251,7 @@ let process t job =
         List.iter (fun w -> w.w_conn.c_refs <- w.w_conn.c_refs - 1) claimed;
         t.n_inflight <- t.n_inflight - 1;
         Queue.push (Done (answered_ok result, events)) t.completions);
-    wake t
+    job_done t
   end
 
 (* ---- main loop ------------------------------------------------------ *)

@@ -176,9 +176,11 @@ let nest_at (p : Program.t) nest_idx =
     | Some (Loop.Loop nest) -> Some nest
     | Some (Loop.Stmt _) | None -> None
 
-let candidates ?(cls = 4) spec p =
+let enumerate_program ~cls spec p =
   Option.bind (target_index p) (fun idx ->
       Option.map (fun nest -> (idx, enumerate ~spec ~cls nest)) (nest_at p idx))
+
+let candidates spec p = enumerate_program ~cls:4 spec p
 
 (* ------------------------------------------------------ application --- *)
 
@@ -256,8 +258,9 @@ let splice (p : Program.t) ~nest_idx block =
   | Ok () -> Some p'
   | Error _ -> None
 
-let apply ?(cls = 4) p ~nest_idx cand =
+let apply p ~nest_idx cand =
   let ( let* ) = Option.bind in
+  let cls = 4 in
   let* nest = nest_at p nest_idx in
   let* b = shape ~cls nest cand.structure in
   let* b = permute ~deps:true_deps b cand.perm in
@@ -294,7 +297,7 @@ let last_memo eq f =
    applied, unroll-and-jam. A tiled nest's true dependences serve
    unroll-and-jam. The lists are immutable, so the fan-out reads them
    from any domain. *)
-let screen_map ?(cls = 4) ?jobs p ~nest_idx cands f =
+let screen_map ~cls ?jobs p ~nest_idx cands f =
   let prefixed =
     match nest_at p nest_idx with
     | None -> List.map (fun c -> Either.Left (f c None)) cands
@@ -356,8 +359,8 @@ let screen_map ?(cls = 4) ?jobs p ~nest_idx cands f =
   in
   merge prefixed live
 
-let apply_all ?cls ?jobs p ~nest_idx cands =
-  screen_map ?cls ?jobs p ~nest_idx cands (fun _ applied -> applied)
+let apply_all ?jobs p ~nest_idx cands =
+  screen_map ~cls:4 ?jobs p ~nest_idx cands (fun _ applied -> applied)
 
 (* ------------------------------------------------------- evaluation --- *)
 
@@ -396,7 +399,7 @@ let spec_error ~name spec =
    nest. The rest of the result, the baseline's and the memory order's
    miss rates, comes from the baseline run beside the search. *)
 let search ~spec ?n ~cls ~machine ?params ?jobs ~store ~name program =
-  match Obs.span "tune.enumerate" (fun () -> candidates ~cls spec program) with
+  match Obs.span "tune.enumerate" (fun () -> enumerate_program ~cls spec program) with
   | None -> None
   | Some (nest_idx, all) ->
     let generated = List.length all in

@@ -99,22 +99,17 @@ val encode : candidate -> string
     Canonical encoding, e.g. ["S=asis;P=J,K,I;T=16;U=K*4"] — the store
     key component and the deterministic tie-break. *)
 
-val candidates :
-  ?cls:int -> spec -> Program.t -> (int * candidate list) option
-(** Test oracle: the whole enumeration the search screens.
+val candidates : spec -> Program.t -> (int * candidate list) option
+(** Test oracle: the whole enumeration the search screens, at cls 4.
 
     The tuned nest's index in the program body (the deepest top-level
     nest, the first on ties) and its whole candidate list in enumeration
     order, before [max_candidates] truncation. [None] when the program
     has no top-level nest. *)
 
-val apply :
-  ?cls:int ->
-  Program.t ->
-  nest_idx:int ->
-  candidate ->
-  Program.t option
-(** Test oracle: the one-candidate reference that {!apply_all} must equal.
+val apply : Program.t -> nest_idx:int -> candidate -> Program.t option
+(** Test oracle: the one-candidate reference that {!apply_all} must
+    equal, at cls 4.
 
     Apply one candidate to the top-level nest at [nest_idx]: structure
     first, then permutation (legality-checked), tiling (over
@@ -124,7 +119,6 @@ val apply :
     propagated. *)
 
 val apply_all :
-  ?cls:int ->
   ?jobs:int ->
   Program.t ->
   nest_idx:int ->

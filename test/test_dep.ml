@@ -982,6 +982,130 @@ let props =
       prop_prove_sound_brute_force;
     ]
 
+(* ------------------------------------------------ pair-test memo --- *)
+
+module Compound = Locality_core.Compound
+module Kernels = Locality_suite.Kernels
+module Programs = Locality_suite.Programs
+module Gen = Locality_fuzz.Gen
+module Obs = Locality_obs.Obs
+module Summary = Locality_obs.Summary
+
+(* Every block an analysis may be asked about: the program body, each
+   nest on its own, and the body of every loop at any depth under its
+   enclosing headers. Sibling nests and same-headed sibling loops put
+   the same paths at different common depths. *)
+let blocks (p : Program.t) =
+  let rec of_block outer b acc =
+    List.fold_left
+      (fun acc node ->
+        match node with
+        | Loop.Stmt _ -> acc
+        | Loop.Loop l ->
+          of_block (outer @ [ l.Loop.header ]) l.Loop.body
+            ((outer, [ node ]) :: acc))
+      ((outer, b) :: acc) b
+  in
+  List.rev (of_block [] p.Program.body [])
+
+let first_nest (p : Program.t) =
+  match
+    List.find_map
+      (function Loop.Loop l -> Some l | Loop.Stmt _ -> None)
+      p.Program.body
+  with
+  | Some l -> l
+  | None -> Alcotest.fail "program without a nest"
+
+let pair_counters f =
+  let v, events = Obs.collect f in
+  let s = Summary.of_events events in
+  let c name = Option.value ~default:0 (List.assoc_opt name s.Summary.counters) in
+  (v, c "dep.pair_tests", c "dep.pair_lookups")
+
+(* [Analysis.deps] gives the same list inside one memo scope as outside
+   any, on every block of each program and of compound's result for it
+   (permuted, fused and distributed nests). One scope spans the whole
+   corpus, so the memo is asked about pairs from every program. *)
+let check_memo_invisible corpus programs =
+  let results = List.map (fun p -> (p, Compound.run_program ~cls:4 p)) programs in
+  let count f = List.length (List.filter f results) in
+  let cases =
+    List.concat_map
+      (fun (p, (p', _)) ->
+        List.concat_map
+          (fun (outer, b) -> [ (outer, b, false); (outer, b, true) ])
+          (blocks p @ blocks p'))
+      results
+  in
+  let analyse (outer, b, include_input) = An.deps ~include_input ~outer b in
+  let plain = List.map analyse cases in
+  let memoized, tests, lookups =
+    pair_counters (fun () -> Dep.with_memo (fun () -> List.map analyse cases))
+  in
+  let differ = List.length (List.filter Fun.id (List.map2 ( <> ) plain memoized)) in
+  checki (corpus ^ ": blocks whose dependences differ under the memo") 0 differ;
+  checkb (corpus ^ ": the memo answered repeated pairs") true (lookups > tests);
+  ( count (fun (_, (_, st)) ->
+        List.exists (fun n -> n.Compound.permuted) st.Compound.nests),
+    count (fun (_, (_, st)) ->
+        st.Compound.fusions_applied > 0
+        || List.exists (fun n -> n.Compound.fused_enabling) st.Compound.nests),
+    count (fun (_, (_, st)) -> st.Compound.distributions > 0) )
+
+let test_memo_invisible () =
+  let kernels = List.map (fun (_, mk) -> mk 16) Kernels.all in
+  let suite = List.map (fun e -> Programs.program_of ~n:16 e) Programs.all in
+  let fuzz = List.init 500 (fun index -> Gen.generate ~seed:5 ~index ~size:20) in
+  checki "kernels" 18 (List.length kernels);
+  checki "suite programs" 35 (List.length suite);
+  let add (a, b, c) (d, e, f) = (a + d, b + e, c + f) in
+  let permuted, fused, distributed =
+    add
+      (add (check_memo_invisible "kernels" kernels)
+         (check_memo_invisible "suite" suite))
+      (check_memo_invisible "fuzz" fuzz)
+  in
+  checkb "compound permuted some nests" true (permuted > 0);
+  checkb "compound fused some nests" true (fused > 0);
+  checkb "compound distributed some nests" true (distributed > 0)
+
+(* Compound tests each distinct pair once. Without the memo, lu at n=24
+   ran 146 pair tests (every lookup was a test); with it, 68. A second
+   run in the same scope tests nothing new. *)
+let test_memo_counts () =
+  let lu = Kernels.lu 24 in
+  let _, tests, lookups = pair_counters (fun () -> Compound.run_program ~cls:4 lu) in
+  checki "lu: distinct pairs tested" 68 tests;
+  checki "lu: pair tests asked for (the count without the memo)" 146 lookups;
+  let _, tests2, lookups2 =
+    pair_counters (fun () ->
+        Dep.with_memo (fun () ->
+            ignore (Compound.run_program ~cls:4 lu);
+            Compound.run_program ~cls:4 lu))
+  in
+  checki "two runs in one scope test each pair once" tests tests2;
+  checki "two runs in one scope ask twice" (2 * lookups) lookups2;
+  let _, quiet_tests, _ =
+    pair_counters (fun () -> An.deps_in_nest (first_nest lu))
+  in
+  checki "no counter outside a scope" 0 quiet_tests
+
+(* The scope ends when [f] raises: the next compound run opens a fresh
+   one (a stale scope would absorb it and report nothing). *)
+let test_memo_scope_ends_on_raise () =
+  let lu = Kernels.lu 24 in
+  (try
+     Dep.with_memo (fun () ->
+         ignore (Compound.run_program ~cls:4 lu);
+         raise Exit)
+   with Exit -> ());
+  let _, tests, lookups =
+    pair_counters (fun () -> Compound.run_program ~cls:4 lu)
+  in
+  checki "a fresh scope tests every pair" 68 tests;
+  checki "a fresh scope counts every lookup" 146 lookups
+
 let suite =
   props
   @ [
@@ -1009,4 +1133,8 @@ let suite =
     ("coverage check not vacuous", `Quick, test_coverage_check_not_vacuous);
     ("graph scc + topo order", `Quick, test_graph_scc);
     ("graph drops input deps", `Quick, test_graph_input_dropped);
+    ("pair memo: same dependences in and out of scope", `Slow,
+     test_memo_invisible);
+    ("pair memo: compound tests each pair once", `Quick, test_memo_counts);
+    ("pair memo: scope ends on raise", `Quick, test_memo_scope_ends_on_raise);
   ]

@@ -329,8 +329,8 @@ let light ~id ~store n =
 (* A request that holds a worker for a while: exact replay of a large
    matmul on both caches, no store (so reruns of the test can't answer
    it warm). *)
-let heavy ?timeout_ms ~id () =
-  Request.make ~id ~n:192 ~replay:Measure.Runs
+let heavy ?(n = 192) ?timeout_ms ~id () =
+  Request.make ~id ~n ~replay:Measure.Runs
     ~machines:[ Request.Named "cache1"; Request.Named "cache2" ]
     ~store:Request.No_store ?timeout_ms (Request.Kernel "matmul")
 
@@ -470,6 +470,31 @@ let test_drain_answers_inflight () =
   check "draining server still answered the in-flight request" true
     (contains body "\"status\":\"ok\"" && contains body "\"id\":\"drain\"")
 
+(* The worker that finishes the last in-flight job after [stop] wakes
+   the draining loop itself, so [run] returns right after the reply
+   instead of when the loop's 1 s [select] timeout next expires. The
+   job (about 0.2 s) ends well before that timeout, which started at the
+   stop. *)
+let test_drain_returns_promptly () =
+  let path = fresh_path "serve-sock" in
+  let t = Serve.create (Serve.Socket path) in
+  let th = Thread.create Serve.run t in
+  let fd = connect path in
+  send_line fd (Request.to_json (heavy ~n:128 ~id:"prompt" ()));
+  Thread.delay 0.05;
+  Serve.stop t;
+  let body = recv_line fd in
+  let replied = Unix.gettimeofday () in
+  Thread.join th;
+  let lag = Unix.gettimeofday () -. replied in
+  Unix.close fd;
+  (try Unix.unlink path with _ -> ());
+  check "the in-flight request was answered" true
+    (contains body "\"status\":\"ok\"" && contains body "\"id\":\"prompt\"");
+  check
+    (Printf.sprintf "run returned %.3f s after the last reply (< 0.3 s)" lag)
+    true (lag < 0.3)
+
 (* Several requests in one write: the framing layer splits them in a
    single scan and every one is answered (responses matched by id —
    arrival order is not guaranteed). *)
@@ -580,6 +605,8 @@ let suite =
       test_timeout_and_backpressure );
     ("serve: identical in-flight requests batched", `Slow, test_batching);
     ("serve: drain answers in-flight work", `Slow, test_drain_answers_inflight);
+    ("serve: drain returns as the last job ends", `Slow,
+     test_drain_returns_promptly);
     ("serve: pipelined lines all answered", `Slow, test_pipelined_lines);
     ("serve: malformed line rejected, connection survives", `Quick, test_wire_malformed);
     ( "serve: no-store reply independent of earlier traffic",
