@@ -15,8 +15,9 @@ module Settings = Locality_driver.Settings
    then replay its captured chunks on both paper caches, and report the
    minor-heap words each access cost. Goes to stderr so the CI A/B diff
    of stdout across replay modes is unaffected; the residue is the
-   per-run setup (closure compilation, chunk buffer, per-call optional
-   arguments), amortised over ~10^6 accesses. *)
+   per-run setup (closure compilation, per-chunk optional arguments),
+   amortised over ~10^6 accesses. The chunk buffer is a major-heap
+   block and does not count. *)
 let alloc_probe () =
   let module Trace = Locality_interp.Trace in
   let module Walk = Locality_interp.Walk in

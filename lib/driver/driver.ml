@@ -207,8 +207,9 @@ let run_loaded cfg name program =
         let speedup = o.Measure.cycles /. f.Measure.cycles in
         (* Milli-units: histograms take ints, and log2 buckets on raw
            ratios would collapse every speedup below 2x into one
-           bucket. *)
-        if Obs.enabled () then
+           bucket. A program with no array traffic reads 0/0, which has
+           no bucket. *)
+        if Obs.enabled () && Float.is_finite speedup then
           Obs.histogram "driver.speedup_milli"
             (int_of_float (speedup *. 1000.0));
         { machine; original_run = o; transformed_run = f; speedup })

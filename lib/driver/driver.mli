@@ -96,7 +96,9 @@ type measured = {
   original_run : Measure.run;
   transformed_run : Measure.run;
       (** Physically equal to [original_run] under {!Keep}. *)
-  speedup : float;  (** original cycles / transformed cycles. *)
+  speedup : float;
+      (** original cycles / transformed cycles: nan for a program with no
+          array traffic (0/0), which replies write as [null]. *)
 }
 
 type result = {

@@ -47,7 +47,10 @@ let measured_json (m : Driver.measured) =
       ("machine", Json.str m.Driver.machine.Cache.name);
       ("original", run_json m.Driver.original_run);
       ("transformed", run_json m.Driver.transformed_run);
-      ("speedup", jfloat m.Driver.speedup);
+      ( "speedup",
+        (* 0/0 for a program with no array traffic; JSON has no NaN. *)
+        if Float.is_finite m.Driver.speedup then jfloat m.Driver.speedup
+        else "null" );
     ]
 
 let compound_json (s : Compound.stats) =

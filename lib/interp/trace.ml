@@ -1,7 +1,10 @@
 module Chunk = Locality_cachesim.Chunk
 module Runchunk = Locality_cachesim.Runchunk
 
-let default_chunk_words = 65536
+(* Sized to the work: allocating and clearing the chunk is a fixed cost
+   of every walk, and a cold request's whole trace fits in a few
+   thousand words. *)
+let default_chunk_words = 4096
 
 (* Statement-label interning. *)
 module Interner = struct

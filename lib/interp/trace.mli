@@ -20,7 +20,9 @@ val run_create :
   ?chunk_words:int -> sink:(Runchunk.t -> unit) -> unit -> runbuf
 (** The sink borrows the chunk only for the duration of the call; the
     buffer is reused afterwards. A sink that keeps the data must
-    {!Runchunk.copy} it. *)
+    {!Runchunk.copy} it. [chunk_words] (tests only) defaults to 4096,
+    32 KiB: a few thousand words hold a small program's whole trace,
+    and a longer trace just flushes more chunks. *)
 
 val run_intern : runbuf -> string -> int
 (** Stable id for a statement label; meant to be called once per

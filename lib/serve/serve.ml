@@ -261,6 +261,7 @@ type loop = {
   pool : Pool.pool;
   wake_r : Unix.file_descr;
   listener : Unix.file_descr option;
+  rbuf : Bytes.t;  (* socket reads; only the main loop reads *)
   mutable conns : conn list;
   mutable waiters : waiter list;  (* deadline-carrying, main loop only *)
   mutable listener_open : bool;
@@ -374,8 +375,10 @@ let drain_buffer l conn =
     Buffer.clear conn.c_buf
   end
 
+(* One buffer serves every read: the bytes are copied into the
+   connection's own [c_buf] before the next read can overwrite them. *)
 let read_conn l conn =
-  let buf = Bytes.create 65536 in
+  let buf = l.rbuf in
   match Unix.read conn.c_rfd buf 0 (Bytes.length buf) with
   | 0 ->
     conn.c_eof <- true;
@@ -556,6 +559,7 @@ let run t =
       pool;
       wake_r;
       listener;
+      rbuf = Bytes.create 65536;
       conns;
       waiters = [];
       listener_open = Option.is_some listener;
@@ -595,8 +599,7 @@ let run t =
       | exception Unix.Unix_error (EINTR, _, _) -> ()
       | ready, _, _ ->
         if List.mem wake_r ready then begin
-          let b = Bytes.create 256 in
-          try ignore (Unix.read wake_r b 0 256) with _ -> ()
+          try ignore (Unix.read wake_r l.rbuf 0 256) with _ -> ()
         end;
         (match listener with
         | Some fd when l.listener_open && List.mem fd ready -> accept_conn l fd

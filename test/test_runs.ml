@@ -284,6 +284,31 @@ let test_batch_contract () =
   Alcotest.(check bool) "warm batch = cold batch" true (warm = batch);
   Alcotest.(check int) "warm batch: no walk" 0 warm_walks
 
+(* A walk's buffer is sized to the work: one cold batch on a small
+   program — a trace of 48 stream words — allocates a few thousand
+   major words (the chunk, the caches), not a 64 K-word chunk.
+   [Gc.counters] rather than [Gc.quick_stat]: the latter folds this
+   domain's direct major allocations in only at its next minor
+   collection. *)
+let test_batch_major_words () =
+  let p = Locality_fuzz.Gen.generate ~seed:1 ~index:0 ~size:8 in
+  let queries =
+    List.map (fun config -> Measure.query ~config ()) default_configs
+  in
+  let batch () = (Measure.prepare ~store:None p).Measure.runs queries in
+  ignore (batch ());
+  let major_words () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  let w0 = major_words () in
+  let runs = batch () in
+  let words = major_words () -. w0 in
+  Alcotest.(check bool) "the program has array traffic" true
+    ((List.hd runs).Measure.whole.Measure.accesses > 0);
+  if words >= 16_384. then
+    Alcotest.failf "one batch allocated %.0f major words (< 16384)" words
+
 (* ------------------------------------------------- run compression --- *)
 
 let test_matmul_emits_groups () =
@@ -898,6 +923,8 @@ let suite =
       test_batch_contract;
     Alcotest.test_case "replay: work metrics pinned" `Quick
       test_replay_metrics_pinned;
+    Alcotest.test_case "batch: major words sized to the trace" `Quick
+      test_batch_major_words;
     Alcotest.test_case "replay: no allocation per group" `Quick
       test_replay_allocation_free;
   ]

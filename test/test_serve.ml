@@ -14,6 +14,7 @@ module Store = Locality_store.Store
 module Obs = Locality_obs.Obs
 module Summary = Locality_obs.Summary
 module Rng = Locality_fuzz.Rng
+module Jsonin = Locality_telemetry.Jsonin
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -242,6 +243,32 @@ let test_error_format () =
     check_int "source name appears exactly once" 1 occurrences
   | Ok _ -> Alcotest.fail "parse error ran"
 
+(* A program with no array traffic costs 0 cycles before and after, so
+   its speedup is 0/0: the reply must still be JSON, with a null
+   speedup. *)
+let test_reply_no_traffic () =
+  let req =
+    Request.make ~id:"b" ~machines:[ Request.Named "cache1" ]
+      ~store:Request.No_store (Request.Suite "buk")
+  in
+  let body = Response.to_json (Response.of_run ~id:"b" (run_req req)) in
+  match Jsonin.parse_opt body with
+  | None -> Alcotest.failf "reply is not JSON: %s" body
+  | Some doc ->
+    let measured =
+      match Jsonin.member "measured" doc with
+      | Some (Jsonin.List [ m ]) -> m
+      | _ -> Alcotest.failf "one measured entry expected: %s" body
+    in
+    let field path =
+      List.fold_left
+        (fun v k -> Option.bind v (Jsonin.member k))
+        (Some measured) path
+    in
+    check "no cycles before" true
+      (field [ "original"; "cycles" ] = Some (Jsonin.Num 0.));
+    check "speedup is null" true (field [ "speedup" ] = Some Jsonin.Null)
+
 (* The per-request SHARDS rate is config state, not process state: an
    explicit rate changes that request's sampled estimate, and leaves
    nothing behind for the next request to inherit — the property that
@@ -284,13 +311,14 @@ let connect path =
   in
   go 250
 
-let send_line fd s =
-  let b = Bytes.of_string (s ^ "\n") in
-  let n = Bytes.length b in
+let send_raw fd s =
+  let b = Bytes.of_string s in
   let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write fd b !sent (n - !sent)
+  while !sent < Bytes.length b do
+    sent := !sent + Unix.write fd b !sent (Bytes.length b - !sent)
   done
+
+let send_line fd s = send_raw fd (s ^ "\n")
 
 let recv_line fd =
   let buf = Buffer.create 512 in
@@ -520,6 +548,47 @@ let test_pipelined_lines () =
                bodies))
         reqs)
 
+(* Every read goes through one buffer the event loop owns; each
+   connection keeps its own partial line. A line split over two writes
+   is answered, and two connections that interleave partial lines each
+   get the reply to their own request. *)
+let split_at_half s =
+  let h = String.length s / 2 in
+  (String.sub s 0 h, String.sub s h (String.length s - h))
+
+let solo ~id n =
+  Request.make ~id ~n ~machines:[ Request.Named "cache2" ]
+    ~store:Request.No_store (Request.Kernel "matmul")
+
+let test_split_line () =
+  let req = solo ~id:"split" 16 in
+  with_server (fun path ->
+      let fd = connect path in
+      let head, tail = split_at_half (Request.to_json req) in
+      send_raw fd head;
+      Thread.delay 0.1;
+      send_line fd tail;
+      let body = recv_line fd in
+      Unix.close fd;
+      check_str "a line in two writes is answered" (direct_bytes req) body)
+
+let test_interleaved_partial_lines () =
+  let a = solo ~id:"left" 16 and b = solo ~id:"right" 20 in
+  with_server (fun path ->
+      let fa = connect path and fb = connect path in
+      let a1, a2 = split_at_half (Request.to_json a)
+      and b1, b2 = split_at_half (Request.to_json b) in
+      List.iter
+        (fun (fd, s) ->
+          send_raw fd s;
+          Thread.delay 0.05)
+        [ (fa, a1); (fb, b1); (fa, a2 ^ "\n"); (fb, b2 ^ "\n") ];
+      let ra = recv_line fa and rb = recv_line fb in
+      Unix.close fa;
+      Unix.close fb;
+      check_str "first connection gets its own reply" (direct_bytes a) ra;
+      check_str "second connection gets its own reply" (direct_bytes b) rb)
+
 let test_wire_malformed () =
   with_server (fun path ->
       let fd = connect path in
@@ -595,6 +664,8 @@ let suite =
      test_retired_stream_mode);
     ("request: reader survives seed-stream fuzz", `Quick, test_fuzz_reader);
     ("driver: error format is stable", `Quick, test_error_format);
+    ("driver: reply with no array traffic is JSON, speedup null", `Quick,
+     test_reply_no_traffic);
     ("driver: sample rate is per-request, never sticky", `Slow, test_rate_isolation);
     ( "serve: concurrent clients = direct bytes, cold and warm",
       `Slow,
@@ -609,6 +680,10 @@ let suite =
      test_drain_returns_promptly);
     ("serve: pipelined lines all answered", `Slow, test_pipelined_lines);
     ("serve: malformed line rejected, connection survives", `Quick, test_wire_malformed);
+    ("serve: a line split over two writes is answered", `Quick,
+     test_split_line);
+    ("serve: interleaved partial lines stay per connection", `Quick,
+     test_interleaved_partial_lines);
     ( "serve: no-store reply independent of earlier traffic",
       `Slow,
       test_history_independent );
